@@ -2,9 +2,10 @@
 emit reports.
 
 Exit codes: 0 all assertions pass, 1 a verification assertion failed (a
-counterexample record is emitted), 2 input or usage error.  The records
-format is line-delimited "kind key=value ..." with a stable field order
-and no timing fields, so fixed seeds give byte-identical output.
+counterexample record is emitted), 2 input or usage error, or an
+exhaustive scan above its --cap (no verdict, so no counterexample).  The
+records format is line-delimited "kind key=value ..." with a stable field
+order and no timing fields, so fixed seeds give byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import random
 import sys
 
 from .freelie import bch, certify, tree_degree, tree_str
-from .lazard import LazardError, catalog, parse_ring, validate
+from .lazard import CrossCheckError, LazardError, parse_ring, validate
 from .metric import (MetricError, gauss_sum, lagrangians, parse_metric,
                      ribbon_qhat)
-from .orbits import (DUAL_CAP, Character, OrbitError, SkewForm, all_characters,
-                     dual_size, enumerate_orbits, generic_character,
-                     kernel_lemma_check, orbit_histogram, sample_characters)
+from .orbits import (DUAL_CAP, CapError, Character, OrbitError, SkewForm,
+                     all_characters, dual_size, enumerate_orbits,
+                     generic_character, kernel_lemma_check, orbit_histogram,
+                     sample_characters)
 from .polarizations import PolarizationError, polarize, start_polarization
 from .vmodel import (VModelError, eta_matrix, parse_vmodel, validate_data,
                      verify_ribbon)
@@ -55,6 +57,13 @@ def _field(val):
     if " " in val:
         val = '"' + val.replace('"', "'") + '"'
     return val
+
+
+def _counterexample(rep, check, err):
+    """Report a verification failure raised as an exception; exit code 1."""
+    rep.emit("counterexample", f"counterexample ({check}): {err}",
+             check=check, witness=str(err))
+    return 1
 
 
 def _pair(pair):
@@ -127,10 +136,10 @@ def cmd_orbits(args, rep):
             f"{args.cap}; raise --cap or ORBITLAB_CAP")
     try:
         orbits = enumerate_orbits(ring, cap=args.cap, workers=args.workers)
+    except CapError:
+        raise
     except OrbitError as e:
-        rep.emit("counterexample", f"counterexample (orbits): {e}",
-                 check="orbits", witness=str(e))
-        return 1
+        return _counterexample(rep, "orbits", e)
     hist = orbit_histogram(orbits)
     total = sum(size * count for size, count in hist.items())
     sizes = ", ".join(f"{size}x{count}" for size, count in sorted(hist.items()))
@@ -163,10 +172,10 @@ def cmd_kernel_check(args, rep):
         for chi in chars:
             kernel_lemma_check(ring, chi, cap=args.cap)
             count += 1
+    except CapError:
+        raise
     except OrbitError as e:
-        rep.emit("counterexample", f"counterexample (kernel): {e}",
-                 check="kernel", witness=str(e))
-        return 1
+        return _counterexample(rep, "kernel", e)
     rep.emit("kernel",
              f"kernel = stabilizer for {count} characters of {ring.name} "
              f"({mode})",
@@ -193,9 +202,7 @@ def cmd_polarize(args, rep):
         form = SkewForm(chi)
         steps, final, lag = polarize(form)
     except (OrbitError, PolarizationError) as e:
-        rep.emit("counterexample", f"counterexample (polarize): {e}",
-                 check="polarize", witness=str(e))
-        return 1
+        return _counterexample(rep, "polarize", e)
     for i, pol in enumerate(steps):
         rep.emit("step",
                  f"  step {i}: |h| = {pol.h.size()}, |perp| = "
@@ -224,9 +231,7 @@ def cmd_gauss(args, rep):
     try:
         g = gauss_sum(m)
     except MetricError as e:
-        rep.emit("counterexample", f"counterexample (gauss): {e}",
-                 check="gauss", witness=str(e))
-        return 1
+        return _counterexample(rep, "gauss", e)
     norm = g * g.conj()
     rep.emit("metric",
              f"{m!r}: G = {g}, G conj(G) = {norm}",
@@ -264,17 +269,19 @@ def cmd_ribbon(args, rep):
         raise InputError(f"{args.file}: {e}")
     try:
         validate_data(d)
+        override = None
+        if args.forge_eta:
+            override = eta_matrix(d)
+            override[0][0] = override[0][0] + CycNumber.one(
+                d.metric.p, d.metric.level)
+        report = verify_ribbon(d, eta_override=override,
+                               samples=args.samples, seed=args.seed)
     except VModelError as e:
-        rep.emit("counterexample", f"counterexample ({e.axiom}): {e}",
-                 check=e.axiom, witness=str(e))
-        return 1
-    override = None
-    if args.forge_eta:
-        override = eta_matrix(d)
-        override[0][0] = override[0][0] + CycNumber.one(
-            d.metric.p, d.metric.level)
-    report = verify_ribbon(d, eta_override=override, samples=args.samples,
-                           seed=args.seed)
+        return _counterexample(rep, e.axiom, e)
+    except CrossCheckError as e:
+        return _counterexample(rep, e.check, e)
+    except MetricError as e:
+        return _counterexample(rep, "metric", e)
     for check in report["checks"]:
         rep.emit("check",
                  f"{check['check']:13s} {check['status']}  {check['detail']} "
@@ -374,6 +381,10 @@ def main(argv=None):
         return args.run(args, rep)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 2
+    except CapError as e:
+        print(f"cap exceeded: {e}; raise --cap or ORBITLAB_CAP",
+              file=sys.stderr)
         return 2
 
 

@@ -1,178 +1,279 @@
 """Exact arithmetic in Q(zeta) for zeta a primitive p^M-th root of unity.
 
-Elements live in the power basis 1, zeta, ..., zeta^(phi-1) with Fraction
-coefficients, reduced modulo the p^M-th cyclotomic polynomial
-Phi(x) = sum_{j<p} x^(j*p^(M-1)). Equality is coefficient equality, so every
-identity checked against these numbers is exact.
+Elements live in the power basis 1, zeta, ..., zeta^(phi-1), reduced modulo
+the p^M-th cyclotomic polynomial Phi(x) = sum_{j<p} x^(j*p^(M-1)). An
+element is a tuple of Python-int numerators over one positive int
+denominator, always in lowest terms (gcd of the denominator and every
+numerator is 1, zero is 0/1), so equality and hashing are exact tuple
+comparisons and every identity checked against these numbers is exact.
+
+Each conductor p^M gets one context, built on first use: the sizes, the
+power-basis numerators of zeta^e for 0 <= e < n, and the index tables of
+the Galois automorphisms. Ring operations work on the extended basis
+1, ..., zeta^(n-1) and fold it back into the power basis in one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, itemgetter, mul, neg, sub
 from typing import Sequence
 
 from orbitlab.arith import QpModZp, is_prime
 
 __all__ = ["CycNumber", "cyc_embed", "embed_exponent"]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+class _Conductor:
+    """Per-(p, M) data shared by every CycNumber of that conductor."""
+
+    __slots__ = ("p", "m", "n", "phi", "pad", "zero", "roots", "_galois")
+
+    def __init__(self, p: int, m: int):
+        if m < 1 or not is_prime(p):
+            raise ValueError("conductor must be p^M with p prime, M >= 1")
+        self.p = p
+        self.m = m
+        self.n = p**m
+        self.phi = (p - 1) * p ** (m - 1)
+        self.pad = (0,) * (self.n - self.phi)
+        self.zero = (0,) * self.phi
+        unit = (1,) + (0,) * (self.n - 1)
+        self.roots = tuple(self.fold(unit[self.n - e:] + unit[:self.n - e])
+                           for e in range(self.n))
+        self._galois = {}
+
+    def __reduce__(self):
+        # copies and unpickled numbers share the one context per conductor
+        return _conductor, (self.p, self.m)
+
+    def fold(self, ext) -> tuple:
+        """Power-basis numerators of sum ext[e] zeta^e over 0 <= e < n.
+
+        Uses zeta^(phi + r) = -(zeta^r + zeta^(r+s) + ... + zeta^(r+(p-2)s)),
+        s = p^(M-1), for 0 <= r < s.
+        """
+        top = ext[self.phi:]
+        if any(top):
+            return tuple(map(sub, ext[:self.phi], top * (self.p - 1)))
+        return tuple(ext[:self.phi])
+
+    def galois_gather(self, t: int):
+        """Index map sending extended-basis numerators x to those of x^(t)."""
+        got = self._galois.get(t)
+        if got is None:
+            t_inv = pow(t, -1, self.n)
+            got = itemgetter(*(j * t_inv % self.n for j in range(self.n)))
+            self._galois[t] = got
+        return got
 
 
-def _acc(co: list, p: int, n: int, e: int, c) -> None:
-    """Add c*zeta^e into the coefficient list, reducing into the power basis.
+_CONDUCTORS: dict = {}
 
-    Uses zeta^((p-1)p^(M-1)) = -(1 + zeta^s + ... + zeta^((p-2)s)), s = p^(M-1).
-    """
-    e %= n
-    phi = len(co)
-    if e < phi:
-        co[e] += c
-    else:
-        step = n // p
-        r = e - phi
-        for j in range(p - 1):
-            co[r + j * step] -= c
+
+def _conductor(p: int, m: int) -> _Conductor:
+    ctx = _CONDUCTORS.get((p, m))
+    if ctx is None:
+        ctx = _CONDUCTORS.setdefault((p, m), _Conductor(p, m))
+    return ctx
+
+
+def _make(ctx: _Conductor, num: tuple, den: int) -> "CycNumber":
+    """Wrap numerators already in lowest terms over den."""
+    x = object.__new__(CycNumber)
+    x._ctx = ctx
+    x._num = num
+    x._den = den
+    return x
+
+
+def _lowest(ctx: _Conductor, num: tuple, den: int) -> "CycNumber":
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(a // g for a in num)
+        den //= g
+    return _make(ctx, num, den)
 
 
 class CycNumber:
-    """Element of Q(zeta_{p^M}) with exact rational power-basis coefficients."""
+    """Element of Q(zeta_{p^M}): integer numerators over one denominator."""
 
-    __slots__ = ("p", "m", "coeffs")
+    __slots__ = ("_ctx", "_num", "_den")
 
     def __init__(self, p: int, m: int, coeffs: Sequence[Fraction]):
-        if m < 1 or not is_prime(p):
-            raise ValueError("conductor must be p^M with p prime, M >= 1")
-        phi = (p - 1) * p ** (m - 1)
-        if len(coeffs) != phi:
-            raise ValueError(f"need {phi} coefficients, got {len(coeffs)}")
-        self.p = p
-        self.m = m
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        ctx = _conductor(p, m)
+        if len(coeffs) != ctx.phi:
+            raise ValueError(f"need {ctx.phi} coefficients, got {len(coeffs)}")
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        self._ctx = ctx
+        self._num = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self._den = den
+
+    @property
+    def p(self) -> int:
+        return self._ctx.p
+
+    @property
+    def m(self) -> int:
+        return self._ctx.m
+
+    @property
+    def coeffs(self) -> tuple:
+        """Power-basis coefficients as Fractions."""
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int, m: int) -> "CycNumber":
-        phi = (p - 1) * p ** (m - 1)
-        return cls(p, m, [_ZERO] * phi)
+        ctx = _conductor(p, m)
+        return _make(ctx, ctx.zero, 1)
 
     @classmethod
     def one(cls, p: int, m: int) -> "CycNumber":
-        return cls.rational(p, m, _ONE)
+        ctx = _conductor(p, m)
+        return _make(ctx, ctx.roots[0], 1)
 
     @classmethod
     def rational(cls, p: int, m: int, x) -> "CycNumber":
-        phi = (p - 1) * p ** (m - 1)
-        return cls(p, m, [Fraction(x)] + [_ZERO] * (phi - 1))
+        ctx = _conductor(p, m)
+        x = Fraction(x)
+        return _make(ctx, (x.numerator,) + ctx.zero[1:], x.denominator)
 
     @classmethod
     def root(cls, p: int, m: int, e: int) -> "CycNumber":
         """zeta^e, reduced into the power basis."""
-        phi = (p - 1) * p ** (m - 1)
-        co = [_ZERO] * phi
-        _acc(co, p, p**m, e, _ONE)
-        return cls(p, m, co)
+        ctx = _conductor(p, m)
+        return _make(ctx, ctx.roots[e % ctx.n], 1)
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "CycNumber"):
-        if (self.p, self.m) != (other.p, other.m):
+    def _check(self, other: "CycNumber") -> _Conductor:
+        if self._ctx is not other._ctx:
             raise ValueError("mixed conductors")
+        return self._ctx
+
+    def _combine(self, other: "CycNumber", op) -> "CycNumber":
+        ctx = self._check(other)
+        da, db = self._den, other._den
+        if da == db:
+            num = tuple(map(op, self._num, other._num))
+            return _make(ctx, num, 1) if da == 1 else _lowest(ctx, num, da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        num = tuple(map(op, map(mul, self._num, repeat(fa)),
+                        map(mul, other._num, repeat(fb))))
+        return _lowest(ctx, num, da * fa)
 
     def __add__(self, other: "CycNumber") -> "CycNumber":
-        self._check(other)
-        return CycNumber(self.p, self.m,
-                         [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, add)
 
     def __sub__(self, other: "CycNumber") -> "CycNumber":
-        self._check(other)
-        return CycNumber(self.p, self.m,
-                         [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, sub)
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.p, self.m, [-a for a in self.coeffs])
+        return _make(self._ctx, tuple(map(neg, self._num)), self._den)
 
     def scale(self, x) -> "CycNumber":
         x = Fraction(x)
-        return CycNumber(self.p, self.m, [a * x for a in self.coeffs])
+        num = tuple(map(mul, self._num, repeat(x.numerator)))
+        return _lowest(self._ctx, num, self._den * x.denominator)
 
     def __mul__(self, other: "CycNumber") -> "CycNumber":
-        self._check(other)
-        n = self.p**self.m
-        co = [_ZERO] * len(self.coeffs)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        _acc(co, self.p, n, i + j, a * b)
-        return CycNumber(self.p, self.m, co)
+        ctx = self._check(other)
+        a, b = self._num, other._num
+        phi = ctx.phi
+        # the sparser factor drives the outer loop; each of its nonzero
+        # coefficients adds one shifted, scaled copy of the other factor
+        zeros_a, zeros_b = a.count(0), b.count(0)
+        if zeros_a < zeros_b:
+            a, b, zeros_a = b, a, zeros_b
+        if zeros_a == phi:
+            return _make(ctx, ctx.zero, 1)
+        acc = [0] * (2 * phi - 1)
+        for i, c in enumerate(a):
+            if c:
+                row = map(mul, b, repeat(c))
+                acc[i:i + phi] = map(add, acc[i:i + phi], row)
+        n = ctx.n
+        if len(acc) > n:
+            wrap = acc[n:]
+            acc[:len(wrap)] = map(add, acc[:len(wrap)], wrap)
+            del acc[n:]
+        else:
+            acc.extend(ctx.pad[:n - len(acc)])
+        num = ctx.fold(acc)
+        den = self._den * other._den
+        return _make(ctx, num, 1) if den == 1 else _lowest(ctx, num, den)
 
     def mul_root(self, e: int) -> "CycNumber":
         """Multiply by zeta^e (a basis rotation, cheaper than full mul)."""
-        n = self.p**self.m
-        co = [_ZERO] * len(self.coeffs)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                _acc(co, self.p, n, i + e, a)
-        return CycNumber(self.p, self.m, co)
+        ctx = self._ctx
+        n = ctx.n
+        e %= n
+        ext = self._num + ctx.pad
+        # multiplying by a unit of Z[zeta] keeps the numerators' gcd
+        return _make(ctx, ctx.fold(ext[n - e:] + ext[:n - e]), self._den)
 
     def galois(self, t: int) -> "CycNumber":
         """Apply the automorphism zeta -> zeta^t, gcd(t, p) = 1."""
-        if t % self.p == 0:
+        ctx = self._ctx
+        if t % ctx.p == 0:
             raise ValueError("not a unit exponent")
-        n = self.p**self.m
-        co = [_ZERO] * len(self.coeffs)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                _acc(co, self.p, n, i * t, a)
-        return CycNumber(self.p, self.m, co)
+        gather = ctx.galois_gather(t % ctx.n)
+        # an automorphism of Z[zeta] keeps the numerators' gcd too
+        return _make(ctx, ctx.fold(gather(self._num + ctx.pad)), self._den)
 
     def conj(self) -> "CycNumber":
         """Complex conjugation zeta -> zeta^(-1)."""
-        return self.galois(self.p**self.m - 1)
+        return self.galois(self._ctx.n - 1)
 
     def inverse(self) -> "CycNumber":
         """Exact inverse via the product of Galois conjugates."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        n = self.p**self.m
-        prod = CycNumber.one(self.p, self.m)
-        for t in range(2, n):
-            if t % self.p != 0:
+        p, m = self.p, self.m
+        prod = CycNumber.one(p, m)
+        for t in range(2, p**m):
+            if t % p != 0:
                 prod = prod * self.galois(t)
         norm = self * prod
         if not norm.is_rational():
             raise ArithmeticError("norm failed to be rational")
-        return prod.scale(1 / norm.coeffs[0])
+        return prod.scale(Fraction(norm._den, norm._num[0]))
 
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def __eq__(self, other):
         return (isinstance(other, CycNumber)
-                and (self.p, self.m) == (other.p, other.m)
-                and self.coeffs == other.coeffs)
+                and self._ctx is other._ctx
+                and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.p, self.m, self.coeffs))
+        return hash((self._ctx.p, self._ctx.m, self._num, self._den))
 
     def __repr__(self):
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
 
     def serialize(self) -> str:
-        return f"{self.p ** self.m}:" + ",".join(str(c) for c in self.coeffs)
+        return f"{self._ctx.n}:" + ",".join(str(c) for c in self.coeffs)
 
 
 def cyc_embed(v: QpModZp, p: int, m: int) -> CycNumber:

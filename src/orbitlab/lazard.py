@@ -25,6 +25,15 @@ class LazardError(ValueError):
     pass
 
 
+class CrossCheckError(RuntimeError):
+    """Two independent routes to one value disagree: an internal error,
+    not bad input.  .check names the cross-check."""
+
+    def __init__(self, check, message):
+        super().__init__(message)
+        self.check = check
+
+
 def _vec(ring, v):
     t = tuple(int(c) % ring.pk for c in v)
     if len(t) != ring.rank:
@@ -248,8 +257,8 @@ def conjugate(ring, g, x):
         via_ad = ring.add(via_ad, ring.scale(c, term))
         term = ring.bracket(g, term)
     if via_mul != via_ad:
-        raise RuntimeError(
-            f"conjugation routes disagree at g={g}, x={x}: "
+        raise CrossCheckError(
+            "conjugation", f"conjugation routes disagree at g={g}, x={x}: "
             f"{via_mul} vs {via_ad}")
     return via_mul
 
@@ -318,9 +327,8 @@ def check_exp_associative(ring, samples=10000, seed=0, exhaustive_limit=32768):
     right = batch_exp_mul(ring, X, batch_exp_mul(ring, Y, Z))
     bad = np.nonzero((left != right).any(axis=1))[0]
     if bad.size:
-        i = int(bad[0])
-        raise LazardError(
-            f"associativity defect at x={tuple(X[i])}, y={tuple(Y[i])}, z={tuple(Z[i])}")
+        x, y, z = (tuple(W[int(bad[0])].tolist()) for W in (X, Y, Z))
+        raise LazardError(f"associativity defect at x={x}, y={y}, z={z}")
     return len(X), exhaustive
 
 

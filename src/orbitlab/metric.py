@@ -19,7 +19,7 @@ from math import isqrt
 
 from .arith import QpModZp, inv_mod, is_prime
 from .cyclotomic import CycNumber
-from .lazard import conjugate
+from .lazard import CrossCheckError, conjugate
 
 CHECK_CAP = 4096
 
@@ -232,8 +232,9 @@ def ribbon_qhat(m):
 
     for a in closed:
         if closed[a] != definitional[a]:
-            raise RuntimeError(
-                f"q-hat paths disagree at {a}: {closed[a]} vs {definitional[a]}")
+            raise CrossCheckError(
+                "qhat-paths", f"q-hat paths disagree at {a}: "
+                f"{closed[a]} vs {definitional[a]}")
     return closed
 
 

@@ -24,6 +24,10 @@ class OrbitError(ValueError):
     pass
 
 
+class CapError(OrbitError):
+    """An exhaustive scan would exceed its size cap; no verdict was reached."""
+
+
 class Character:
     """Additive map to Q_p/Z_p; nums[i] is the numerator of chi(e_i) at
     level k, so chi(x) = sum x_i nums[i] / p^k."""
@@ -187,7 +191,7 @@ def enumerate_orbits(ring, cap=DUAL_CAP, workers=1):
     """
     n = dual_size(ring)
     if cap is not None and n > cap:
-        raise OrbitError(
+        raise CapError(
             f"dual space has {n} characters, above the cap {cap}; "
             f"raise the cap or use sampled checks")
     chis, weights = _dual_table(ring)
@@ -230,7 +234,7 @@ def _coadjoint_tensor(ring, cap):
     if cached is not None:
         return cached
     if ring.size() > cap:
-        raise OrbitError(
+        raise CapError(
             f"|G| = {ring.size()} exceeds the exhaustive-scan cap {cap}")
     elems = all_elements(ring)
     neg = (-elems) % ring.pk

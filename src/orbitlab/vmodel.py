@@ -21,8 +21,8 @@ from math import isqrt
 from .arith import QpModZp, inv_mod
 from .cyclotomic import CycNumber
 from .freelie import phi_series
-from .lazard import (LieRing, Subring, conjugate, exp_mul, parse_ring,
-                     quotient_ring, serialize_ring)
+from .lazard import (CrossCheckError, LieRing, Subring, conjugate, exp_mul,
+                     parse_ring, quotient_ring, serialize_ring)
 from .metric import MetricGroup, gauss_sum, ribbon_qhat
 
 ACTION_EXHAUSTIVE_CAP = 81
@@ -219,9 +219,9 @@ def _eta_monomial(d):
             # the beta = 0 slice must collapse to the bare twist formula
             if any(delta) or ab != alpha or \
                     expo[i] != -m.q_num(d.s[alpha]) % m.modulus:
-                raise RuntimeError(
-                    f"twist formula fails its beta = 0 specialization "
-                    f"at alpha={alpha}")
+                raise CrossCheckError(
+                    "twist-beta0", f"twist formula fails its beta = 0 "
+                    f"specialization at alpha={alpha}")
     return tuple(perm), tuple(expo)
 
 
@@ -346,11 +346,11 @@ def verify_ribbon(d, eta_override=None, samples=2000, seed=0):
     def record(name, ok, detail, t0):
         report["checks"].append(
             {"check": name, "status": "PASS" if ok else "FAIL",
-             "detail": detail, "seconds": round(time.time() - t0, 3)})
+             "detail": detail, "seconds": round(time.perf_counter() - t0, 3)})
 
     elements = list(ring.elements())
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = _gamma_monomial(d, ring.zero()) == _identity_monomial(d)
     bad = None
     if ok:
@@ -376,7 +376,7 @@ def verify_ribbon(d, eta_override=None, samples=2000, seed=0):
     if bad:
         report["counterexamples"].append({"check": "action", "witness": bad})
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     eta_op = _eta_monomial(d)
     ok = True
     bad = None
@@ -390,14 +390,15 @@ def verify_ribbon(d, eta_override=None, samples=2000, seed=0):
         report["counterexamples"].append(
             {"check": "equivariance", "witness": bad})
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     u = _vector_u(d)
     blocks = {beta: [] for beta in d.b_elements}
     for g in elements:
         gu = _apply_monomial(d, _gamma_monomial(d, g), u)
         betas = {pair[1] for pair in gu}
         if len(betas) != 1:
-            raise RuntimeError(f"gu is not supported on one beta for g={g}")
+            raise CrossCheckError(
+                "gu-support", f"gu is not supported on one beta for g={g}")
         beta = betas.pop()
         zero = CycNumber.zero(m.p, m.level)
         blocks[beta].append([gu.get((alpha, beta), zero)
@@ -410,7 +411,7 @@ def verify_ribbon(d, eta_override=None, samples=2000, seed=0):
         report["counterexamples"].append(
             {"check": "gu-rank", "witness": {"rank": rank, "dim": n}})
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     bad = None
     scale = Fraction(1, card)
@@ -435,7 +436,7 @@ def verify_ribbon(d, eta_override=None, samples=2000, seed=0):
     if bad is not None:
         report["counterexamples"].append({"check": "h-beta", "witness": bad})
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     g_sum = gauss_sum(m)
     ok = g_sum.is_rational() and g_sum.rational_value() == card
     record("gauss-card", ok, f"G = {g_sum}, Card(a) = {card}", t0)
@@ -443,7 +444,7 @@ def verify_ribbon(d, eta_override=None, samples=2000, seed=0):
         report["counterexamples"].append(
             {"check": "gauss-card", "witness": str(g_sum)})
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     lhs = eta_override if eta_override is not None else _monomial_rows(d, eta_op)
     rhs = qhat_matrix(d)
     bad = None

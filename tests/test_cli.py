@@ -1,9 +1,10 @@
 import pytest
 
-from orbitlab import cli
+from orbitlab import cli, lazard, metric, vmodel
+from orbitlab.cyclotomic import CycNumber
 from orbitlab.lazard import catalog, serialize_ring
-from orbitlab.metric import serialize_metric
-from orbitlab.vmodel import build_hyperbolic, serialize_vmodel
+from orbitlab.metric import MetricError, serialize_metric
+from orbitlab.vmodel import VModelData, build_hyperbolic, serialize_vmodel
 
 from conftest import quadratic_metric
 
@@ -173,3 +174,176 @@ def test_workers_flag_keeps_output(capsys, h3p5_file):
     two = run(capsys, "orbits", h3p5_file, "--workers", "2",
               "--format", "records")
     assert one == two
+
+
+def test_cap_is_not_a_counterexample(capsys, h3p5_file):
+    # the exhaustive stabilizer scan needs |G| = 125 > cap: no verdict
+    code = cli.main(["kernel-check", h3p5_file, "--cap", "10",
+                     "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exhaustive-scan cap 10" in captured.err
+
+
+# -- ribbon: every failure is a counterexample record, never a traceback ------
+
+def _vm_file(tmp_path, d):
+    path = tmp_path / "model.vm"
+    path.write_text(serialize_vmodel(d))
+    return str(path)
+
+
+def _resectioned(section_of):
+    """hyp(3^1)x1 with the section beta -> section_of(d, beta)."""
+    d = build_hyperbolic(3, 1, 1)
+    return VModelData(d.ring, d.a, d.metric, name=d.name,
+                      section={beta: section_of(d, beta)
+                               for beta in d.b_elements})
+
+
+def _skip_validation(monkeypatch):
+    """Let a bundle that validate_data rejects reach verify_ribbon."""
+    monkeypatch.setattr(cli, "validate_data",
+                        lambda d: setattr(d, "_validated", True))
+
+
+def _ribbon_counterexample(capsys, path, *flags):
+    code, out = run(capsys, "ribbon", path, "--format", "records", *flags)
+    assert code == 1
+    lines = out.splitlines()
+    assert not any(ln.startswith("theorem1 ") for ln in lines)
+    assert lines[-1].startswith("counterexample check=")
+    return lines[-1]
+
+
+def test_ribbon_action_and_twist_data_errors(capsys, tmp_path, monkeypatch):
+    # s(beta) lifts beta + 1, so g s(beta) - s(g beta) leaves the ideal
+    path = _vm_file(tmp_path, _resectioned(
+        lambda d, beta: d.lift(((beta[0] + 1) % 3,))))
+    _skip_validation(monkeypatch)
+    assert _ribbon_counterexample(capsys, path).startswith(
+        "counterexample check=action-data witness=")
+    # --forge-eta builds the twist first
+    assert _ribbon_counterexample(capsys, path, "--forge-eta").startswith(
+        "counterexample check=twist-data witness=")
+
+
+def test_ribbon_twist_beta0_cross_check(capsys, tmp_path, monkeypatch):
+    # s(0) = e_0 lies in the ideal but is not 0: the beta = 0 slice of the
+    # twist no longer collapses to the bare formula
+    path = _vm_file(tmp_path, _resectioned(
+        lambda d, beta: d.ring.add(d.lift(beta), (1, 0))))
+    _skip_validation(monkeypatch)
+    assert _ribbon_counterexample(capsys, path).startswith(
+        "counterexample check=twist-beta0 witness=")
+
+
+def test_ribbon_gu_support_cross_check(capsys, vmodel_file, monkeypatch):
+    vector_u = vmodel._vector_u
+
+    def two_betas(d):
+        u = vector_u(d)
+        u[(d.b.zero(), d.b_elements[1])] = CycNumber.one(3, 1)
+        return u
+
+    monkeypatch.setattr(vmodel, "_vector_u", two_betas)
+    assert _ribbon_counterexample(capsys, vmodel_file).startswith(
+        "counterexample check=gu-support witness=")
+
+
+def test_ribbon_qhat_paths_cross_check(capsys, vmodel_file, monkeypatch):
+    fourier_inverse = metric.fourier_inverse
+
+    def off_by_one(m, h):
+        out = fourier_inverse(m, h)
+        a = next(iter(out))
+        out[a] = out[a] + CycNumber.one(m.p, m.level)
+        return out
+
+    monkeypatch.setattr(metric, "fourier_inverse", off_by_one)
+    assert _ribbon_counterexample(capsys, vmodel_file).startswith(
+        "counterexample check=qhat-paths witness=")
+
+
+def test_ribbon_conjugation_cross_check(capsys, vmodel_file, monkeypatch):
+    # a group law off by e_0 + e_1 breaks conjugate's two routes, which
+    # validate_data runs
+    monkeypatch.setattr(lazard, "exp_mul", lambda ring, x, y: tuple(
+        (a + b + 1) % ring.pk for a, b in zip(x, y)))
+    assert _ribbon_counterexample(capsys, vmodel_file).startswith(
+        "counterexample check=conjugation witness=")
+
+
+def test_ribbon_metric_error(capsys, vmodel_file, monkeypatch):
+    def broken(m):
+        raise MetricError("Gauss sum modulus broken")
+
+    monkeypatch.setattr(vmodel, "gauss_sum", broken)
+    assert _ribbon_counterexample(capsys, vmodel_file) == (
+        'counterexample check=metric witness="Gauss sum modulus broken"')
+
+
+# -- golden records: --format records output of the Fraction-based engine ----
+
+GOLDEN_RECORDS = [
+    (("gauss", "x2_3"), 0, [
+        "metric name=x^2/3 order=3 nondegenerate=true gauss=3:1,2 "
+        "norm=3:3,0",
+        "lagrangian index=-1 size=0 members=none"]),
+    (("gauss", "x2_7"), 0, [
+        "metric name=x^2/7 order=7 nondegenerate=true gauss=7:1,2,2,0,2,0 "
+        "norm=7:7,0,0,0,0,0",
+        "lagrangian index=-1 size=0 members=none"]),
+    (("ribbon", "hyp311", "--forge-eta"), 1, [
+        "check name=action status=PASS",
+        "check name=equivariance status=PASS",
+        "check name=gu-rank status=PASS",
+        "check name=h-beta status=PASS",
+        "check name=gauss-card status=PASS",
+        "check name=theorem1 status=FAIL",
+        "counterexample check=theorem1 row=0;0 col=0;0 eta=3:2,0 qhat=3:1,0",
+        "theorem1 status=FAIL dim=9 model=hyp(3^1)x1"]),
+    (("ribbon", "hyp321s5"), 0, [
+        "check name=action status=PASS",
+        "check name=equivariance status=PASS",
+        "check name=gu-rank status=PASS",
+        "check name=h-beta status=PASS",
+        "check name=gauss-card status=PASS",
+        "check name=theorem1 status=PASS",
+        "theorem1 status=PASS dim=81 model=hyp(3^2)x1/s5"]),
+    (("ribbon", "hyp321s5", "--forge-eta"), 1, [
+        "check name=action status=PASS",
+        "check name=equivariance status=PASS",
+        "check name=gu-rank status=PASS",
+        "check name=h-beta status=PASS",
+        "check name=gauss-card status=PASS",
+        "check name=theorem1 status=FAIL",
+        "counterexample check=theorem1 row=0;0 col=0;0 "
+        "eta=9:2,0,0,0,0,0 qhat=9:1,0,0,0,0,0",
+        "theorem1 status=FAIL dim=81 model=hyp(3^2)x1/s5"]),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    texts = {
+        "x2_3": serialize_metric(quadratic_metric(3)),
+        "x2_7": serialize_metric(quadratic_metric(7)),
+        "hyp311": serialize_vmodel(build_hyperbolic(3, 1, 1)),
+        "hyp321s5": serialize_vmodel(
+            build_hyperbolic(3, 2, 1, section_seed=5)),
+    }
+    for key, text in texts.items():
+        (root / key).write_text(text)
+    return {key: str(root / key) for key in texts}
+
+
+@pytest.mark.parametrize("argv, code, lines", GOLDEN_RECORDS,
+                         ids=["-".join(case[0]) for case in GOLDEN_RECORDS])
+def test_golden_records(capsys, golden_files, argv, code, lines):
+    command, key, *flags = argv
+    got = run(capsys, command, golden_files[key], "--format", "records",
+              *flags)
+    assert got == (code, "".join(line + "\n" for line in lines))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -117,3 +119,129 @@ def test_serialize_shows_conductor():
     text = z.serialize()
     assert text.startswith("9:")
     assert text.count(",") == 5
+    # byte for byte, with fractional coefficients, as the Fraction-based
+    # engine printed them
+    assert text == "9:0,0,0,0,1/3,0"
+    assert repr(z) == "1/3*z^4"
+    w = (CycNumber.root(5, 1, 1).scale(Fraction(2, 3))
+         + CycNumber.one(5, 1)).inverse()
+    assert w.serialize() == "5:39/55,-42/55,12/55,-24/55"
+    assert repr(w) == "39/55*z^0 + -42/55*z^1 + 12/55*z^2 + -24/55*z^3"
+    v = (CycNumber.root(3, 2, 1)
+         + CycNumber.rational(3, 2, Fraction(-1, 2))).inverse()
+    assert v.serialize() == "9:-18/73,-36/73,-72/73,-16/73,-32/73,-64/73"
+    assert repr(v) == ("-18/73*z^0 + -36/73*z^1 + -72/73*z^2 + -16/73*z^3 "
+                       "+ -32/73*z^4 + -64/73*z^5")
+    assert repr(CycNumber.zero(3, 2)) == "0"
+    assert CycNumber.zero(3, 2).serialize() == "9:0,0,0,0,0,0"
+
+
+# -- the integer representation against a slow Fraction reference -----------
+
+def _ref_reduce(poly, p, m):
+    """Fraction polynomial (low degree first) modulo the p^m-th cyclotomic
+    polynomial sum_{j<p} x^(j*p^(m-1)), by long division from the top."""
+    s = p ** (m - 1)
+    phi = (p - 1) * s
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * phi
+    for d in range(len(poly) - 1, phi - 1, -1):
+        c = poly[d]
+        if c:
+            for j in range(p):
+                poly[d - phi + j * s] -= c
+    return tuple(poly[:phi])
+
+
+def _ref_monomials(coeffs, exponent, p, m):
+    """sum of coeffs[i] x^exponent(i), reduced."""
+    n = p**m
+    poly = [Fraction(0)] * n
+    for i, c in enumerate(coeffs):
+        poly[exponent(i) % n] += c
+    return _ref_reduce(poly, p, m)
+
+
+def _ref_mul(a, b, p, m):
+    poly = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            poly[i + j] += x * y
+    return _ref_reduce(poly, p, m)
+
+
+CONDUCTORS = [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2)]
+_COEFF = st.one_of(st.just(Fraction(0)), st.integers(-6, 6).map(Fraction),
+                   st.fractions(min_value=-4, max_value=4,
+                                max_denominator=30))
+
+
+@st.composite
+def _cyc_pair(draw):
+    p, m = draw(st.sampled_from(CONDUCTORS))
+    phi = (p - 1) * p ** (m - 1)
+    vec = st.lists(_COEFF, min_size=phi, max_size=phi)
+    return p, m, draw(vec), draw(vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cyc_pair(), st.integers(-60, 60), st.integers(-60, 60),
+       st.fractions(min_value=-5, max_value=5, max_denominator=40))
+def test_ops_match_fraction_reference(case, e, t, x):
+    p, m, a, b = case
+    if t % p == 0:
+        t += 1
+    u, v = CycNumber(p, m, a), CycNumber(p, m, b)
+    ra, rb = u.coeffs, v.coeffs
+    assert ra == tuple(Fraction(c) for c in a)
+    assert (u + v).coeffs == tuple(i + j for i, j in zip(ra, rb))
+    assert (u - v).coeffs == tuple(i - j for i, j in zip(ra, rb))
+    assert (-u).coeffs == tuple(-i for i in ra)
+    assert u.scale(x).coeffs == tuple(i * x for i in ra)
+    assert (u * v).coeffs == _ref_mul(ra, rb, p, m)
+    assert u.mul_root(e).coeffs == _ref_monomials(ra, lambda i: i + e, p, m)
+    assert u.galois(t).coeffs == _ref_monomials(ra, lambda i: i * t, p, m)
+    assert u.conj().coeffs == _ref_monomials(ra, lambda i: -i, p, m)
+    assert CycNumber.root(p, m, e).coeffs == \
+        _ref_monomials([Fraction(1)], lambda i: e, p, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cyc_pair())
+def test_inverse_matches_fraction_reference(case):
+    p, m, a, _ = case
+    u = CycNumber(p, m, a)
+    if u.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            u.inverse()
+        return
+    one = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
+    assert _ref_mul(u.coeffs, u.inverse().coeffs, p, m) == one
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cyc_pair(), st.integers(1, 12), st.integers(-12, 12))
+def test_equal_values_have_equal_hashes(case, d, k):
+    p, m, a, b = case
+    x, y = CycNumber(p, m, a), CycNumber(p, m, b)
+    routes = [
+        (x + y) - y,
+        CycNumber(p, m, x.coeffs),
+        x.scale(Fraction(k * d, d)).scale(Fraction(1, k)) if k else x,
+        (x - x) + x,
+        x.mul_root(k).mul_root(-k),
+        x.scale(Fraction(1, d)) * CycNumber.rational(p, m, d),
+    ]
+    for z in routes:
+        assert z == x and hash(z) == hash(x)
+    assert x.scale(Fraction(2, 4)) == x.scale(Fraction(1, 2))
+    assert hash(x.scale(Fraction(2, 4))) == hash(x.scale(Fraction(1, 2)))
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert (x - x) == CycNumber.zero(p, m)
+    assert hash(x - x) == hash(CycNumber.zero(p, m))
+
+
+def test_copies_keep_their_conductor():
+    x = CycNumber.root(5, 2, 7).scale(Fraction(3, 4))
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and hash(y) == hash(x)
+        assert y + x == x.scale(2)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orbitlab import lazard
 from orbitlab.arith import inv_mod
 from orbitlab.lazard import (
     LazardError,
@@ -86,6 +87,31 @@ def test_exp_identity_inverse_powers():
 def test_exp_associative_exhaustive_small():
     checked, exhaustive = check_exp_associative(heis(3))
     assert exhaustive and checked == 27**3
+
+
+@pytest.mark.parametrize("samples", [None, 50])
+def test_associativity_witness_prints_plain_ints(monkeypatch, samples):
+    # perturb one row of the outer left product: the defect message must
+    # show the triple as Python ints, in the exhaustive and sampled modes
+    ring = heis(3)
+    batch = lazard.batch_exp_mul
+    calls = []
+
+    def perturbed(ring, X, Y):
+        out = batch(ring, X, Y)
+        calls.append(None)
+        if len(calls) == 2:
+            out[0, 0] = (out[0, 0] + 1) % ring.pk
+        return out
+
+    monkeypatch.setattr(lazard, "batch_exp_mul", perturbed)
+    limit = 32768 if samples is None else 0
+    with pytest.raises(LazardError) as err:
+        check_exp_associative(ring, samples=samples or 10,
+                              exhaustive_limit=limit)
+    message = str(err.value)
+    assert message.startswith("associativity defect at x=(")
+    assert "np." not in message and "int64" not in message
 
 
 def test_batch_exp_mul_matches_scalar(rings):

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from orbitlab.arith import QpModZp
-from orbitlab.lazard import exp_mul
+from orbitlab.lazard import LieRing, exp_mul
 from orbitlab.orbits import (
+    CapError,
     Character,
     CoadjointOrbit,
     OrbitError,
@@ -140,6 +141,15 @@ def test_orbit_cap_enforced():
         enumerate_orbits(ring, cap=10)
     with pytest.raises(OrbitError):
         stabilizer_oracle(generic_character(ring), cap=10)
+
+
+def test_cap_error_is_an_orbit_error():
+    ring = LieRing(3, 1, 3, {(0, 1): (0, 0, 1)}, name="h3")
+    with pytest.raises(CapError, match="above the cap 10"):
+        enumerate_orbits(ring, cap=10)
+    with pytest.raises(CapError, match="exhaustive-scan cap 10"):
+        stabilizer_oracle(generic_character(ring), cap=10)
+    assert issubclass(CapError, OrbitError)
 
 
 def test_abelian_orbits_are_singletons(rings):
