@@ -135,11 +135,13 @@ def cmd_orbits(args, rep):
             f"dual space has {dual_size(ring)} characters, above the cap "
             f"{args.cap}; raise --cap or ORBITLAB_CAP")
     try:
-        orbits = enumerate_orbits(ring, cap=args.cap, workers=args.workers)
+        orbits = enumerate_orbits(ring, cap=args.cap)
     except CapError:
         raise
     except OrbitError as e:
         return _counterexample(rep, "orbits", e)
+    except CrossCheckError as e:
+        return _counterexample(rep, e.check, e)
     hist = orbit_histogram(orbits)
     total = sum(size * count for size, count in hist.items())
     sizes = ", ".join(f"{size}x{count}" for size, count in sorted(hist.items()))
@@ -176,6 +178,8 @@ def cmd_kernel_check(args, rep):
         raise
     except OrbitError as e:
         return _counterexample(rep, "kernel", e)
+    except CrossCheckError as e:
+        return _counterexample(rep, e.check, e)
     rep.emit("kernel",
              f"kernel = stabilizer for {count} characters of {ring.name} "
              f"({mode})",
@@ -324,8 +328,6 @@ def _build_parser():
                         help="sample count for randomized checks")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for parallel enumeration")
 
     parser = argparse.ArgumentParser(
         prog="orbitlab",

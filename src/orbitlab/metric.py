@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .arith import QpModZp, inv_mod, is_prime
+from .arith import ModMatrix, QpModZp, inv_mod, is_prime
 from .cyclotomic import CycNumber
 from .lazard import CrossCheckError, conjugate
 
@@ -371,7 +371,7 @@ def search_invariant_forms(ring, cap=200000):
         gram = [[0] * n for _ in range(n)]
         for (i, j), v in zip(pairs, combo):
             gram[i][j] = gram[j][i] = v
-        if not _unit_det(gram, p, pk):
+        if not ModMatrix(ring.modulus, gram).is_invertible():
             continue
         if not all(_gram_invariant(gram, c, pk) for c in conj_mats):
             continue
@@ -387,25 +387,6 @@ def search_invariant_forms(ring, cap=200000):
         if mg.nondegenerate:
             found.append(mg)
     return SearchResult(found, True, total)
-
-
-def _unit_det(gram, p, pk):
-    n = len(gram)
-    a = [row[:] for row in gram]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] % p), None)
-        if piv is None:
-            return False
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det = det * a[c][c] % pk
-        inv = inv_mod(a[c][c], pk)
-        for i in range(c + 1, n):
-            f = a[i][c] * inv % pk
-            a[i] = [(x - f * y) % pk for x, y in zip(a[i], a[c])]
-    return det % p != 0
 
 
 def _gram_invariant(gram, conj, pk):

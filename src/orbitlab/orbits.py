@@ -10,7 +10,6 @@ stabilizer statement rather than assume it.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -167,20 +166,13 @@ def _dual_table(ring):
     weights = ring.pk ** np.arange(ring.rank - 1, -1, -1, dtype=np.int64)
     return chis, weights
 
-def _generator_perms(ring, chis, weights, workers=1):
+def _generator_perms(ring, chis, weights):
     mats = [np.array(coadjoint_matrix(ring, ring.basis(t)), dtype=np.int64)
             for t in range(ring.rank)]
-
-    def perm(m):
-        return ((chis @ m.T) % ring.pk) @ weights
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(perm, mats))
-    return [perm(m) for m in mats]
+    return [((chis @ m.T) % ring.pk) @ weights for m in mats]
 
 
-def enumerate_orbits(ring, cap=DUAL_CAP, workers=1):
+def enumerate_orbits(ring, cap=DUAL_CAP):
     """Partition the dual space into coadjoint orbits.
 
     Breadth-first closure under the action of the basis one-parameter
@@ -195,7 +187,7 @@ def enumerate_orbits(ring, cap=DUAL_CAP, workers=1):
             f"dual space has {n} characters, above the cap {cap}; "
             f"raise the cap or use sampled checks")
     chis, weights = _dual_table(ring)
-    perms = _generator_perms(ring, chis, weights, workers=workers)
+    perms = _generator_perms(ring, chis, weights)
     visited = np.zeros(n, dtype=bool)
     orbits = []
     for seed in range(n):
@@ -205,12 +197,7 @@ def enumerate_orbits(ring, cap=DUAL_CAP, workers=1):
         frontier = np.array([seed], dtype=np.int64)
         size = 1
         while frontier.size:
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    images = list(pool.map(lambda p: p[frontier], perms))
-            else:
-                images = [p[frontier] for p in perms]
-            nxt = np.unique(np.concatenate(images))
+            nxt = np.unique(np.concatenate([p[frontier] for p in perms]))
             nxt = nxt[~visited[nxt]]
             visited[nxt] = True
             size += int(nxt.size)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .arith import ModMatrix, kernel
+from .arith import ModMatrix, howell, kernel
 from .lazard import Subring, bracket_span
 from .orbits import SkewForm, radical
 
@@ -131,19 +131,55 @@ def heisenberg_chain(start, trace=None):
     raise PolarizationError("chain failed to terminate")
 
 
-def _little_endian(v):
-    return tuple(reversed(v))
+def _least_outside(big, small):
+    """The least member of big outside small, or None when big <= small.
+
+    Members are ordered by their reversed coordinate tuples: the
+    highest-index coordinate is the most significant.  In reversed
+    coordinates the Howell rows of big with pivot column >= j span exactly
+    the members whose first j coordinates vanish, so a member with a given
+    prefix plus those rows gives every member with that prefix.  The
+    coordinates are fixed one column at a time, each to the least value
+    still extendable to a member outside small; a prefix extends when its
+    current member lies outside small or some row further down does.
+    Howell pivots are powers of p, so the values reachable at a pivot
+    column form one residue class modulo the pivot.
+    """
+    ring = big.ring
+    pk = ring.pk
+    rows = howell([r[::-1] for r in big.rows], ring.modulus)
+    pivot = {next(i for i, x in enumerate(row) if x): row for row in rows}
+    tail = [False] * (ring.rank + 1)
+    for j in range(ring.rank - 1, -1, -1):
+        tail[j] = tail[j + 1] or (
+            j in pivot and not small.contains(pivot[j][::-1]))
+    if not tail[0]:
+        return None
+    y = (0,) * ring.rank
+    for j in range(ring.rank):
+        row = pivot.get(j)
+        if row is None:
+            continue
+        step = row[j]
+        for a in range(y[j] % step, pk, step):
+            t = (a - y[j]) % pk // step
+            cand = tuple((u + t * w) % pk for u, w in zip(y, row))
+            if tail[j + 1] or not small.contains(cand[::-1]):
+                y = cand
+                break
+    return y[::-1]
 
 
 def lagrangian_extend(pol):
     """Grow a Heisenberg polarization to a Lagrangian r = r_perp.
 
     Requires |g| / |radical| to be a perfect square (even-rank case).
-    Greedy: adjoin the first candidate of r_perp outside r, candidates
-    ordered with the lowest-index coordinate most significant; any such
-    extension stays inside the original h_perp and remains a Heisenberg
-    polarization, which is validated at every step and reported as a
-    counterexample if it ever fails.
+    Greedy: adjoin the least member of r_perp outside r, members ordered
+    by their reversed coordinate tuples (the highest-index coordinate is
+    the most significant), found from the Howell rows of r_perp by
+    _least_outside; any such extension stays inside the original h_perp
+    and remains a Heisenberg polarization, which is validated at every
+    step and reported as a counterexample if it ever fails.
     """
     if not pol.heisenberg:
         raise PolarizationError("lagrangian_extend needs a Heisenberg start")
@@ -157,8 +193,7 @@ def lagrangian_extend(pol):
     for _ in range(ring.rank * ring.k + 2):
         if current.is_lagrangian():
             return current
-        candidates = sorted(current.perp.elements(), key=_little_endian)
-        x = next((c for c in candidates if not current.h.contains(c)), None)
+        x = _least_outside(current.perp, current.h)
         if x is None:
             raise PolarizationError(
                 f"greedy extension exhausted at |h| = {current.h.size()} "

@@ -169,13 +169,6 @@ def test_cap_env_default(capsys, h3p5_file, monkeypatch):
     capsys.readouterr()
 
 
-def test_workers_flag_keeps_output(capsys, h3p5_file):
-    one = run(capsys, "orbits", h3p5_file, "--format", "records")
-    two = run(capsys, "orbits", h3p5_file, "--workers", "2",
-              "--format", "records")
-    assert one == two
-
-
 def test_cap_is_not_a_counterexample(capsys, h3p5_file):
     # the exhaustive stabilizer scan needs |G| = 125 > cap: no verdict
     code = cli.main(["kernel-check", h3p5_file, "--cap", "10",
@@ -275,6 +268,34 @@ def test_ribbon_conjugation_cross_check(capsys, vmodel_file, monkeypatch):
         "counterexample check=conjugation witness=")
 
 
+def _break_group_law(monkeypatch):
+    """A group law off by e_0 + e_1 splits conjugate's two routes."""
+    monkeypatch.setattr(lazard, "exp_mul", lambda ring, x, y: tuple(
+        (a + b + 1) % ring.pk for a, b in zip(x, y)))
+
+
+def _conjugation_counterexample(capsys, *argv):
+    code, out = run(capsys, *argv, "--format", "records")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("counterexample check=conjugation witness=")
+
+
+def test_orbits_conjugation_cross_check(capsys, h3p5_file, monkeypatch):
+    # the census builds its generator permutations through conjugate
+    _break_group_law(monkeypatch)
+    _conjugation_counterexample(capsys, "orbits", h3p5_file)
+
+
+def test_kernel_check_conjugation_cross_check(capsys, h3p5_file,
+                                              monkeypatch):
+    # the perpendicularity spot-check moves chi through conjugate
+    _break_group_law(monkeypatch)
+    _conjugation_counterexample(capsys, "kernel-check", h3p5_file,
+                                "--samples", "3")
+
+
 def test_ribbon_metric_error(capsys, vmodel_file, monkeypatch):
     def broken(m):
         raise MetricError("Gauss sum modulus broken")
@@ -284,7 +305,7 @@ def test_ribbon_metric_error(capsys, vmodel_file, monkeypatch):
         'counterexample check=metric witness="Gauss sum modulus broken"')
 
 
-# -- golden records: --format records output of the Fraction-based engine ----
+# -- golden records: --format records output captured before engine rewrites --
 
 GOLDEN_RECORDS = [
     (("gauss", "x2_3"), 0, [
@@ -322,6 +343,29 @@ GOLDEN_RECORDS = [
         "counterexample check=theorem1 row=0;0 col=0;0 "
         "eta=9:2,0,0,0,0,0 qhat=9:1,0,0,0,0,0",
         "theorem1 status=FAIL dim=81 model=hyp(3^2)x1/s5"]),
+    (("polarize", "u4_p5"), 0, [
+        "character ring=u4_p5 chi=0/1,0/1,0/1,0/1,0/1,1/5",
+        "step index=0 h=25 perp=15625 heisenberg=false strong=false",
+        "step index=1 h=625 perp=625 heisenberg=true strong=true",
+        "lagrangian size=625 "
+        "generators=0,1,0,0,0,0;0,0,0,1,0,0;0,0,0,0,1,0;0,0,0,0,0,1"]),
+    (("polarize", "u4_p5", "--chi", "1/5,1/5,1/5,1/5,1/5,0/1"), 0, [
+        "character ring=u4_p5 chi=1/5,1/5,1/5,1/5,1/5,0/1",
+        "step index=0 h=625 perp=15625 heisenberg=true strong=true",
+        "lagrangian size=3125 generators=1,0,0,0,0,0;0,0,1,0,0,0;"
+        "0,0,0,1,0,0;0,0,0,0,1,0;0,0,0,0,0,1"]),
+    (("polarize", "h3_z9"), 0, [
+        "character ring=h3_z9 chi=0/1,0/1,1/9",
+        "step index=0 h=9 perp=729 heisenberg=true strong=true",
+        "lagrangian size=81 generators=1,0,0;0,0,1"]),
+    (("polarize", "h3_z9", "--chi", "0/1,0/1,1/3"), 0, [
+        "character ring=h3_z9 chi=0/1,0/1,1/3",
+        "step index=0 h=81 perp=729 heisenberg=true strong=true",
+        "lagrangian size=243 generators=1,0,0;0,3,0;0,0,1"]),
+    (("polarize", "h3xa1_p7"), 0, [
+        "character ring=h3xa1_p7 chi=0/1,0/1,1/7,0/1",
+        "step index=0 h=49 perp=2401 heisenberg=true strong=true",
+        "lagrangian size=343 generators=1,0,0,0;0,0,1,0;0,0,0,1"]),
 ]
 
 
@@ -335,13 +379,16 @@ def golden_files(tmp_path_factory):
         "hyp321s5": serialize_vmodel(
             build_hyperbolic(3, 2, 1, section_seed=5)),
     }
+    texts.update((name, serialize_ring(catalog()[name]))
+                 for name in ("u4_p5", "h3_z9", "h3xa1_p7"))
     for key, text in texts.items():
         (root / key).write_text(text)
     return {key: str(root / key) for key in texts}
 
 
 @pytest.mark.parametrize("argv, code, lines", GOLDEN_RECORDS,
-                         ids=["-".join(case[0]) for case in GOLDEN_RECORDS])
+                         ids=["-".join(case[0]).replace("/", "_")
+                              for case in GOLDEN_RECORDS])
 def test_golden_records(capsys, golden_files, argv, code, lines):
     command, key, *flags = argv
     got = run(capsys, command, golden_files[key], "--format", "records",
