@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "is_prime",
     "inv_mod",
@@ -20,9 +22,11 @@ __all__ = [
     "ModMatrix",
     "howell_form",
     "howell",
+    "howell_pivots",
     "kernel",
     "member",
     "reduce_mod_span",
+    "reduce_rows",
     "span_size",
 ]
 
@@ -82,6 +86,13 @@ class Modulus:
         self.p = p
         self.k = k
         self.pk = p**k
+
+    @property
+    def dtype(self):
+        """Element type of arrays of residues: int64 while (p^k)^2 < 2^63,
+        so that a product of two residues, plus a residue, cannot overflow;
+        Python ints otherwise."""
+        return np.int64 if self.pk * self.pk < 2**63 else object
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and (self.p, self.k) == (other.p, other.k)
@@ -311,7 +322,7 @@ def howell_form(m: ModMatrix):
     return ModMatrix(m.modulus, a), ModMatrix(m.modulus, t)
 
 
-def _pivots(hrows, p):
+def howell_pivots(hrows, p):
     """(column, valuation) per Howell row; rows must be nonzero echelon rows."""
     out = []
     for r in hrows:
@@ -320,12 +331,19 @@ def _pivots(hrows, p):
     return out
 
 
-def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus, coeffs: bool = False):
-    """Reduce x against Howell rows; residue is zero iff x is in the span."""
+def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus,
+                    coeffs: bool = False, pivots=None):
+    """Reduce x against Howell rows; residue is zero iff x is in the span.
+
+    pivots, when given, is howell_pivots(hrows, p), computed once by the
+    caller.
+    """
     pk, p = modulus.pk, modulus.p
     x = [v % pk for v in x]
     cs = []
-    for row, (c, v) in zip(hrows, _pivots(hrows, p)):
+    if pivots is None:
+        pivots = howell_pivots(hrows, p)
+    for row, (c, v) in zip(hrows, pivots):
         q = x[c] // p**v
         if q:
             x = [(a - q * b) % pk for a, b in zip(x, row)]
@@ -333,14 +351,31 @@ def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus, coeffs: bool = Fa
     return (x, cs) if coeffs else x
 
 
-def member(x: Sequence[int], hrows, modulus: Modulus) -> bool:
-    return not any(reduce_mod_span(x, hrows, modulus))
+def member(x: Sequence[int], hrows, modulus: Modulus, pivots=None) -> bool:
+    return not any(reduce_mod_span(x, hrows, modulus, pivots=pivots))
+
+
+def reduce_rows(X, hrows, modulus: Modulus, pivots=None):
+    """reduce_mod_span on every row of the 2-D array X at once.
+
+    Returns the array of residues, of modulus.dtype: each q * row[j] is a
+    product of two residues.
+    """
+    pk, p, dtype = modulus.pk, modulus.p, modulus.dtype
+    X = np.array(X, dtype=dtype)
+    X %= pk
+    if pivots is None:
+        pivots = howell_pivots(hrows, p)
+    for row, (c, v) in zip(hrows, pivots):
+        X -= np.multiply.outer(X[:, c] // p**v, np.array(row, dtype=dtype))
+        X %= pk
+    return X
 
 
 def span_size(hrows, modulus: Modulus) -> int:
     """Cardinality of the span of Howell rows: product of row orders."""
     n = 1
-    for _, v in _pivots(hrows, modulus.p):
+    for _, v in howell_pivots(hrows, modulus.p):
         n *= modulus.p ** (modulus.k - v)
     return n
 

@@ -15,7 +15,9 @@ from math import factorial
 
 import numpy as np
 
-from .arith import Modulus, ModMatrix, howell, inv_mod, mat_inverse, member, reduce_mod_span, span_size
+from .arith import (Modulus, ModMatrix, howell, howell_pivots, inv_mod,
+                    mat_inverse, member, reduce_mod_span, reduce_rows,
+                    span_size)
 from .freelie import bch, tree_degree
 
 MAX_CLASS = 6
@@ -49,6 +51,10 @@ class LieRing:
     antisymmetry conventions are consistent, verifies the Jacobi identity
     on all basis triples, computes the lower central series, and rejects
     rings whose class is >= p or > MAX_CLASS.
+
+    structure lists the nonzero brackets for the batch kernels: one
+    (i, j, ((l, c), ...)) per pair i < j, where c is coordinate l of
+    [e_i, e_j].
     """
 
     def __init__(self, p, k, rank, brackets, name="unnamed", check=True):
@@ -70,7 +76,13 @@ class LieRing:
             table[i][j] = w
             table[j][i] = tuple(-c % self.pk for c in w)
         self.table = tuple(tuple(row) for row in table)
-        self.tensor = np.array(self.table, dtype=np.int64)
+        structure = []
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                nonzero = tuple((l, c) for l, c in enumerate(table[i][j]) if c)
+                if nonzero:
+                    structure.append((i, j, nonzero))
+        self.structure = tuple(structure)
         if check:
             self._check_jacobi()
         self.lcs = self._lower_central_series()
@@ -83,6 +95,8 @@ class LieRing:
             raise LazardError(f"class {self.cls} exceeds supported bound {MAX_CLASS}")
         self._bch_table = None
         self._exp_ad_coeffs = None
+        # character-independent data of the orbits layer, filled there
+        self.orbit_cache = {}
 
     # vector arithmetic on coordinate tuples
 
@@ -265,13 +279,29 @@ def conjugate(ring, g, x):
 
 # vectorized versions for bulk checks; rows of X, Y are coordinate tuples
 
+def _brackets(ring, X, Y):
+    """Row-wise brackets of arrays of residues of ring.modulus.dtype: one
+    column update per nonzero structure constant.  Every product is of two
+    residues and is reduced before the next one, which is what the dtype
+    bounds."""
+    pk = ring.pk
+    out = np.zeros_like(X)
+    for i, j, nonzero in ring.structure:
+        xy = (X[:, i] * Y[:, j] - X[:, j] * Y[:, i]) % pk
+        for l, c in nonzero:
+            out[:, l] = (out[:, l] + c * xy) % pk
+    return out
+
+
 def batch_bracket(ring, X, Y):
-    return np.einsum("ai,aj,ijl->al", X, Y, ring.tensor) % ring.pk
+    X = np.asarray(X, dtype=ring.modulus.dtype) % ring.pk
+    Y = np.asarray(Y, dtype=ring.modulus.dtype) % ring.pk
+    return _brackets(ring, X, Y)
 
 
 def batch_exp_mul(ring, X, Y):
-    X = np.asarray(X, dtype=np.int64) % ring.pk
-    Y = np.asarray(Y, dtype=np.int64) % ring.pk
+    X = np.asarray(X, dtype=ring.modulus.dtype) % ring.pk
+    Y = np.asarray(Y, dtype=ring.modulus.dtype) % ring.pk
     out = (X + Y) % ring.pk
     if ring.cls == 1:
         return out
@@ -280,7 +310,7 @@ def batch_exp_mul(ring, X, Y):
     def ev(tree):
         val = memo.get(tree)
         if val is None:
-            val = batch_bracket(ring, ev(tree[0]), ev(tree[1]))
+            val = _brackets(ring, ev(tree[0]), ev(tree[1]))
             memo[tree] = val
         return val
 
@@ -292,18 +322,19 @@ def batch_exp_mul(ring, X, Y):
 
 
 def batch_conjugate(ring, G, X):
-    G = np.asarray(G, dtype=np.int64) % ring.pk
-    term = np.asarray(X, dtype=np.int64) % ring.pk
+    G = np.asarray(G, dtype=ring.modulus.dtype) % ring.pk
+    term = np.asarray(X, dtype=ring.modulus.dtype) % ring.pk
     out = np.zeros_like(term)
     for c in _exp_ad_coeffs(ring):
         out = (out + c * term) % ring.pk
-        term = batch_bracket(ring, G, term)
+        term = _brackets(ring, G, term)
     return out
 
 
 def all_elements(ring):
     """(|G|, rank) array of every coordinate tuple, lexicographic."""
-    return np.array(list(ring.elements()), dtype=np.int64)
+    grid = np.indices((ring.pk,) * ring.rank, dtype=np.int64)
+    return np.ascontiguousarray(grid.reshape(ring.rank, -1).T)
 
 
 def check_exp_associative(ring, samples=10000, seed=0, exhaustive_limit=32768):
@@ -429,6 +460,7 @@ class Subring:
     def __init__(self, ring, generators):
         self.ring = ring
         self.rows = howell([list(_vec(ring, g)) for g in generators], ring.modulus)
+        self.pivots = howell_pivots(self.rows, ring.p)
 
     @classmethod
     def zero(cls, ring):
@@ -445,30 +477,42 @@ class Subring:
         return span_size(self.rows, self.ring.modulus)
 
     def contains(self, x):
-        return member(list(_vec(self.ring, x)), self.rows, self.ring.modulus)
+        return member(list(_vec(self.ring, x)), self.rows, self.ring.modulus,
+                      self.pivots)
+
+    def contains_rows(self, X):
+        """Boolean mask of the rows of X that lie in the span, from one
+        batched reduction."""
+        if len(X) == 0:
+            return np.ones(0, dtype=bool)
+        residues = reduce_rows(X, self.rows, self.ring.modulus, self.pivots)
+        return (residues == 0).all(axis=1)
 
     def reduce(self, x):
         return tuple(reduce_mod_span(list(_vec(self.ring, x)), self.rows,
-                                     self.ring.modulus))
+                                     self.ring.modulus, pivots=self.pivots))
 
     def sum_with(self, other):
         return Subring(self.ring, list(self.generators()) + list(other.generators()))
 
     def elements(self):
-        """All members, by enumerating coefficient tuples on Howell rows."""
+        """All members, sorted.  A Howell row with pivot valuation v has
+        order p^(k - v) modulo the rows below it, so the sums of c * row
+        with 0 <= c < p^(k - v) list each member exactly once."""
         ring = self.ring
-        seen = set()
-        for coeffs in itertools.product(range(ring.pk), repeat=len(self.rows)):
+        orders = [range(ring.pk // ring.p**v) for _, v in self.pivots]
+        out = []
+        for coeffs in itertools.product(*orders):
             v = ring.zero()
             for c, row in zip(coeffs, self.rows):
-                v = ring.add(v, ring.scale(c, tuple(row)))
-            seen.add(v)
-        return sorted(seen)
+                v = ring.add(v, ring.scale(c, row))
+            out.append(v)
+        return sorted(out)
 
     def is_lie_subring(self):
         gens = self.generators()
-        return all(self.contains(self.ring.bracket(a, b))
-                   for a in gens for b in gens)
+        return bool(self.contains_rows(
+            [self.ring.bracket(a, b) for a in gens for b in gens]).all())
 
     def is_ideal(self):
         ring = self.ring

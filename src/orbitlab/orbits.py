@@ -78,12 +78,14 @@ def coadjoint_matrix(ring, g):
     return tuple(conjugate(ring, ginv, ring.basis(j)) for j in range(ring.rank))
 
 
+def _act(m, nums, pk):
+    """Numerators of the covector nums moved by the coadjoint matrix m."""
+    return tuple(sum(a * c for a, c in zip(row, nums)) % pk for row in m)
+
+
 def coadjoint_act(g, chi):
     ring = chi.ring
-    m = coadjoint_matrix(ring, g)
-    nums = tuple(sum(m[j][i] * chi.nums[i] for i in range(ring.rank)) % ring.pk
-                 for j in range(ring.rank))
-    return Character(ring, nums)
+    return Character(ring, _act(coadjoint_matrix(ring, g), chi.nums, ring.pk))
 
 
 class SkewForm:
@@ -92,15 +94,11 @@ class SkewForm:
     def __init__(self, chi):
         self.ring = chi.ring
         self.chi = chi
-        ring, pk, n = self.ring, self.ring.pk, self.ring.rank
-
-        def raw(x):
-            return sum(c * a for c, a in zip(x, chi.nums)) % pk
-
+        pk, n = self.ring.pk, self.ring.rank
+        # ring.table[i][j] holds the coordinates of [e_i, e_j]
         self.nums = tuple(
-            tuple(raw(ring.bracket(ring.basis(i), ring.basis(j)))
-                  for j in range(n))
-            for i in range(n))
+            tuple(sum(c * a for c, a in zip(v, chi.nums)) % pk for v in row)
+            for row in self.ring.table)
         for i in range(n):
             if self.nums[i][i] != 0:
                 raise OrbitError(f"B_chi(e_{i}, e_{i}) nonzero")
@@ -161,14 +159,12 @@ def dual_size(ring):
 
 def _dual_table(ring):
     """All covectors lexicographically, plus index weights."""
-    chis = np.array(list(itertools.product(range(ring.pk), repeat=ring.rank)),
-                    dtype=np.int64)
+    chis = all_elements(ring)
     weights = ring.pk ** np.arange(ring.rank - 1, -1, -1, dtype=np.int64)
     return chis, weights
 
 def _generator_perms(ring, chis, weights):
-    mats = [np.array(coadjoint_matrix(ring, ring.basis(t)), dtype=np.int64)
-            for t in range(ring.rank)]
+    mats = [np.array(m, dtype=np.int64) for m in _basis_matrices(ring)]
     return [((chis @ m.T) % ring.pk) @ weights for m in mats]
 
 
@@ -215,66 +211,115 @@ def orbit_histogram(orbits):
     return dict(sorted(hist.items()))
 
 
-def _coadjoint_tensor(ring, cap):
-    """(|G|, n, n) array: row g gives the matrix of g acting on covectors."""
-    cached = getattr(ring, "_coadjoint_tensor", None)
-    if cached is not None:
-        return cached
+def _cached(ring, key, build):
+    """ring.orbit_cache[key], filled by build(ring) on first use.  The
+    cache holds this layer's character-independent data of the ring and
+    no reference back to it."""
+    cache = ring.orbit_cache
+    if key not in cache:
+        cache[key] = build(ring)
+    return cache[key]
+
+
+def _group(ring, cap):
+    """(elems, tensor): every group element, lexicographic, and the
+    (|G|, n, n) array whose g-th entry is the matrix of g acting on
+    covectors.  The cap is checked on every call, cached or not."""
     if ring.size() > cap:
         raise CapError(
             f"|G| = {ring.size()} exceeds the exhaustive-scan cap {cap}")
+    return _cached(ring, "group", _build_group)
+
+
+def _build_group(ring):
     elems = all_elements(ring)
     neg = (-elems) % ring.pk
-    cols = []
+    tensor = np.empty((len(elems), ring.rank, ring.rank),
+                      dtype=ring.modulus.dtype)
     for j in range(ring.rank):
-        ej = np.tile(np.eye(1, ring.rank, j, dtype=np.int64), (len(elems), 1))
-        cols.append(batch_conjugate(ring, neg, ej))
-    tensor = np.stack(cols, axis=1)
-    ring._coadjoint_tensor = (elems, tensor)
+        ej = np.zeros_like(elems)
+        ej[:, j] = 1
+        tensor[:, j] = batch_conjugate(ring, neg, ej)
     return elems, tensor
+
+
+def _basis_matrices(ring):
+    """Coadjoint matrices of the one-parameter elements Exp(e_t), built by
+    coadjoint_matrix, so conjugate's two-route cross-check runs."""
+    return _cached(ring, "basis_matrices", lambda ring: [
+        coadjoint_matrix(ring, ring.basis(t)) for t in range(ring.rank)])
+
+
+def _coordinate_subalgebras(ring):
+    """Basis-coordinate spans closed under bracket, as (index subset,
+    bit mask of the subset)."""
+    def build(ring):
+        out = []
+        for bits in range(1, 2 ** ring.rank):
+            subset = tuple(i for i in range(ring.rank) if bits >> i & 1)
+            if Subring(ring, [ring.basis(i) for i in subset]).is_lie_subring():
+                out.append((subset, bits))
+        return out
+    return _cached(ring, "subalgebras", build)
+
+
+def _stable_subalgebras(ring, b):
+    """Index subsets of the coordinate subalgebras a with [b, a] <= a.
+
+    The Howell rows of a coordinate span are its basis vectors, so x lies
+    in it exactly when x vanishes off its coordinates: the test is on the
+    support of each [b, e_i]."""
+    support = []
+    for i in range(ring.rank):
+        v = ring.bracket(b, ring.basis(i))
+        support.append(sum(1 << j for j, c in enumerate(v) if c))
+    return [subset for subset, bits in _coordinate_subalgebras(ring)
+            if all(support[i] & ~bits == 0 for i in subset)]
+
+
+def _basis_stable(ring):
+    """_stable_subalgebras(ring, e_t) for each basis element e_t."""
+    return _cached(ring, "basis_stable", lambda ring: [
+        _stable_subalgebras(ring, ring.basis(t)) for t in range(ring.rank)])
 
 
 def stabilizer_oracle(chi, cap=DUAL_CAP):
     """{g : g.chi = chi} by exhaustive scan over the group.
 
-    Deliberately independent of the radical computation.  The fixed set is
-    a subgroup of Exp(g); the scan also confirms it is closed under
-    addition before packaging it as a Subring, so the return value
+    Deliberately independent of the radical computation.  Once per ring
+    (_group): every group element and its coadjoint matrix.  Per
+    character: one (|G|, n, n) x (n,) product gives the fixed points;
+    then, repeatedly, one batched membership test over the fixed points
+    not yet known to lie in the span finds the first one outside it, which
+    is adjoined.  That adjoins the same generators, in the same order, as
+    scanning the fixed points one by one, in at most rank * k rounds.  The
+    fixed set is a subgroup of Exp(g); the scan also confirms it is closed
+    under addition before packaging it as a Subring, so the return value
     represents the set faithfully.
     """
     ring = chi.ring
-    elems, tensor = _coadjoint_tensor(ring, cap)
-    a = np.array(chi.nums, dtype=np.int64)
-    moved = (tensor @ a) % ring.pk
-    fixed = np.all(moved == a[None, :], axis=1)
+    elems, tensor = _group(ring, cap)
+    a = np.array(chi.nums, dtype=tensor.dtype)
+    # n products of residues per entry; for n >= 2, |G| >= (p^k)^2, so any
+    # group small enough to scan keeps these sums far inside int64
+    fixed = np.all((tensor @ a) % ring.pk == a, axis=1)
     members = elems[fixed]
     gens = []
     sub = Subring(ring, gens)
-    for row in members:
-        x = tuple(int(v) for v in row)
-        if not sub.contains(x):
-            gens.append(x)
-            sub = Subring(ring, gens)
+    start = 0
+    while True:
+        outside = np.flatnonzero(~sub.contains_rows(members[start:]))
+        if not outside.size:
+            break
+        start += int(outside[0])
+        gens.append(tuple(members[start].tolist()))
+        sub = Subring(ring, gens)
+        start += 1
     if sub.size() != len(members):
         raise OrbitError(
             f"stabilizer of {chi} is not additively closed: "
             f"{len(members)} fixed points, span of size {sub.size()}")
     return sub
-
-
-def _coordinate_subalgebras(ring):
-    """Basis-coordinate spans closed under bracket, as index subsets."""
-    cached = getattr(ring, "_coord_subalgebras", None)
-    if cached is not None:
-        return cached
-    out = []
-    for bits in range(1, 2 ** ring.rank):
-        subset = [i for i in range(ring.rank) if bits >> i & 1]
-        span = Subring(ring, [ring.basis(i) for i in subset])
-        if span.is_lie_subring():
-            out.append((tuple(subset), span))
-    ring._coord_subalgebras = out
-    return out
 
 
 def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
@@ -283,8 +328,17 @@ def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
     Asserts stabilizer_oracle(chi) and radical(B_chi) coincide as
     canonical subgroups, then spot-checks the perpendicularity statement:
     for subalgebras a with [b, a] <= a, chi and b.chi agree on a exactly
-    when B_chi(b, a) = 0.  Returns a report dict; any failure raises with
-    the witness.
+    when B_chi(b, a) = 0.  Here b runs over the basis, plus two random
+    elements drawn from rng when it is given, and a over the coordinate
+    subalgebras.
+
+    Once per ring (in ring.orbit_cache): the coordinate subalgebras, which
+    of them each e_t stabilizes, and the coadjoint matrix of each
+    Exp(e_t).  Per character: B_chi, its radical, the stabilizer scan,
+    b.chi for each b, and for random b its coadjoint matrix and stable
+    subalgebras.  Values are compared as numerators at level k, which is
+    QpModZp equality.  Returns a report dict; any failure raises with the
+    witness.
     """
     form = SkewForm(chi)
     rad = radical(form)
@@ -293,23 +347,26 @@ def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
         raise OrbitError(
             f"stabilizer differs from radical at chi = {chi}: "
             f"radical rows {rad.rows}, stabilizer rows {stab.rows}")
-    tested = 0
-    bs = [ring.basis(i) for i in range(ring.rank)]
+    pk, nums = ring.pk, chi.nums
+    cases = [(ring.basis(t), _act(m, nums, pk), stable)
+             for t, (m, stable) in enumerate(zip(_basis_matrices(ring),
+                                                 _basis_stable(ring)))]
     if rng is not None:
-        bs += [ring.random_element(rng) for _ in range(2)]
-    for b in bs:
-        moved = coadjoint_act(b, chi)
-        for subset, span in _coordinate_subalgebras(ring):
-            if not all(span.contains(ring.bracket(b, ring.basis(i)))
-                       for i in subset):
-                continue
-            agree = all(moved.value(ring.basis(i)) == chi.value(ring.basis(i))
-                        for i in subset)
-            perp = all(form.value(b, ring.basis(i)).is_zero() for i in subset)
+        for b in [ring.random_element(rng) for _ in range(2)]:
+            cases.append((b, coadjoint_act(b, chi).nums,
+                          _stable_subalgebras(ring, b)))
+    tested = 0
+    for b, moved, stable in cases:
+        # numerators of B_chi(b, e_i)
+        pairing = [sum(x * row[i] for x, row in zip(b, form.nums)) % pk
+                   for i in range(ring.rank)]
+        for subset in stable:
+            agree = all(moved[i] == nums[i] for i in subset)
+            perp = all(pairing[i] == 0 for i in subset)
             if agree != perp:
                 raise OrbitError(
                     f"perpendicularity violated at chi = {chi}, b = {b}, "
-                    f"subalgebra on coordinates {subset}: "
+                    f"subalgebra on coordinates {list(subset)}: "
                     f"agree = {agree}, perpendicular = {perp}")
             tested += 1
     return {

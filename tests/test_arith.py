@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from orbitlab.arith import (
     mat_inverse,
     member,
     reduce_mod_span,
+    reduce_rows,
     span_size,
     valuation,
 )
@@ -152,6 +154,40 @@ class TestHowell:
         assert u.is_invertible()
         padded = ModMatrix(mod, list(m.rows) + [[0, 0, 0]] * m.ncols)
         assert u.mul(padded) == h
+
+
+@st.composite
+def _span_and_rows(draw, moduli):
+    """Howell rows of a random span over one of moduli, plus rows to reduce."""
+    p, k = draw(st.sampled_from(moduli))
+    mod = Modulus(p, k)
+    ncols = draw(st.integers(1, 4))
+    entry = st.integers(0, mod.pk - 1)
+    vector = st.lists(entry, min_size=ncols, max_size=ncols)
+    gens = draw(st.lists(vector, max_size=4))
+    X = draw(st.lists(vector, min_size=1, max_size=6))
+    return mod, howell(gens, mod) if gens else (), X
+
+
+@settings(max_examples=150, deadline=None)
+@given(_span_and_rows([(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)]))
+def test_reduce_rows_matches_reduce_mod_span(case):
+    mod, h, X = case
+    residues = reduce_rows(X, h, mod)
+    assert residues.dtype == np.int64
+    for x, row in zip(X, residues):
+        assert row.tolist() == reduce_mod_span(x, h, mod)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_span_and_rows([(2**31 - 1, 1), (2**31 - 1, 2)]))
+def test_reduce_rows_matches_reduce_mod_span_large_modulus(case):
+    # (2^31 - 1)^2 < 2^63 keeps int64; (2^31 - 1)^4 needs Python ints
+    mod, h, X = case
+    residues = reduce_rows(X, h, mod)
+    assert residues.dtype == (np.int64 if mod.k == 1 else object)
+    for x, row in zip(X, residues):
+        assert [int(v) for v in row] == reduce_mod_span(x, h, mod)
 
 
 def test_span_size_counts_row_orders():

@@ -1,6 +1,6 @@
 import pytest
 
-from orbitlab import cli, lazard, metric, vmodel
+from orbitlab import cli, lazard, metric, orbits, vmodel
 from orbitlab.cyclotomic import CycNumber
 from orbitlab.lazard import catalog, serialize_ring
 from orbitlab.metric import MetricError, serialize_metric
@@ -296,6 +296,35 @@ def test_kernel_check_conjugation_cross_check(capsys, h3p5_file,
                                 "--samples", "3")
 
 
+def _kernel_counterexample(capsys, path):
+    code, out = run(capsys, "kernel-check", path, "--samples", "3",
+                    "--format", "records")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("counterexample check=kernel witness=")
+    assert "np." not in lines[0] and "int64" not in lines[0]
+    return lines[0]
+
+
+def test_kernel_check_stabilizer_witness(capsys, h3p5_file, monkeypatch):
+    # a coadjoint action that fixes everything: the scanned stabilizer is
+    # the whole group, unlike the radical
+    monkeypatch.setattr(orbits, "batch_conjugate",
+                        lambda ring, G, X: X % ring.pk)
+    assert "stabilizer differs from radical" in _kernel_counterexample(
+        capsys, h3p5_file)
+
+
+def test_kernel_check_perpendicularity_witness(capsys, h3p5_file,
+                                               monkeypatch):
+    monkeypatch.setattr(orbits, "coadjoint_matrix", lambda ring, g: tuple(
+        ring.basis(j) for j in range(ring.rank)))
+    line = _kernel_counterexample(capsys, h3p5_file)
+    assert "perpendicularity violated" in line
+    assert "agree = True, perpendicular = False" in line
+
+
 def test_ribbon_metric_error(capsys, vmodel_file, monkeypatch):
     def broken(m):
         raise MetricError("Gauss sum modulus broken")
@@ -366,6 +395,20 @@ GOLDEN_RECORDS = [
         "character ring=h3xa1_p7 chi=0/1,0/1,1/7,0/1",
         "step index=0 h=49 perp=2401 heisenberg=true strong=true",
         "lagrangian size=343 generators=1,0,0,0;0,0,1,0;0,0,0,1"]),
+    (("orbits", "u4_p5"), 0, [
+        "census ring=u4_p5 orbits=265 dual=15625",
+        "orbitclass size=1 count=125 stabilizer=15625",
+        "orbitclass size=25 count=120 stabilizer=625",
+        "orbitclass size=625 count=20 stabilizer=25"]),
+    (("orbits", "h3_z9"), 0, [
+        "census ring=h3_z9 orbits=105 dual=729",
+        "orbitclass size=1 count=81 stabilizer=729",
+        "orbitclass size=9 count=18 stabilizer=81",
+        "orbitclass size=81 count=6 stabilizer=9"]),
+    (("kernel-check", "h3_z9", "--samples", "729"), 0, [
+        "kernel ring=h3_z9 characters=729 mode=all seed=0"]),
+    (("kernel-check", "u4_p5", "--samples", "8", "--seed", "3"), 0, [
+        "kernel ring=u4_p5 characters=8 mode=sampled seed=3"]),
 ]
 
 

@@ -1,6 +1,10 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import lazard
 from orbitlab.arith import inv_mod
@@ -8,6 +12,9 @@ from orbitlab.lazard import (
     LazardError,
     LieRing,
     Subring,
+    all_elements,
+    batch_bracket,
+    batch_conjugate,
     batch_exp_mul,
     bracket_span,
     catalog,
@@ -114,6 +121,49 @@ def test_associativity_witness_prints_plain_ints(monkeypatch, samples):
     assert "np." not in message and "int64" not in message
 
 
+BIG_PRIME = 2**31 - 1
+
+U4 = {(0, 1): (0, 0, 0, 1, 0, 0), (1, 2): (0, 0, 0, 0, 1, 0),
+      (0, 4): (0, 0, 0, 0, 0, 1), (2, 3): (0, 0, 0, 0, 0, -1)}
+
+# (ring, element type of its batch arrays): int64 while (p^k)^2 < 2^63,
+# which still holds over 2^31 - 1, and Python ints over (2^31 - 1)^2
+BATCH_RINGS = [
+    (catalog()["h3_p3"], np.int64),
+    (catalog()["h3_z9"], np.int64),
+    (catalog()["u4_p5"], np.int64),
+    (catalog()["u4_p7"], np.int64),
+    (heis(BIG_PRIME), np.int64),
+    (LieRing(BIG_PRIME, 1, 6, U4, name="u4"), np.int64),
+    (heis(BIG_PRIME, k=2), object),
+    (LieRing(BIG_PRIME, 2, 6, U4, name="u4"), object),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_kernels_match_scalar(data):
+    ring, dtype = data.draw(st.sampled_from(BATCH_RINGS))
+    assert ring.modulus.dtype == dtype
+    vector = st.tuples(*[st.integers(0, ring.pk - 1)] * ring.rank)
+    rows = data.draw(st.integers(1, 5))
+    X, Y = (data.draw(st.lists(vector, min_size=rows, max_size=rows))
+            for _ in range(2))
+    for got, want in (
+            (batch_bracket(ring, X, Y), ring.bracket),
+            (batch_exp_mul(ring, X, Y), lambda x, y: exp_mul(ring, x, y)),
+            (batch_conjugate(ring, X, Y),
+             lambda x, y: conjugate(ring, x, y))):
+        for x, y, row in zip(X, Y, got):
+            assert tuple(int(v) for v in row) == want(x, y)
+
+
+def test_exp_associative_over_large_prime():
+    # int64 products used to overflow here and report a false defect
+    ring = heis(BIG_PRIME)
+    assert check_exp_associative(ring, samples=1000) == (1000, False)
+
+
 def test_batch_exp_mul_matches_scalar(rings):
     ring = rings["u4_p5"]
     rng = random.Random(1)
@@ -190,6 +240,39 @@ class TestSubring:
         assert s.size() == 9
         assert len(a.elements()) == 3
         assert not Subring.zero(ring).generators()
+
+    def test_elements_match_brute_force(self):
+        # old enumeration: every coefficient in Z/p^k on every Howell row
+        rng = random.Random(9)
+        for p, k in ((3, 2), (5, 2), (3, 3)):
+            for rank in (2, 3):
+                ring = LieRing(p, k, rank, {})
+                for _ in range(4):
+                    gens = [[rng.randrange(ring.pk) * p ** rng.randrange(k)
+                             for _ in range(rank)]
+                            for _ in range(rng.randrange(1, rank + 1))]
+                    sub = Subring(ring, gens)
+                    brute = set()
+                    for cs in itertools.product(range(ring.pk),
+                                                repeat=len(sub.rows)):
+                        v = ring.zero()
+                        for c, row in zip(cs, sub.rows):
+                            v = ring.add(v, ring.scale(c, row))
+                        brute.add(v)
+                    assert sub.elements() == sorted(brute)
+                    mask = sub.contains_rows(all_elements(ring))
+                    assert mask.tolist() == [x in brute
+                                             for x in ring.elements()]
+
+    def test_elements_walks_each_row_by_its_order(self, monkeypatch):
+        ring = LieRing(3, 2, 3, {})
+        sub = Subring(ring, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+        calls = []
+        add = ring.add
+        monkeypatch.setattr(ring, "add",
+                            lambda x, y: calls.append(None) or add(x, y))
+        assert len(sub.elements()) == 27
+        assert len(calls) == 27 * 3
 
     def test_howell_rows_canonical(self):
         ring = heis(3, k=2)

@@ -1,10 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from orbitlab.arith import QpModZp
-from orbitlab.lazard import LieRing, exp_mul
+from orbitlab import orbits
+from orbitlab.lazard import LieRing, Subring, exp_mul
 from orbitlab.orbits import (
     CapError,
     Character,
@@ -124,15 +126,18 @@ def test_orbit_reps_are_lex_minimal_and_disjoint(rings):
 
 
 def test_orbit_cap_enforced():
-    # fresh ring: the exhaustive-scan tensor is cached per ring object, and
-    # the cap only guards building it
-    from orbitlab.lazard import LieRing
-
+    # the exhaustive-scan tensor is cached per ring; a smaller cap must
+    # still be enforced once the cache is filled
     ring = LieRing(3, 1, 3, {(0, 1): (0, 0, 1)}, name="h3")
+    chi = generic_character(ring)
+    assert stabilizer_oracle(chi).size() == 3
+    with pytest.raises(CapError):
+        stabilizer_oracle(chi, cap=10)
+    with pytest.raises(CapError):
+        kernel_lemma_check(ring, chi, cap=10)
+    enumerate_orbits(ring)
     with pytest.raises(OrbitError):
         enumerate_orbits(ring, cap=10)
-    with pytest.raises(OrbitError):
-        stabilizer_oracle(generic_character(ring), cap=10)
 
 
 def test_cap_error_is_an_orbit_error():
@@ -150,3 +155,81 @@ def test_abelian_orbits_are_singletons(rings):
     assert len(orbits) == 9
     assert all(o.size == 1 for o in orbits)
     assert all(o.stabilizer.size() == ring.size() for o in orbits)
+
+
+def test_kernel_reports_match_digest(rings):
+    # stabilizer_size, radical_size and perp_cases of every character of
+    # h3_p5 and h3_z9 and of 200 seeded characters of u4_p5, digested as
+    # computed by the one-character-at-a-time scalar engine
+    digest = hashlib.sha256()
+    chars = [(rings["h3_p5"], all_characters(rings["h3_p5"])),
+             (rings["h3_z9"], all_characters(rings["h3_z9"])),
+             (rings["u4_p5"], sample_characters(rings["u4_p5"], 200,
+                                                random.Random(2024)))]
+    for ring, chis in chars:
+        for chi in chis:
+            r = kernel_lemma_check(ring, chi)
+            digest.update(repr((r["stabilizer_size"], r["radical_size"],
+                                r["perp_cases"])).encode())
+    assert digest.hexdigest() == (
+        "6bee8304422709245c38042f445a9e4c6efb0945ba2709863e6f331a78cd2d9f")
+
+
+def test_stable_subalgebras_match_howell_membership(rings):
+    # the support test on coordinate spans against Subring.contains
+    rng = random.Random(4)
+    for name in ("h3_z9", "h3xa1_p5", "u4_p5"):
+        ring = rings[name]
+        spans = {}
+        for bits in range(1, 2 ** ring.rank):
+            subset = tuple(i for i in range(ring.rank) if bits >> i & 1)
+            span = Subring(ring, [ring.basis(i) for i in subset])
+            if span.is_lie_subring():
+                spans[subset] = span
+        found = orbits._coordinate_subalgebras(ring)
+        assert [subset for subset, _ in found] == list(spans)
+        bs = [ring.basis(t) for t in range(ring.rank)]
+        bs += [ring.random_element(rng) for _ in range(20)]
+        for b in bs:
+            want = [subset for subset, span in spans.items()
+                    if all(span.contains(ring.bracket(b, ring.basis(i)))
+                           for i in subset)]
+            assert orbits._stable_subalgebras(ring, b) == want
+        assert orbits._basis_stable(ring) == [
+            orbits._stable_subalgebras(ring, b) for b in bs[:ring.rank]]
+
+
+def test_stabilizer_witness_prints_plain_ints(rings, monkeypatch):
+    # a coadjoint action that fixes everything makes the scanned
+    # stabilizer the whole group, unlike the radical
+    monkeypatch.setattr(orbits, "batch_conjugate",
+                        lambda ring, G, X: X % ring.pk)
+    ring = LieRing(5, 1, 3, {(0, 1): (0, 0, 1)}, name="h3")
+    with pytest.raises(OrbitError) as err:
+        kernel_lemma_check(ring, generic_character(ring))
+    message = str(err.value)
+    assert message.startswith("stabilizer differs from radical")
+    assert message.endswith("radical rows ((0, 0, 1),), stabilizer rows "
+                            "((1, 0, 0), (0, 1, 0), (0, 0, 1))")
+    assert "np." not in message and "int64" not in message
+
+
+@pytest.mark.parametrize("random_b", [False, True])
+def test_perpendicularity_witness_prints_plain_ints(monkeypatch, random_b):
+    # with every coadjoint matrix the identity, chi and b.chi always agree
+    # while B_chi(b, a) need not vanish
+    monkeypatch.setattr(orbits, "coadjoint_matrix", lambda ring, g: tuple(
+        ring.basis(j) for j in range(ring.rank)))
+    ring = LieRing(5, 1, 3, {(0, 1): (0, 0, 1)}, name="h3")
+    rng = None
+    if random_b:
+        # only the two random elements are tested
+        ring.orbit_cache["basis_stable"] = [[] for _ in range(ring.rank)]
+        rng = random.Random(1)
+    with pytest.raises(OrbitError) as err:
+        kernel_lemma_check(ring, generic_character(ring), rng=rng)
+    message = str(err.value)
+    assert message.startswith("perpendicularity violated at chi = "
+                              "Character(0/1, 0/1, 1/5), b = (")
+    assert message.endswith("agree = True, perpendicular = False")
+    assert "np." not in message and "int64" not in message
