@@ -6,21 +6,28 @@ series has all its denominators invertible mod p^k, so the same coordinate
 tuples carry both the ring and the group Exp(ring); exp_mul evaluates the
 group law and log_group recovers the ring operations from a black-box
 multiplication on the same carrier.
+
+Each Lie series evaluated in a ring (BCH, exp(ad g), the V-model's Phi)
+is compiled once per ring into one straight-line bracket program
+(series_program) with a scalar and a numpy entry point, both walking the
+nonzero structure constants.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import factorial
 
 import numpy as np
 
 from .arith import (Modulus, ModMatrix, howell, howell_pivots, inv_mod,
                     mat_inverse, member, reduce_mod_span, reduce_rows,
                     span_size)
-from .freelie import bch, tree_degree
+from .freelie import bch, exp_ad, phi_series
 
 MAX_CLASS = 6
+MAX_RANK = 64
+# residues fit an int64, so numpy can draw and hold them
+MAX_MODULUS = 2**63
 
 
 class LazardError(ValueError):
@@ -50,23 +57,30 @@ class LieRing:
     vector of [e_i, e_j]; omitted pairs commute.  Construction checks
     antisymmetry conventions are consistent, verifies the Jacobi identity
     on all basis triples, computes the lower central series, and rejects
-    rings whose class is >= p or > MAX_CLASS.
+    rings whose class is >= p or > MAX_CLASS; rank above MAX_RANK and p^k
+    of MAX_MODULUS or more are refused before anything is allocated.
 
-    structure lists the nonzero brackets for the batch kernels: one
-    (i, j, ((l, c), ...)) per pair i < j, where c is coordinate l of
-    [e_i, e_j].
+    structure lists the nonzero brackets, one (i, j, ((l, c), ...)) per
+    given pair i < j with c coordinate l of [e_i, e_j]; the bracket and
+    the batch kernels walk it.  orbit_cache is the one per-ring cache (the
+    compiled series programs and the orbits layer's tables).
     """
 
     def __init__(self, p, k, rank, brackets, name="unnamed", check=True):
+        if not 1 <= rank <= MAX_RANK:
+            raise ValueError(f"rank {rank} is outside 1..{MAX_RANK}")
+        # p >= 2 makes p^k >= 2^k, so k > 63 is refused before p^k is formed
+        if k > 63 or p >= MAX_MODULUS or (k >= 1 and p**k >= MAX_MODULUS):
+            raise ValueError(f"p^k = {p}^{k} is not below 2^63")
         self.modulus = Modulus(p, k)
         self.p = p
         self.k = k
         self.pk = self.modulus.pk
-        if rank < 1:
-            raise ValueError("rank must be positive")
         self.rank = rank
         self.name = name
-        table = [[(0,) * rank for _ in range(rank)] for _ in range(rank)]
+        zero = (0,) * rank
+        table = [[zero] * rank for _ in range(rank)]
+        structure = []
         for (i, j), v in brackets.items():
             if not 0 <= i < j < rank:
                 raise ValueError(f"bad bracket pair ({i}, {j})")
@@ -75,13 +89,10 @@ class LieRing:
                 raise ValueError(f"bracket ({i}, {j}) has wrong length")
             table[i][j] = w
             table[j][i] = tuple(-c % self.pk for c in w)
+            nonzero = tuple((l, c) for l, c in enumerate(w) if c)
+            if nonzero:
+                structure.append((i, j, nonzero))
         self.table = tuple(tuple(row) for row in table)
-        structure = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                nonzero = tuple((l, c) for l, c in enumerate(table[i][j]) if c)
-                if nonzero:
-                    structure.append((i, j, nonzero))
         self.structure = tuple(structure)
         if check:
             self._check_jacobi()
@@ -93,9 +104,6 @@ class LieRing:
                 "the Lazard correspondence does not apply")
         if self.cls > MAX_CLASS:
             raise LazardError(f"class {self.cls} exceeds supported bound {MAX_CLASS}")
-        self._bch_table = None
-        self._exp_ad_coeffs = None
-        # character-independent data of the orbits layer, filled there
         self.orbit_cache = {}
 
     # vector arithmetic on coordinate tuples
@@ -119,21 +127,14 @@ class LieRing:
         return tuple(int(i == j) for j in range(self.rank))
 
     def bracket(self, x, y):
-        pk = self.pk
         out = [0] * self.rank
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            row = self.table[i]
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                c = row[j]
-                ab = a * b
-                for l, cl in enumerate(c):
-                    if cl:
-                        out[l] = (out[l] + ab * cl) % pk
-        return tuple(out)
+        for i, j, nonzero in self.structure:
+            xy = x[i] * y[j] - x[j] * y[i]
+            if xy:
+                for l, c in nonzero:
+                    out[l] += c * xy
+        pk = self.pk
+        return tuple([v % pk for v in out])
 
     def elements(self):
         """All coordinate tuples in lexicographic order."""
@@ -201,42 +202,96 @@ def validate(ring):
     }
 
 
-# group law by specialization of the BCH series
+# Lie series compiled into straight-line bracket programs
 
-def _bch_table(ring):
-    if ring._bch_table is None:
-        series = bch(ring.cls)
-        pk = ring.pk
-        table = []
-        for tree, coeff in sorted(series.coeffs.items(),
-                                  key=lambda it: (tree_degree(it[0]), str(it[0]))):
+class _Program:
+    """A two-generator Lie series compiled for one ring.
+
+    Slots 0 and 1 hold the two arguments; step (dst, a, b) sets slot dst
+    to [slot a, slot b], and each distinct tree of the series is one step.
+    The value is the sum of c * slot over the terms (slot, c), with c the
+    series coefficient reduced mod p^k (its denominator is a unit since the
+    class is < p).  The program holds no reference to its ring.
+    """
+
+    __slots__ = ("steps", "terms", "dead")
+
+    def __init__(self, series, pk):
+        slots = {0: 0, 1: 1}
+        steps = []
+
+        def slot(tree):
+            got = slots.get(tree)
+            if got is None:
+                a, b = slot(tree[0]), slot(tree[1])
+                got = slots[tree] = len(slots)
+                steps.append((got, a, b))
+            return got
+
+        terms = []
+        for tree, coeff in series.coeffs.items():
             c = coeff.numerator * inv_mod(coeff.denominator, pk) % pk
             if c:
-                table.append((tree, c))
-        ring._bch_table = table
-    return ring._bch_table
+                terms.append((slot(tree), c))
+        self.steps = tuple(steps)
+        self.terms = tuple(terms)
+        # dead[t]: the slots that no step after step t reads
+        last = {s: t for t, step in enumerate(steps) for s in step}
+        self.dead = tuple(tuple(s for s, u in last.items() if u == t)
+                          for t in range(len(steps)))
+
+    def scalar(self, ring, x, y):
+        """Value at coordinate tuples: Python ints, reduced per bracket."""
+        vals = [x, y]
+        for _, a, b in self.steps:
+            vals.append(ring.bracket(vals[a], vals[b]))
+        out = [0] * ring.rank
+        for s, c in self.terms:
+            for l, v in enumerate(vals[s]):
+                out[l] += c * v
+        pk = ring.pk
+        return tuple([v % pk for v in out])
+
+    def batch(self, ring, X, Y):
+        """Row-wise values at arrays of residues of ring.modulus.dtype,
+        reduced after every product.  A slot's term is added when the slot
+        is computed, and the slot is released after its last use."""
+        pk = ring.pk
+        coeff = dict(self.terms)
+        out = np.zeros_like(X)
+        vals = {0: X, 1: Y}
+        del X, Y  # so that releasing slots 0 and 1 frees them
+
+        def take(slot):
+            c = coeff.get(slot)
+            if c:
+                np.add(out, vals[slot] if c == 1 else c * vals[slot], out=out)
+                np.remainder(out, pk, out=out)
+
+        take(0)
+        take(1)
+        for (dst, a, b), dead in zip(self.steps, self.dead):
+            vals[dst] = _brackets(ring, vals[a], vals[b])
+            take(dst)
+            for slot in dead:
+                del vals[slot]
+        return out
 
 
-def _eval_tree(ring, tree, x, y, memo):
-    val = memo.get(tree)
-    if val is None:
-        left, right = tree
-        val = ring.bracket(_eval_tree(ring, left, x, y, memo),
-                           _eval_tree(ring, right, x, y, memo))
-        memo[tree] = val
-    return val
+def series_program(ring, name):
+    """The compiled program of series name ("bch", "exp_ad" or "phi")
+    through ring's class, built on first use in ring.orbit_cache."""
+    prog = ring.orbit_cache.get(name)
+    if prog is None:
+        series = {"bch": bch, "exp_ad": exp_ad, "phi": phi_series}[name]
+        prog = ring.orbit_cache[name] = _Program(series(ring.cls), ring.pk)
+    return prog
 
 
 def exp_mul(ring, x, y):
     """Product Exp(x) Exp(y) in exponential coordinates."""
-    x, y = _vec(ring, x), _vec(ring, y)
-    if ring.cls == 1:
-        return ring.add(x, y)
-    memo = {0: x, 1: y}
-    out = (0,) * ring.rank
-    for tree, c in _bch_table(ring):
-        out = ring.add(out, ring.scale(c, _eval_tree(ring, tree, x, y, memo)))
-    return out
+    return series_program(ring, "bch").scalar(ring, _vec(ring, x),
+                                               _vec(ring, y))
 
 
 def exp_inv(ring, x):
@@ -249,27 +304,16 @@ def exp_pow(ring, x, m):
     return ring.scale(int(m), _vec(ring, x))
 
 
-def _exp_ad_coeffs(ring):
-    if ring._exp_ad_coeffs is None:
-        ring._exp_ad_coeffs = [inv_mod(factorial(n), ring.pk) % ring.pk
-                               for n in range(ring.cls)]
-    return ring._exp_ad_coeffs
-
-
 def conjugate(ring, g, x):
     """Coordinates of Exp(g) Exp(x) Exp(g)^-1.
 
-    Evaluates both the multiplicative route g*x*(-g) and the truncated
-    exponential of ad_g; the two must agree for a correct BCH table, so
+    Evaluates both the multiplicative route g*x*(-g), through the BCH
+    program, and the exp(ad g) program; the two must agree, so
     disagreement is an internal error rather than bad input.
     """
     g, x = _vec(ring, g), _vec(ring, x)
     via_mul = exp_mul(ring, exp_mul(ring, g, x), ring.neg(g))
-    term = x
-    via_ad = (0,) * ring.rank
-    for c in _exp_ad_coeffs(ring):
-        via_ad = ring.add(via_ad, ring.scale(c, term))
-        term = ring.bracket(g, term)
+    via_ad = series_program(ring, "exp_ad").scalar(ring, g, x)
     if via_mul != via_ad:
         raise CrossCheckError(
             "conjugation", f"conjugation routes disagree at g={g}, x={x}: "
@@ -293,42 +337,22 @@ def _brackets(ring, X, Y):
     return out
 
 
+def _residues(ring, X):
+    return np.asarray(X, dtype=ring.modulus.dtype) % ring.pk
+
+
 def batch_bracket(ring, X, Y):
-    X = np.asarray(X, dtype=ring.modulus.dtype) % ring.pk
-    Y = np.asarray(Y, dtype=ring.modulus.dtype) % ring.pk
-    return _brackets(ring, X, Y)
+    return _brackets(ring, _residues(ring, X), _residues(ring, Y))
 
 
 def batch_exp_mul(ring, X, Y):
-    X = np.asarray(X, dtype=ring.modulus.dtype) % ring.pk
-    Y = np.asarray(Y, dtype=ring.modulus.dtype) % ring.pk
-    out = (X + Y) % ring.pk
-    if ring.cls == 1:
-        return out
-    memo = {0: X, 1: Y}
-
-    def ev(tree):
-        val = memo.get(tree)
-        if val is None:
-            val = _brackets(ring, ev(tree[0]), ev(tree[1]))
-            memo[tree] = val
-        return val
-
-    for tree, c in _bch_table(ring):
-        if tree_degree(tree) == 1:
-            continue
-        out = (out + c * ev(tree)) % ring.pk
-    return out
+    return series_program(ring, "bch").batch(ring, _residues(ring, X),
+                                             _residues(ring, Y))
 
 
 def batch_conjugate(ring, G, X):
-    G = np.asarray(G, dtype=ring.modulus.dtype) % ring.pk
-    term = np.asarray(X, dtype=ring.modulus.dtype) % ring.pk
-    out = np.zeros_like(term)
-    for c in _exp_ad_coeffs(ring):
-        out = (out + c * term) % ring.pk
-        term = _brackets(ring, G, term)
-    return out
+    return series_program(ring, "exp_ad").batch(ring, _residues(ring, G),
+                                                 _residues(ring, X))
 
 
 def all_elements(ring):
@@ -373,7 +397,9 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
     since c < p).  T_1 must match coordinate addition, which pins the
     carrier as exponential coordinates; the bracket is 2 T_2 on basis
     pairs.  Returns (ring, report) after checking Exp(ring) reproduces mul
-    pointwise, exhaustively when the group is small.
+    pointwise: exhaustively when the group is small, otherwise on samples
+    pairs drawn from seed, which the report names.  The recovered side is
+    one batch_exp_mul; mul is called pair by pair up to the first mismatch.
     """
     mod = Modulus(p, k)
     pk = mod.pk
@@ -434,21 +460,23 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
 
     total = pk ** rank
     if total * total <= 65536:
-        pairs = [(x, y) for x in ring.elements() for y in ring.elements()]
+        elems = all_elements(ring)
+        X, Y = np.repeat(elems, total, axis=0), np.tile(elems, (total, 1))
         exhaustive = True
     else:
-        pairs = [(tuple(int(v) for v in rng.integers(0, pk, size=rank)),
-                  tuple(int(v) for v in rng.integers(0, pk, size=rank)))
-                 for _ in range(samples)]
+        # the same draws, in the same order, as x then y per pair
+        XY = rng.integers(0, pk, size=(samples, 2, rank))
+        X, Y = XY[:, 0], XY[:, 1]
         exhaustive = False
-    for x, y in pairs:
-        got = exp_mul(ring, x, y)
+    for x, y, got in zip(X, Y, batch_exp_mul(ring, X, Y)):
+        x, y, got = (tuple(v.tolist()) for v in (x, y, got))
         want = mul(x, y)
         if got != want:
             raise LazardError(
                 f"Exp of the recovered ring disagrees with the law at "
                 f"x={x}, y={y}: {got} vs {want}")
-    report = {"class": ring.cls, "pairs_checked": len(pairs), "exhaustive": exhaustive}
+    report = {"class": ring.cls, "pairs_checked": len(X),
+              "exhaustive": exhaustive, "seed": seed}
     return ring, report
 
 

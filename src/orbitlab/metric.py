@@ -115,9 +115,6 @@ class MetricGroup:
     def qt(self, x):
         return CycNumber.root(self.p, self.level, self.q_num(x))
 
-    def bt(self, x, y):
-        return CycNumber.root(self.p, self.level, self.b_num(x, y))
-
     def _check_axioms(self):
         n = self.size()
         if n > CHECK_CAP:

@@ -18,11 +18,10 @@ import time
 from fractions import Fraction
 from math import isqrt
 
-from .arith import QpModZp, inv_mod
+from .arith import QpModZp
 from .cyclotomic import CycNumber
-from .freelie import phi_series
 from .lazard import (CrossCheckError, LieRing, Subring, conjugate, exp_mul,
-                     parse_ring, quotient_ring, serialize_ring)
+                     parse_ring, quotient_ring, serialize_ring, series_program)
 from .metric import MetricGroup, gauss_sum, ribbon_qhat
 
 ACTION_EXHAUSTIVE_CAP = 81
@@ -34,34 +33,6 @@ class VModelError(ValueError):
     def __init__(self, axiom, message):
         super().__init__(f"{axiom}: {message}")
         self.axiom = axiom
-
-
-def _series_evaluator(ring, series):
-    """Specialize a two-generator Lie series into a ring with invertible
-    denominators, returning a callable on coordinate pairs."""
-    pk = ring.pk
-    table = []
-    for tree, coeff in sorted(series.coeffs.items(), key=lambda it: str(it[0])):
-        c = coeff.numerator * inv_mod(coeff.denominator, pk) % pk
-        if c:
-            table.append((tree, c))
-
-    def evaluate(x, y):
-        memo = {0: x, 1: y}
-        out = ring.zero()
-
-        def tree_val(t):
-            got = memo.get(t)
-            if got is None:
-                got = ring.bracket(tree_val(t[0]), tree_val(t[1]))
-                memo[t] = got
-            return got
-
-        for tree, c in table:
-            out = ring.add(out, ring.scale(c, tree_val(tree)))
-        return out
-
-    return evaluate
 
 
 class VModelData:
@@ -84,12 +55,15 @@ class VModelData:
                       for beta in belems}
         self.pairs = [(alpha, beta) for alpha in belems for beta in belems]
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
-        self._phi_b = _series_evaluator(self.b, phi_series(max(self.b.cls, 1)))
         self._validated = False
         self._gamma_cache = {}
 
     def dim(self):
         return len(self.pairs)
+
+    def _phi_b(self, x, y):
+        """Phi(x, y) in b, from b's compiled series program."""
+        return series_program(self.b, "phi").scalar(self.b, x, y)
 
     def __repr__(self):
         return (f"VModelData({self.name}, |p|={self.ring.size()}, "

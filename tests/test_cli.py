@@ -162,6 +162,20 @@ def test_exit_2_on_usage_errors(capsys, tmp_path, h3p5_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, value", [("rank", "100000"),
+                                          ("k", "1000000000")])
+def test_validate_refuses_hostile_shapes(capsys, tmp_path, field, value):
+    # refused before the bracket table or p^k is built
+    lines = {"p": "3", "k": "1", "rank": "3", field: value}
+    path = tmp_path / "hostile.ring"
+    path.write_text("ring big\n" + "".join(f"{key} {v}\n" for key, v in
+                                           lines.items()) + "end\n")
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and value in err
+    assert "Traceback" not in err
+
+
 def test_cap_env_default(capsys, h3p5_file, monkeypatch):
     monkeypatch.setenv("ORBITLAB_CAP", "10")
     assert cli.main(["orbits", h3p5_file]) == 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from orbitlab import lazard
 from orbitlab.arith import inv_mod
+from orbitlab.freelie import bch, exp_ad, phi_series
 from orbitlab.lazard import (
     LazardError,
     LieRing,
@@ -27,8 +29,10 @@ from orbitlab.lazard import (
     parse_ring,
     quotient_ring,
     serialize_ring,
+    series_program,
     validate,
 )
+from orbitlab.vmodel import VModelData
 
 
 def heis(p, k=1):
@@ -158,6 +162,85 @@ def test_batch_kernels_match_scalar(data):
             assert tuple(int(v) for v in row) == want(x, y)
 
 
+def dense_bracket(ring, x, y):
+    """Reference bracket: every basis pair of the dense table."""
+    out = [0] * ring.rank
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            for l, c in enumerate(ring.table[i][j]):
+                out[l] = (out[l] + a * b * c) % ring.pk
+    return tuple(out)
+
+
+def tree_walk(ring, series, x, y):
+    """Reference evaluation of a two-generator series: a memoized walk of
+    its trees over dense_bracket."""
+    memo = {0: x, 1: y}
+
+    def value(tree):
+        got = memo.get(tree)
+        if got is None:
+            got = memo[tree] = dense_bracket(ring, value(tree[0]),
+                                             value(tree[1]))
+        return got
+
+    out = [0] * ring.rank
+    for tree, coeff in series.coeffs.items():
+        c = coeff.numerator * inv_mod(coeff.denominator, ring.pk)
+        for l, v in enumerate(value(tree)):
+            out[l] = (out[l] + c * v) % ring.pk
+    return tuple(out)
+
+
+ORACLE_RINGS = list(catalog().values()) + [
+    heis(BIG_PRIME), heis(BIG_PRIME, k=2), LieRing(BIG_PRIME, 1, 6, U4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compiled_series_match_tree_walk(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    vector = st.tuples(*[st.integers(0, ring.pk - 1)] * ring.rank)
+    rows = data.draw(st.integers(1, 4))
+    X, Y = (data.draw(st.lists(vector, min_size=rows, max_size=rows))
+            for _ in range(2))
+    bch_c, ad_c = bch(ring.cls), exp_ad(ring.cls)
+    for x, y, mul_row, conj_row in zip(X, Y, batch_exp_mul(ring, X, Y),
+                                       batch_conjugate(ring, X, Y)):
+        assert ring.bracket(x, y) == dense_bracket(ring, x, y)
+        xy = tree_walk(ring, bch_c, x, y)
+        assert exp_mul(ring, x, y) == xy
+        assert tuple(int(v) for v in mul_row) == xy
+        # conjugate raises unless its BCH and exp(ad) routes agree
+        via_ad = tree_walk(ring, ad_c, x, y)
+        assert tree_walk(ring, bch_c, xy, ring.neg(x)) == via_ad
+        assert series_program(ring, "exp_ad").scalar(ring, x, y) == via_ad
+        assert conjugate(ring, x, y) == via_ad
+        assert tuple(int(v) for v in conj_row) == via_ad
+        # VModelData evaluates Phi in its quotient b
+        assert (VModelData._phi_b(SimpleNamespace(b=ring), x, y)
+                == tree_walk(ring, phi_series(ring.cls), x, y))
+
+
+def test_series_programs_share_slots(rings):
+    # each distinct tree is one bracket step: BCH through class 3 has the
+    # trees [x,y], [x,[x,y]] and [y,[x,y]]
+    prog = series_program(rings["u4_p5"], "bch")
+    assert len(prog.steps) == 3
+    assert series_program(rings["u4_p5"], "bch") is prog
+    assert [dst for dst, _, _ in prog.steps] == [2, 3, 4]
+
+
+def test_hostile_shapes_refused_before_allocation():
+    with pytest.raises(ValueError, match="rank 100000"):
+        LieRing(3, 1, 100000, {})
+    with pytest.raises(ValueError, match=r"3\^1000000000"):
+        LieRing(3, 10**9, 3, {})
+    with pytest.raises(ValueError, match="not below 2\\^63"):
+        LieRing(BIG_PRIME, 3, 3, {})
+    assert LieRing(3, 1, lazard.MAX_RANK, {}, check=False).cls == 1
+
+
 def test_exp_associative_over_large_prime():
     # int64 products used to overflow here and report a false defect
     ring = heis(BIG_PRIME)
@@ -192,6 +275,45 @@ def test_log_group_round_trip_small(rings):
             lambda x, y: exp_mul(ring, x, y), ring.p, ring.k, ring.rank)
         assert recovered.table == ring.table
         assert report["exhaustive"] == (ring.size() ** 2 <= 65536)
+        assert report["seed"] == 0
+
+
+def test_log_group_report_names_seed_and_count(rings):
+    ring = rings["h3_p7"]
+    _, report = log_group(lambda x, y: exp_mul(ring, x, y), ring.p, ring.k,
+                          ring.rank, samples=300, seed=5)
+    assert report == {"class": 2, "pairs_checked": 300, "exhaustive": False,
+                      "seed": 5}
+    _, report = log_group(lambda x, y: exp_mul(rings["h3_p3"], x, y), 3, 1, 3)
+    assert report == {"class": 2, "pairs_checked": 27 ** 2,
+                      "exhaustive": True, "seed": 0}
+
+
+# The law is off at two pairs; the message names the first one checked, in
+# lexicographic order (h3_p3, exhaustive) or seed-0 draw order (h3_p7).
+LOG_GROUP_WITNESSES = [
+    ("h3_p3", {((2, 1, 0), (1, 2, 2)), ((2, 2, 2), (1, 1, 1))},
+     "Exp of the recovered ring disagrees with the law at x=(2, 1, 0), "
+     "y=(1, 2, 2): (0, 0, 2) vs (0, 0, 0)"),
+    ("h3_p7", {((3, 3, 4), (4, 0, 5)), ((6, 3, 0), (1, 2, 2))},
+     "Exp of the recovered ring disagrees with the law at x=(3, 3, 4), "
+     "y=(4, 0, 5): (0, 3, 3) vs (0, 3, 4)"),
+]
+
+
+@pytest.mark.parametrize("name, bad, message", LOG_GROUP_WITNESSES)
+def test_log_group_witness_is_first_bad_pair(rings, name, bad, message):
+    ring = rings[name]
+
+    def law(x, y):
+        out = exp_mul(ring, x, y)
+        if (x, y) in bad:
+            out = out[:2] + ((out[2] + 1) % ring.pk,)
+        return out
+
+    with pytest.raises(LazardError) as err:
+        log_group(law, ring.p, ring.k, ring.rank)
+    assert str(err.value) == message
 
 
 def test_log_group_rejects_non_exponential_coordinates():
