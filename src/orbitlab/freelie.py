@@ -28,9 +28,7 @@ __all__ = [
     "bch_apply",
     "exp_ad_apply",
     "log_exp_xy_assoc",
-    "dynkin_rightnorm",
     "assoc_mul",
-    "expand_tree",
     "lambda_coefficients",
 ]
 
@@ -119,34 +117,6 @@ def _assoc_addmul(dst: dict, src: dict, c: Fraction) -> None:
 
 def _assoc_degree_part(a: dict, d: int) -> dict:
     return {w: c for w, c in a.items() if len(w) == d}
-
-
-def dynkin_rightnorm(a: dict, cap: int) -> dict:
-    """Word-level right-normed bracketing w = a1...ad -> [a1,[...,[a_{d-1},ad]]].
-
-    For a homogeneous Lie element L of degree d this returns d*L
-    (Dynkin-Specht-Wever); used as an independent oracle for the Hall rewrite.
-    """
-    memo: dict = {}
-
-    def rb(w):
-        if w in memo:
-            return memo[w]
-        if len(w) == 1:
-            out = {w: _F1}
-        else:
-            rest = rb(w[1:])
-            head = {w[:1]: _F1}
-            out = assoc_mul(head, rest, cap)
-            _assoc_addmul(out, assoc_mul(rest, head, cap), -_F1)
-        memo[w] = out
-        return out
-
-    total: dict = {}
-    for w, c in a.items():
-        if w:
-            _assoc_addmul(total, rb(w), c)
-    return total
 
 
 def log_exp_xy_assoc(c: int, gens=(0, 1)) -> dict:
@@ -568,7 +538,3 @@ def certify(series: str, c: int) -> SeriesCertificate:
             pw *= factorial(d)
         bounds[d] = (den, e)
     return SeriesCertificate(series, c, bounds, "denominators lie in Z[1/degree!]")
-
-
-def expand_tree(basis: HallBasis, t: Tree) -> dict:
-    return basis.expand(t)

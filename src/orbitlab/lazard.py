@@ -147,28 +147,32 @@ class LieRing:
         return tuple(rng.randrange(self.pk) for _ in range(self.rank))
 
     def _check_jacobi(self):
-        n = self.rank
-        for i in range(n):
-            for j in range(i + 1, n):
-                for l in range(j + 1, n):
-                    ei, ej, el = self.basis(i), self.basis(j), self.basis(l)
-                    s = self.add(
-                        self.bracket(self.bracket(ei, ej), el),
-                        self.add(self.bracket(self.bracket(ej, el), ei),
-                                 self.bracket(self.bracket(el, ei), ej)))
-                    if any(s):
-                        raise ValueError(
-                            f"Jacobi identity fails on basis triple ({i}, {j}, {l})")
+        """Jacobi on the basis triples i < j < l; a triple none of whose
+        pairs is in structure has all three terms zero and is skipped."""
+        triples = sorted({tuple(sorted((i, j, l)))
+                          for i, j, _ in self.structure
+                          for l in range(self.rank) if l not in (i, j)})
+        for i, j, l in triples:
+            ei, ej, el = self.basis(i), self.basis(j), self.basis(l)
+            s = self.add(
+                self.bracket(self.bracket(ei, ej), el),
+                self.add(self.bracket(self.bracket(ej, el), ei),
+                         self.bracket(self.bracket(el, ei), ej)))
+            if any(s):
+                raise ValueError(
+                    f"Jacobi identity fails on basis triple ({i}, {j}, {l})")
 
     def _lower_central_series(self):
         """Howell generators of L_1 > L_2 > ... down to the last nonzero term."""
         mod = self.modulus
+        # [e_i, v] = 0 unless i is in a pair of structure
+        active = sorted({i for pair in self.structure for i in pair[:2]})
         series = []
         current = howell([list(self.basis(i)) for i in range(self.rank)], mod)
         while current:
             series.append(current)
             nxt = [list(self.bracket(self.basis(i), tuple(v)))
-                   for i in range(self.rank) for v in current]
+                   for i in active for v in current]
             current = howell(nxt, mod)
             if current == series[-1]:
                 raise LazardError("lower central series does not terminate")

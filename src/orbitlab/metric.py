@@ -4,10 +4,10 @@ pointed modular data.
 
 A form is stored by its values on generators together with the Gram
 matrix of the induced pairing B(x, y) = q(x+y) - q(x) - q(y); for odd p
-this data determines q everywhere through the quadratic expansion, and
-the construction-time checks confirm q(nx) = n^2 q(x) and the B identity
-exhaustively.  All values live in Q_p/Z_p and exponentiate to exact roots
-of unity in Q(zeta_{p^K}).
+this data determines q everywhere through the quadratic expansion.  The
+constructor certifies that expansion in O(rank^2) (see MetricGroup) and
+decides nondegeneracy by one Howell kernel.  All values live in Q_p/Z_p
+and exponentiate to exact roots of unity in Q(zeta_{p^K}).
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .arith import ModMatrix, QpModZp, inv_mod, is_prime
+from .arith import (Modulus, ModMatrix, QpModZp, inv_mod, is_prime,
+                    kernel, span_size)
 from .cyclotomic import CycNumber
 from .lazard import CrossCheckError, conjugate
 
-CHECK_CAP = 4096
+ORDER_CAP = 4096
 
 
 class MetricError(ValueError):
@@ -39,21 +40,41 @@ def _as_value(p, v, level_cap):
 
 
 class MetricGroup:
-    """(p, q) with underlying group ⊕_i Z/p^{k_i}, p odd."""
+    """(p, q) with underlying group G = ⊕_i Z/p^{k_i}, p odd.
 
-    def __init__(self, p, exponents, q_gens, gram, name="", check=True):
+    Construction certifies q in O(rank^2) (Wall, "Quadratic forms on
+    finite groups, and related topics", Topology 2, 1963).  Over the
+    common denominator p^L, L = max k_i, q(x) = sum_i x_i^2 q_i +
+    sum_{i<j} x_i x_j B_ij (q_num).  _as_value caps q_i at level k_i and
+    B_ij at level min(k_i, k_j), so x_i -> x_i + p^{k_i} moves q(x) and
+    x B by multiples of p^L: q is well defined on G.  Being homogeneous
+    quadratic, q(nx) = n^2 q(x); with B symmetric and B_ii = 2 q_i,
+    q(x+y) - q(x) - q(y) = x B y.  (The tests keep the exhaustive scans
+    as oracles.)  So x -> x B on (Z/p^L)^rank kills the prod_i p^(L - k_i)
+    lifts of 0 in G, and q is nondegenerate exactly when its Howell kernel
+    has no more.  Orders above ORDER_CAP are refused before any p^k is
+    formed: every consumer enumerates G.
+    """
+
+    def __init__(self, p, exponents, q_gens, gram, name=""):
         if not is_prime(p) or p == 2:
             raise MetricError(f"p = {p} must be an odd prime")
         self.p = p
         self.exponents = tuple(int(k) for k in exponents)
         if any(k < 1 for k in self.exponents):
             raise MetricError("exponents must be >= 1")
+        # p^s >= 2^s > ORDER_CAP once s reaches its bit length: p^s is
+        # formed only for small s
+        s = sum(self.exponents)
+        if s >= ORDER_CAP.bit_length() or p ** s > ORDER_CAP:
+            raise MetricError(f"order {p}^{s} exceeds the cap {ORDER_CAP}")
         self.rank = len(self.exponents)
         self.orders = tuple(p ** k for k in self.exponents)
         self.level = max(self.exponents, default=1)
         self.modulus = p ** self.level
         self.name = name
-        if len(q_gens) != self.rank or len(gram) != self.rank:
+        if len(q_gens) != self.rank or len(gram) != self.rank or any(
+                len(row) != self.rank for row in gram):
             raise MetricError("q values and Gram rows must match the rank")
         self.q_gens = tuple(_as_value(p, v, k)
                             for v, k in zip(q_gens, self.exponents))
@@ -72,9 +93,10 @@ class MetricGroup:
             if self._b[i][i] != 2 * self._qd[i] % self.modulus:
                 raise MetricError(
                     f"Gram diagonal at {i} is not 2 q(g_{i})")
-        if check:
-            self._check_axioms()
-        self.nondegenerate = self._kernel_scan()
+        mod = Modulus(p, self.level)
+        rad = kernel(ModMatrix(mod, self._b)).rows
+        self.nondegenerate = (span_size(rad, mod)
+                              == p ** (self.level * self.rank - s))
 
     def size(self):
         n = 1
@@ -114,34 +136,6 @@ class MetricGroup:
 
     def qt(self, x):
         return CycNumber.root(self.p, self.level, self.q_num(x))
-
-    def _check_axioms(self):
-        n = self.size()
-        if n > CHECK_CAP:
-            raise MetricError(
-                f"|p| = {n} too large for exhaustive construction checks")
-        exponent = self.modulus
-        for x in self.elements():
-            qx = self.q_num(x)
-            for m in range(exponent):
-                if self.q_num(self.scale(m, x)) != m * m * qx % self.modulus:
-                    raise MetricError(
-                        f"q({m}*{x}) != {m}^2 q({x})")
-        for x in self.elements():
-            qx = self.q_num(x)
-            for y in self.elements():
-                want = (self.q_num(self.add(x, y)) - qx - self.q_num(y))
-                if self.b_num(x, y) % self.modulus != want % self.modulus:
-                    raise MetricError(
-                        f"B({x},{y}) != q(x+y) - q(x) - q(y)")
-
-    def _kernel_scan(self):
-        gens = [tuple(int(i == j) for j in range(self.rank))
-                for i in range(self.rank)]
-        for x in self.elements():
-            if any(x) and all(self.b_num(x, g) == 0 for g in gens):
-                return False
-        return True
 
     def __repr__(self):
         shape = " + ".join(f"Z/{o}" for o in self.orders) or "0"
@@ -289,34 +283,48 @@ def st_matrices(m):
     return s_rows, t_rows
 
 
-def isotropic_subgroups(m, max_size=None):
-    """All subgroups on which q vanishes identically, grown by adjoining
-    q-null elements orthogonal to the current generators."""
-    target = max_size or m.size()
-    zero = tuple(0 for _ in range(m.rank))
-    nulls = [x for x in m.elements() if m.q_num(x) == 0]
-    seen = {frozenset([zero]): []}
-    frontier = [(frozenset([zero]), [])]
+def _grow_spans(zero, candidates, add, exponent, cap):
+    """Every subgroup reached from {zero} by adjoining one element at a
+    time, breadth first, as a dict from frozenset span to the generators
+    it was first reached by; spans of size >= cap are not grown further.
+    candidates(gens) lists, in a fixed order, the elements that may be
+    adjoined to the span of gens; exponent kills every element."""
+    start = frozenset([zero])
+    seen = {start: []}
+    frontier = [start]
     while frontier:
         nxt = []
-        for span, gens in frontier:
-            if len(span) >= target:
+        for span in frontier:
+            if len(span) >= cap:
                 continue
-            for y in nulls:
-                if y in span or any(m.b_num(y, g) for g in gens):
+            gens = seen[span]
+            for y in candidates(gens):
+                if y in span:
                     continue
                 new = set(span)
                 for s in span:
                     v = s
-                    for _ in range(1, m.modulus):
-                        v = m.add(v, y)
+                    for _ in range(1, exponent):
+                        v = add(v, y)
                         new.add(v)
                 key = frozenset(new)
                 if key not in seen:
                     seen[key] = gens + [y]
-                    nxt.append((key, gens + [y]))
+                    nxt.append(key)
         frontier = nxt
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    return seen
+
+
+def isotropic_subgroups(m, max_size=None):
+    """All subgroups on which q vanishes identically, grown by adjoining
+    q-null elements orthogonal to the current generators."""
+    nulls = [x for x in m.elements() if m.q_num(x) == 0]
+    spans = _grow_spans(
+        tuple(0 for _ in range(m.rank)),
+        lambda gens: [y for y in nulls
+                      if not any(m.b_num(y, g) for g in gens)],
+        m.add, m.modulus, max_size or m.size())
+    return sorted(spans, key=lambda s: (len(s), sorted(s)))
 
 
 def lagrangians(m):
@@ -341,7 +349,7 @@ def search_invariant_forms(ring, cap=200000):
     q since p is odd); a candidate survives when the Gram is invertible
     mod p, invariant under Ad(Exp(e_t)) for every basis generator, and
     kills a Lie ideal of square-root order.  Survivors are rebuilt with
-    the full exhaustive checks.  complete=True means the whole candidate
+    the constructor's certificate.  complete=True means the whole candidate
     space was scanned.
     """
     if ring.size() > ring.p ** 4:
@@ -372,16 +380,13 @@ def search_invariant_forms(ring, cap=200000):
             continue
         if not all(_gram_invariant(gram, c, pk) for c in conj_mats):
             continue
-        qd = [gram[i][i] * inv2 % pk for i in range(n)]
-        if not any(_vanishes_on(gram, qd, members, pk)
-                   for members in ideals):
-            continue
-        q_gens = [QpModZp(p, v, ring.k) for v in qd]
-        b_rows = [[QpModZp(p, gram[i][j], ring.k) for j in range(n)]
-                  for i in range(n)]
-        mg = MetricGroup(p, [ring.k] * n, q_gens, b_rows,
+        mg = MetricGroup(p, [ring.k] * n,
+                         [QpModZp(p, gram[i][i] * inv2, ring.k)
+                          for i in range(n)],
+                         [[QpModZp(p, v, ring.k) for v in row] for row in gram],
                          name=f"invariant on {ring.name}")
-        if mg.nondegenerate:
+        if mg.nondegenerate and any(all(mg.q_num(x) == 0 for x in members)
+                                    for members in ideals):
             found.append(mg)
     return SearchResult(found, True, total)
 
@@ -404,46 +409,13 @@ def _square_root_ideals(ring):
     card = isqrt(total)
     if card * card != total:
         return []
-    zero = ring.zero()
+    elems = list(ring.elements())
+    spans = _grow_spans(ring.zero(), lambda gens: elems, ring.add, ring.pk,
+                        card)
     basis = [ring.basis(i) for i in range(ring.rank)]
-    seen = {frozenset([zero])}
-    frontier = [frozenset([zero])]
-    ideals = []
-    while frontier:
-        nxt = []
-        for span in frontier:
-            if len(span) >= card:
-                if len(span) == card and all(
-                        ring.bracket(b, x) in span
-                        for b in basis for x in span):
-                    ideals.append(sorted(span))
-                continue
-            for y in ring.elements():
-                if y in span:
-                    continue
-                new = set(span)
-                for s in span:
-                    v = s
-                    for _ in range(1, ring.pk):
-                        v = ring.add(v, y)
-                        new.add(v)
-                key = frozenset(new)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(key)
-        frontier = nxt
-    return sorted(ideals)
-
-
-def _vanishes_on(gram, qd, members, pk):
-    n = len(gram)
-    for x in members:
-        v = sum(x[i] * x[i] * qd[i] for i in range(n))
-        v += sum(x[i] * x[j] * gram[i][j]
-                 for i in range(n) for j in range(i + 1, n))
-        if v % pk:
-            return False
-    return True
+    return sorted(sorted(span) for span in spans if len(span) == card
+                  and all(ring.bracket(b, x) in span
+                          for b in basis for x in span))
 
 
 # plain-text serialization for metric-group files

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from orbitlab import cli, lazard, metric, orbits, vmodel
@@ -173,6 +175,19 @@ def test_validate_refuses_hostile_shapes(capsys, tmp_path, field, value):
     assert cli.main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and value in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1000000000", "8"])
+def test_gauss_refuses_hostile_order(capsys, tmp_path, value):
+    # the order bound is checked before p^k is formed; 3^8 > 4096 as well
+    path = tmp_path / "hostile.metric"
+    path.write_text(f"metric big\np 3\ntype {value}\nq 0/1\nB 0/1\nend\n")
+    start = time.process_time()
+    assert cli.main(["gauss", str(path)]) == 2
+    assert time.process_time() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"3^{value}" in err
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ from orbitlab.freelie import (
     CertificationError,
     LiePoly,
     apply_series,
+    assoc_mul,
     bch,
     bch_apply,
     certify,
@@ -60,6 +61,35 @@ def test_bch_degree2_truncation_is_class_two_formula():
     x = LiePoly.generator(basis, 0)
     y = LiePoly.generator(basis, 1)
     assert bch(2) == x + y + x.bracket(y).scale(Fraction(1, 2))
+
+
+def dynkin_rightnorm(a, cap):
+    """Right-normed bracketing of each word, w = a1...ad ->
+    [a1, [..., [a_{d-1}, ad]]], extended linearly over the word dict a."""
+    def rb(w):
+        if len(w) == 1:
+            return {w: Fraction(1)}
+        rest, head = rb(w[1:]), {w[:1]: Fraction(1)}
+        out = assoc_mul(head, rest, cap)
+        for u, v in assoc_mul(rest, head, cap).items():
+            out[u] = out.get(u, 0) - v
+        return out
+
+    total = {}
+    for w, c in a.items():
+        for u, v in rb(w).items():
+            total[u] = total.get(u, 0) + c * v
+    return {u: v for u, v in total.items() if v}
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_bch_parts_satisfy_dynkin_specht_wever(c):
+    # right-normed bracketing maps a Lie element L of degree d to d * L
+    series = bch(c)
+    for d in range(1, c + 1):
+        part = series.degree_part(d).expand()
+        assert part
+        assert dynkin_rightnorm(part, c) == {w: d * v for w, v in part.items()}
 
 
 def test_bracket_is_alternating_and_jacobi():

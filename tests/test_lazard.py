@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +67,79 @@ def test_jacobi_violation_rejected():
     with pytest.raises(Exception):
         LieRing(5, 1, 3, {(0, 1): (0, 0, 1), (0, 2): (0, 1, 0),
                           (1, 2): (1, 0, 0)})
+
+
+def jacobi_scan(p, k, rank, brackets):
+    """The full basis-triple Jacobi scan over a dense bracket table: the
+    first failing triple i < j < l, or None."""
+    pk = p**k
+    table = {}
+    for (i, j), v in brackets.items():
+        table[i, j] = v
+        table[j, i] = [-c for c in v]
+
+    def br(x, y):
+        out = [0] * rank
+        for (i, j), v in table.items():
+            for l in range(rank):
+                out[l] += x[i] * y[j] * v[l]
+        return [c % pk for c in out]
+
+    e = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for i, j, l in itertools.combinations(range(rank), 3):
+        terms = (br(br(e[i], e[j]), e[l]), br(br(e[j], e[l]), e[i]),
+                 br(br(e[l], e[i]), e[j]))
+        if any(sum(t) % pk for t in zip(*terms)):
+            return (i, j, l)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_jacobi_check_matches_full_scan(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    k = data.draw(st.integers(1, 2))
+    rank = data.draw(st.integers(3, 6))
+    # strictly upper brackets ([e_i, e_j] in the span of e_l, l > j) are
+    # nilpotent, so passing tables reach the class checks too
+    upper = data.draw(st.booleans())
+    pairs = data.draw(st.lists(
+        st.sampled_from(list(itertools.combinations(range(rank), 2))),
+        unique=True, max_size=4))
+    brackets = {
+        (i, j): [data.draw(st.integers(-2, 2)) if l > j or not upper else 0
+                 for l in range(rank)]
+        for i, j in pairs}
+    want = jacobi_scan(p, k, rank, brackets)
+    if want is not None:
+        with pytest.raises(ValueError, match=re.escape(
+                f"Jacobi identity fails on basis triple {want}")):
+            LieRing(p, k, rank, brackets)
+    else:
+        try:
+            LieRing(p, k, rank, brackets)
+        except LazardError:
+            pass  # class >= p or not nilpotent: not a Jacobi failure
+
+
+def test_abelian_max_rank_builds_without_brackets(monkeypatch):
+    calls = []
+    original = LieRing.bracket
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(LieRing, "bracket", counting)
+    assert LieRing(3, 1, lazard.MAX_RANK, {}).cls == 1
+    assert calls == []
+
+
+def test_lower_central_series_brackets_second_index():
+    # e2 occurs only as the second index of a pair, yet [e2, e1] = -e3
+    # is what puts e3 in the third term: class 3, not 2
+    ring = LieRing(5, 1, 4, {(0, 2): (0, 1, 0, 0), (1, 2): (0, 0, 0, 1)})
+    assert ring.cls == 3
 
 
 def test_exp_mul_heisenberg_closed_form():

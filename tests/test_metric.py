@@ -1,9 +1,14 @@
 import itertools
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import hyperbolic_metric, quadratic_metric
+from orbitlab import metric
 from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber
 from orbitlab.lazard import LieRing
@@ -21,6 +26,104 @@ from orbitlab.metric import (
     serialize_metric,
     st_matrices,
 )
+
+
+# Exhaustive oracles for what the constructor certifies in O(rank^2).
+
+def homogeneity_violation(m):
+    """First (n, x) with q(nx) != n^2 q(x), or None."""
+    q = {x: m.q_num(x) for x in m.elements()}
+    for x, qx in q.items():
+        for n in range(m.modulus):
+            if q[m.scale(n, x)] != n * n * qx % m.modulus:
+                return n, x
+    return None
+
+
+def polar_violation(m):
+    """First (x, y) with B(x, y) != q(x+y) - q(x) - q(y), or None."""
+    q = {x: m.q_num(x) for x in m.elements()}
+    for x, qx in q.items():
+        for y, qy in q.items():
+            if m.b_num(x, y) != (q[m.add(x, y)] - qx - qy) % m.modulus:
+                return x, y
+    return None
+
+
+def kernel_scan(m):
+    """Nondegeneracy by brute force: no x != 0 with B(x, g_i) = 0 for all i."""
+    gens = [tuple(int(i == j) for j in range(m.rank)) for i in range(m.rank)]
+    return not any(any(x) and all(m.b_num(x, g) == 0 for g in gens)
+                   for x in m.elements())
+
+
+@st.composite
+def small_metrics(draw):
+    """Metrics with |G| <= 243, mixed exponents and frequent p-divisible
+    values, so degenerate forms come up often."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    exponents = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    assume(p ** sum(exponents) <= 243)
+
+    def value(level):
+        num = draw(st.one_of(st.integers(0, p**level - 1),
+                             st.integers(0, p**(level - 1) - 1).map(
+                                 lambda v: p * v)))
+        return QpModZp(p, num, level)
+
+    rank = len(exponents)
+    q_gens = [value(k) for k in exponents]
+    gram = [[None] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = q_gens[i].scale(2)
+        for j in range(i + 1, rank):
+            gram[i][j] = gram[j][i] = value(min(exponents[i], exponents[j]))
+    return MetricGroup(p, exponents, q_gens, gram)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_metrics())
+@example(MetricGroup(3, (1, 1), ["1/3", "0/1"],
+                     [["2/3", "0/1"], ["0/1", "0/1"]]))
+@example(MetricGroup(3, (2, 1), ["0/1", "0/1"],
+                     [["0/1", "1/3"], ["1/3", "0/1"]]))
+@example(MetricGroup(5, (2, 1), ["1/25", "2/5"],
+                     [["2/25", "1/5"], ["1/5", "4/5"]]))
+@example(hyperbolic_metric(3, 2, 1))
+@example(MetricGroup(3, (1, 1, 2), ["1/3", "0/1", "1/9"],
+                     [["2/3", "1/3", "0/1"], ["1/3", "0/1", "0/1"],
+                      ["0/1", "0/1", "2/9"]]))
+def test_certificate_agrees_with_exhaustive_scans(m):
+    assert homogeneity_violation(m) is None
+    assert polar_violation(m) is None
+    assert m.nondegenerate == kernel_scan(m)
+
+
+def test_scan_catches_relaxed_level_cap(monkeypatch):
+    # B_01 = 1/9 on Z/9 + Z/3 is not well defined on the Z/3 factor
+    relaxed = metric._as_value
+    monkeypatch.setattr(metric, "_as_value",
+                        lambda p, v, level_cap: relaxed(p, v, 2))
+    m = MetricGroup(3, (2, 1), ["0/1", "0/1"],
+                    [["0/1", "1/9"], ["1/9", "0/1"]])
+    assert polar_violation(m) is not None
+
+
+def test_order_cap_refused_before_powers():
+    with pytest.raises(MetricError, match="3\\^8"):
+        MetricGroup(3, (8,), ["0/1"], [["0/1"]])
+    with pytest.raises(MetricError, match="3\\^1000000000"):
+        MetricGroup(3, (10**9,), ["0/1"], [["0/1"]])
+    assert MetricGroup(3, (1,) * 7, ["0/1"] * 7,
+                       [["0/1"] * 7] * 7).size() == 3**7
+
+
+def test_hyperbolic_729_builds_fast():
+    # construction is O(rank^2) plus one Howell kernel, not a |G|^2 scan
+    start = time.process_time()
+    m = hyperbolic_metric(3, 1, 3)
+    assert time.process_time() - start < 0.05
+    assert m.size() == 729 and m.nondegenerate
 
 
 def test_construction_checks_diagonal():
@@ -165,6 +268,16 @@ def test_isotropic_subgroups_heisenberg_plane():
         assert len(lag) == 3
 
 
+@pytest.mark.parametrize("p, r, count", [(3, 1, 2), (5, 1, 2), (7, 1, 2),
+                                         (3, 2, 8), (5, 2, 12)])
+def test_lagrangian_count_of_hyperbolic_forms(p, r, count):
+    # O+(2r, p) has prod_{i<r} (p^i + 1) maximal totally singular subspaces
+    assert count == prod(p**i + 1 for i in range(r))
+    lags = lagrangians(hyperbolic_metric(p, 1, r))
+    assert len(lags) == count and len(set(lags)) == count
+    assert all(len(lag) == p**r for lag in lags)
+
+
 def test_lagrangians_of_x_squared_are_absent():
     assert lagrangians(quadratic_metric(3)) == []
 
@@ -215,3 +328,6 @@ def test_parse_metric_rejections():
         parse_metric(good.replace("p 3", "p 4"))
     with pytest.raises(Exception):
         parse_metric("metric x\nend\n")
+    with pytest.raises(MetricError, match="Gram rows"):
+        parse_metric("metric r\np 3\ntype 1 1\nq 0/1 0/1\n"
+                     "B 0/1\nB 0/1 0/1\nend\n")
