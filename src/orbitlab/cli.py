@@ -17,13 +17,12 @@ import sys
 
 from .freelie import bch, certify, tree_degree, tree_str
 from .lazard import CrossCheckError, LazardError, parse_ring, validate
-from .metric import (MetricError, gauss_sum, lagrangians, parse_metric,
-                     ribbon_qhat)
+from .metric import MetricError, gauss_sum, lagrangians, parse_metric
 from .orbits import (DUAL_CAP, CapError, Character, OrbitError, SkewForm,
                      all_characters, dual_size, enumerate_orbits,
                      generic_character, kernel_lemma_check, orbit_histogram,
                      sample_characters)
-from .polarizations import PolarizationError, polarize, start_polarization
+from .polarizations import PolarizationError, polarize
 from .vmodel import (VModelError, eta_matrix, parse_vmodel, validate_data,
                      verify_ribbon)
 from .cyclotomic import CycNumber
@@ -130,10 +129,6 @@ def cmd_bch(args, rep):
 
 def cmd_orbits(args, rep):
     ring = _load_ring(args.file)
-    if dual_size(ring) > args.cap:
-        raise InputError(
-            f"dual space has {dual_size(ring)} characters, above the cap "
-            f"{args.cap}; raise --cap or ORBITLAB_CAP")
     try:
         orbits = enumerate_orbits(ring, cap=args.cap)
     except CapError:
@@ -278,8 +273,7 @@ def cmd_ribbon(args, rep):
             override = eta_matrix(d)
             override[0][0] = override[0][0] + CycNumber.one(
                 d.metric.p, d.metric.level)
-        report = verify_ribbon(d, eta_override=override,
-                               samples=args.samples, seed=args.seed)
+        report = verify_ribbon(d, eta_override=override)
     except VModelError as e:
         return _counterexample(rep, e.axiom, e)
     except CrossCheckError as e:

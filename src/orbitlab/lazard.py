@@ -365,6 +365,13 @@ def all_elements(ring):
     return np.ascontiguousarray(grid.reshape(ring.rank, -1).T)
 
 
+def element_index(ring, X):
+    """Position of each row of X (reduced mod p^k) in all_elements(ring);
+    for rings small enough to enumerate."""
+    weights = ring.pk ** np.arange(ring.rank - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(X, dtype=np.int64) % ring.pk) @ weights
+
+
 def check_exp_associative(ring, samples=10000, seed=0, exhaustive_limit=32768):
     """Compare (x*y)*z with x*(y*z); exhaustive when |G|^3 is small.
 
@@ -672,8 +679,12 @@ def parse_ring(text):
         if parts[0] == "end":
             break
         if parts[0] in ("p", "k", "rank", "class"):
+            if len(parts) != 2:
+                raise ValueError(f"expected one value in {ln!r}")
             fields[parts[0]] = int(parts[1])
         elif parts[0] == "bracket":
+            if len(parts) < 3:
+                raise ValueError(f"expected a basis pair in {ln!r}")
             i, j = int(parts[1]) - 1, int(parts[2]) - 1
             brackets[(i, j)] = tuple(int(v) for v in parts[3:])
         else:

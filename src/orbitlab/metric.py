@@ -446,6 +446,8 @@ def parse_metric(text):
         if parts[0] == "end":
             break
         if parts[0] == "p":
+            if len(parts) != 2:
+                raise ValueError(f"expected one value in {ln!r}")
             p = int(parts[1])
         elif parts[0] == "type":
             exponents = [int(v) for v in parts[1:]]

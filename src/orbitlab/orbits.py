@@ -13,8 +13,9 @@ import itertools
 
 import numpy as np
 
-from .arith import Modulus, ModMatrix, QpModZp, kernel
-from .lazard import Subring, batch_conjugate, all_elements, conjugate
+from .arith import ModMatrix, QpModZp, kernel
+from .lazard import (Subring, all_elements, batch_conjugate, conjugate,
+                     element_index)
 
 DUAL_CAP = 5 ** 7
 
@@ -157,17 +158,6 @@ def dual_size(ring):
     return ring.pk ** ring.rank
 
 
-def _dual_table(ring):
-    """All covectors lexicographically, plus index weights."""
-    chis = all_elements(ring)
-    weights = ring.pk ** np.arange(ring.rank - 1, -1, -1, dtype=np.int64)
-    return chis, weights
-
-def _generator_perms(ring, chis, weights):
-    mats = [np.array(m, dtype=np.int64) for m in _basis_matrices(ring)]
-    return [((chis @ m.T) % ring.pk) @ weights for m in mats]
-
-
 def enumerate_orbits(ring, cap=DUAL_CAP):
     """Partition the dual space into coadjoint orbits.
 
@@ -182,8 +172,10 @@ def enumerate_orbits(ring, cap=DUAL_CAP):
         raise CapError(
             f"dual space has {n} characters, above the cap {cap}; "
             f"raise the cap or use sampled checks")
-    chis, weights = _dual_table(ring)
-    perms = _generator_perms(ring, chis, weights)
+    chis = all_elements(ring)
+    # perms[t][i]: the index of Exp(e_t) acting on the i-th character
+    perms = [element_index(ring, chis @ np.array(m, dtype=np.int64).T)
+             for m in _basis_matrices(ring)]
     visited = np.zeros(n, dtype=bool)
     orbits = []
     for seed in range(n):

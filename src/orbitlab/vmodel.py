@@ -8,6 +8,15 @@ the twist eta is another monomial operator, and verify_ribbon checks the
 ribbon identity eta = q-hat exactly in cyclotomic arithmetic, alongside
 the action axioms, the gu spanning lemma, the h_{beta0} reconstruction,
 and the Gauss sum evaluation.
+
+gamma is built for all of Gamma at once from the batch kernels; eta is
+built one basis vector at a time, so Theorem 1 never compares gamma with
+itself.  The action axiom is checked from generators: the Exp(e_t)
+generate the finite group Gamma, each of finite order, so every g is a
+word Exp(e_t1) ... Exp(e_tr) without inverses.  If gamma(0) = id and
+gamma(e_t h) = gamma(e_t) gamma(h) for every t and h, induction on the
+word length gives gamma(g h) = gamma(g) gamma(h) for all g and h; so
+rank * |p| comparisons make the check exhaustive.
 """
 
 from __future__ import annotations
@@ -18,13 +27,15 @@ import time
 from fractions import Fraction
 from math import isqrt
 
-from .arith import QpModZp
-from .cyclotomic import CycNumber
-from .lazard import (CrossCheckError, LieRing, Subring, conjugate, exp_mul,
-                     parse_ring, quotient_ring, serialize_ring, series_program)
-from .metric import MetricGroup, gauss_sum, ribbon_qhat
+import numpy as np
 
-ACTION_EXHAUSTIVE_CAP = 81
+from .arith import QpModZp, reduce_rows
+from .cyclotomic import CycNumber
+from .lazard import (CrossCheckError, LieRing, Subring, all_elements,
+                     batch_conjugate, batch_exp_mul, conjugate, element_index,
+                     exp_mul, parse_ring, quotient_ring, serialize_ring,
+                     series_program)
+from .metric import MetricGroup, gauss_sum, ribbon_qhat
 
 
 class VModelError(ValueError):
@@ -56,7 +67,7 @@ class VModelData:
         self.pairs = [(alpha, beta) for alpha in belems for beta in belems]
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
         self._validated = False
-        self._gamma_cache = {}
+        self._gamma = None
 
     def dim(self):
         return len(self.pairs)
@@ -114,9 +125,8 @@ def validate_data(d):
                     "invariance",
                     f"q(Exp(e_{t}) {x} Exp(e_{t})^-1) = {m.q(gx)} != "
                     f"q({x}) = {m.q(x)}")
-    zero_b = d.b.zero()
-    if any(d.s[zero_b]):
-        raise VModelError("section", f"s(0) = {d.s[zero_b]} != 0")
+    if any(d.s[d.b.zero()]):
+        raise VModelError("section", f"s(0) = {d.s[d.b.zero()]} != 0")
     for beta in d.b_elements:
         if d.project(d.s[beta]) != beta:
             raise VModelError(
@@ -142,36 +152,69 @@ def _require_valid(d):
 # of basis vectors, so an operator is (permutation, exponent) arrays over
 # the pair index, with exponents in Z/p^level of the metric conductor.
 
-def _gamma_monomial(d, g):
-    got = d._gamma_cache.get(g)
-    if got is not None:
-        return got
-    ring, m = d.ring, d.metric
-    gbar = d.project(g)
-    perm = [0] * d.dim()
-    expo = [0] * d.dim()
-    target_beta = {}
-    coeff = {}
-    for beta in d.b_elements:
-        gs = exp_mul(ring, g, d.s[beta])
-        gbeta = d.project(gs)
-        delta = ring.sub(gs, d.s[gbeta])
-        if not d.a.contains(delta):
-            raise VModelError(
-                "action-data",
-                f"g s(beta) - s(g beta) = {delta} is outside the ideal "
-                f"for g={g}, beta={beta}")
-        target_beta[beta] = gbeta
-        coeff[beta] = delta
-    for i, (alpha, beta) in enumerate(d.pairs):
-        galpha = conjugate(d.b, gbar, alpha)
-        gbeta = target_beta[beta]
-        w = d._phi_b(galpha, gbeta)
-        perm[i] = d.index[(galpha, gbeta)]
-        expo[i] = m.b_num(coeff[beta], d.s[w])
-    out = (tuple(perm), tuple(expo))
-    d._gamma_cache[g] = out
-    return out
+def _gamma_arrays(d):
+    """(perm, expo), two (|p|, dim V) arrays cached on the model: row r is
+    gamma(Exp(g)) for g = all_elements(ring)[r], sending basis vector i to
+    zeta^expo[r, i] times basis vector perm[r, i].  validate_data's
+    metric-shape check bounds |p| by ORDER_CAP, so the Gram products,
+    reduced after each one, cannot overflow int64."""
+    if d._gamma is not None:
+        return d._gamma
+    ring, b, a, m = d.ring, d.b, d.a, d.metric
+    nb = len(d.b_elements)
+    G = all_elements(ring)
+    S = np.array([d.s[beta] for beta in d.b_elements], dtype=np.int64)
+    free = [j for j in range(ring.rank) if j not in dict(a.pivots)]
+
+    def project(X):  # index in b_elements of each row's coset
+        return element_index(
+            b, reduce_rows(X, a.rows, ring.modulus, a.pivots)[:, free])
+
+    # row g * nb + beta: g s(beta), g beta and delta = g s(beta) - s(g beta)
+    gs = batch_exp_mul(ring, np.repeat(G, nb, axis=0), np.tile(S, (len(G), 1)))
+    gbeta = project(gs)
+    delta = (gs - S[gbeta]) % ring.pk
+    outside = np.flatnonzero(~a.contains_rows(delta))
+    if outside.size:
+        r = int(outside[0])
+        raise VModelError(
+            "action-data",
+            f"g s(beta) - s(g beta) = {tuple(delta[r].tolist())} is outside "
+            f"the ideal for g={tuple(G[r // nb].tolist())}, "
+            f"beta={d.b_elements[r % nb]}")
+    # tables over b x b, row x * nb + y
+    X = np.repeat(all_elements(b), nb, axis=0)
+    Y = np.tile(all_elements(b), (nb, 1))
+    via_ad = batch_conjugate(b, X, Y)
+    via_mul = batch_exp_mul(b, batch_exp_mul(b, X, Y), -X)
+    split = np.flatnonzero((via_ad != via_mul).any(axis=1))
+    if split.size:
+        x, y, u, v = (tuple(W[int(split[0])].tolist())
+                      for W in (X, Y, via_mul, via_ad))
+        raise CrossCheckError(
+            "conjugation", f"conjugation routes disagree at g={x}, x={y}: "
+            f"{u} vs {v}")
+    conj = element_index(b, via_ad).reshape(nb, nb)
+    phi = element_index(b, series_program(b, "phi").batch(b, X, Y))
+    # axes (g, alpha, beta)
+    galpha = conj[project(G)][:, :, None]
+    gbeta = gbeta.reshape(len(G), 1, nb)
+    w = phi.reshape(nb, nb)[galpha, gbeta]
+    E = [ring.basis(i) for i in range(ring.rank)]
+    gram = np.array([[m.b_num(x, y) for y in E] for x in E], dtype=np.int64)
+    # pairing[g * nb + beta, w] = B(delta, s(w))
+    pairing = (delta @ gram % m.modulus) @ S.T % m.modulus
+    expo = pairing[np.arange(len(G) * nb).reshape(len(G), 1, nb), w]
+    d._gamma = ((galpha * nb + gbeta).reshape(len(G), -1),
+                expo.reshape(len(G), -1))
+    return d._gamma
+
+
+def _gamma_op(d, g):
+    """gamma(Exp(g)) as one row of each array, in Python ints."""
+    perm, expo = _gamma_arrays(d)
+    r = element_index(d.ring, [g])[0]
+    return perm[r].tolist(), expo[r].tolist()
 
 
 def _eta_monomial(d):
@@ -199,19 +242,6 @@ def _eta_monomial(d):
     return tuple(perm), tuple(expo)
 
 
-def _compose(d, second, first):
-    """Monomial operator second . first."""
-    p2, e2 = second
-    p1, e1 = first
-    n = d.metric.modulus
-    return (tuple(p2[j] for j in p1),
-            tuple((e1[i] + e2[p1[i]]) % n for i in range(len(p1))))
-
-
-def _identity_monomial(d):
-    return tuple(range(d.dim())), (0,) * d.dim()
-
-
 def _apply_monomial(d, op, v):
     perm, expo = op
     out = {}
@@ -231,8 +261,7 @@ def basis_vector(d, alpha, beta):
 def gamma_act(d, g, v):
     """Action of Exp(g) on a vector (dict over basis pairs)."""
     _require_valid(d)
-    g = tuple(int(c) % d.ring.pk for c in g)
-    return _apply_monomial(d, _gamma_monomial(d, g), v)
+    return _apply_monomial(d, _gamma_op(d, g), v)
 
 
 def eta(d, v):
@@ -268,7 +297,7 @@ def qhat_matrix(d):
     zero = CycNumber.zero(d.metric.p, d.metric.level)
     rows = [[zero] * n for _ in range(n)]
     for g, c in coeffs.items():
-        perm, expo = _gamma_monomial(d, g)
+        perm, expo = _gamma_op(d, g)
         for i in range(n):
             j = perm[i]
             rows[j][i] = rows[j][i] + c.mul_root(expo[i])
@@ -299,13 +328,37 @@ def _cyc_rank(rows):
 
 def _vector_u(d):
     one = CycNumber.one(d.metric.p, d.metric.level)
-    zero_b = d.b.zero()
-    return {(alpha, zero_b): one for alpha in d.b_elements}
+    return {(alpha, d.b.zero()): one for alpha in d.b_elements}
 
 
-def verify_ribbon(d, eta_override=None, samples=2000, seed=0):
+def _action_witness(d, elements):
+    """None when gamma(0) = id and gamma(e_t h) = gamma(e_t) gamma(h) for
+    every t and h, else ("unit",) or the first failing (e_t, h)."""
+    ring, mod = d.ring, d.metric.modulus
+    perm, expo = _gamma_arrays(d)
+    if (perm[0] != np.arange(d.dim())).any() or expo[0].any():
+        return ("unit",)
+    for t in range(ring.rank):
+        e_t = ring.basis(t)
+        r = element_index(ring, [e_t])[0]
+        prod = element_index(ring, batch_exp_mul(
+            ring, np.broadcast_to(e_t, elements.shape), elements))
+        same = ((perm[prod] == perm[r][perm])
+                & (expo[prod] == (expo + expo[r][perm]) % mod))
+        bad = np.flatnonzero(~same.all(axis=1))
+        if bad.size:
+            return e_t, tuple(elements[bad[0]].tolist())
+    return None
+
+
+def verify_ribbon(d, eta_override=None):
     """Run the full verification suite; returns a report with one entry
     per sub-identity and collects counterexamples instead of raising.
+
+    Every check is exhaustive.  The action axiom is checked from the
+    generators: gamma(0) = id and gamma(e_t h) = gamma(e_t) gamma(h) for
+    every basis element e_t and every h make gamma a homomorphism, since
+    every group element is a word in the Exp(e_t) (module docstring).
 
     eta_override substitutes a foreign matrix for the twist in the final
     comparison, for negative-control experiments.
@@ -317,124 +370,78 @@ def verify_ribbon(d, eta_override=None, samples=2000, seed=0):
     report = {"name": d.name, "order": ring.size(), "dim": n, "checks": [],
               "counterexamples": []}
 
-    def record(name, ok, detail, t0):
+    def record(name, detail, t0, witness=None):
         report["checks"].append(
-            {"check": name, "status": "PASS" if ok else "FAIL",
+            {"check": name, "status": "PASS" if witness is None else "FAIL",
              "detail": detail, "seconds": round(time.perf_counter() - t0, 3)})
+        if witness is not None:
+            report["counterexamples"].append({"check": name, "witness": witness})
 
-    elements = list(ring.elements())
-
-    t0 = time.perf_counter()
-    ok = _gamma_monomial(d, ring.zero()) == _identity_monomial(d)
-    bad = None
-    if ok:
-        if len(elements) <= ACTION_EXHAUSTIVE_CAP:
-            pairs = itertools.product(elements, elements)
-            mode = f"exhaustive ({len(elements)}^2 pairs)"
-        else:
-            rng = random.Random(seed)
-            pairs = ((rng.choice(elements), rng.choice(elements))
-                     for _ in range(samples))
-            mode = f"{samples} sampled pairs (seed {seed})"
-        for g, h in pairs:
-            lhs = _compose(d, _gamma_monomial(d, g), _gamma_monomial(d, h))
-            rhs = _gamma_monomial(d, exp_mul(ring, g, h))
-            if lhs != rhs:
-                bad = (g, h)
-                ok = False
-                break
-    else:
-        mode = "unit"
-        bad = ("unit",)
-    record("action", ok, f"unit and composition, {mode}", t0)
-    if bad:
-        report["counterexamples"].append({"check": "action", "witness": bad})
+    elements = all_elements(ring)
 
     t0 = time.perf_counter()
+    record("action", f"unit and composition, exhaustive ({ring.rank} "
+           f"generators x {len(elements)} elements)", t0,
+           _action_witness(d, elements))
+
+    t0 = time.perf_counter()
+    perm, expo = _gamma_arrays(d)
     eta_op = _eta_monomial(d)
-    ok = True
-    bad = None
-    for g in elements:
-        gop = _gamma_monomial(d, g)
-        if _compose(d, eta_op, gop) != _compose(d, gop, eta_op):
-            ok, bad = False, g
-            break
-    record("equivariance", ok, "eta commutes with every group element", t0)
-    if bad is not None:
-        report["counterexamples"].append(
-            {"check": "equivariance", "witness": bad})
+    ep, ee = (np.array(v, dtype=np.int64) for v in eta_op)
+    same = ((ep[perm] == perm[:, ep])
+            & ((expo + ee[perm]) % m.modulus == (ee + expo[:, ep]) % m.modulus))
+    bad = np.flatnonzero(~same.all(axis=1))
+    record("equivariance", "eta commutes with every group element", t0,
+           tuple(elements[bad[0]].tolist()) if bad.size else None)
 
     t0 = time.perf_counter()
     u = _vector_u(d)
     blocks = {beta: [] for beta in d.b_elements}
-    for g in elements:
-        gu = _apply_monomial(d, _gamma_monomial(d, g), u)
+    zero = CycNumber.zero(m.p, m.level)
+    for g in map(tuple, elements.tolist()):
+        gu = _apply_monomial(d, _gamma_op(d, g), u)
         betas = {pair[1] for pair in gu}
         if len(betas) != 1:
             raise CrossCheckError(
                 "gu-support", f"gu is not supported on one beta for g={g}")
         beta = betas.pop()
-        zero = CycNumber.zero(m.p, m.level)
         blocks[beta].append([gu.get((alpha, beta), zero)
                              for alpha in d.b_elements])
     rank = sum(_cyc_rank(rows) for rows in blocks.values())
-    ok = rank == n
-    record("gu-rank", ok, f"rank of the |p| x |p| coefficient matrix = "
-           f"{rank}, dim V = {n}", t0)
-    if not ok:
-        report["counterexamples"].append(
-            {"check": "gu-rank", "witness": {"rank": rank, "dim": n}})
+    record("gu-rank", f"rank of the |p| x |p| coefficient matrix = {rank}, "
+           f"dim V = {n}", t0,
+           None if rank == n else {"rank": rank, "dim": n})
 
     t0 = time.perf_counter()
-    ok = True
     bad = None
-    scale = Fraction(1, card)
     for beta0 in d.b_elements:
-        lifted = d.s[beta0]
-        acc = {}
+        lifted, acc = d.s[beta0], {}
         for a_el in d.a.elements():
             g = ring.add(lifted, a_el)
-            gu = _apply_monomial(d, _gamma_monomial(d, g), u)
-            for pair, c in gu.items():
-                term = c.mul_root(-m.q_num(g))
-                got = acc.get(pair)
-                acc[pair] = term if got is None else got + term
-        acc = {pair: c.mul_root(m.q_num(lifted)).scale(scale)
-               for pair, c in acc.items()}
-        acc = {pair: c for pair, c in acc.items() if not c.is_zero()}
-        want = basis_vector(d, beta0, beta0)
-        if acc != want:
-            ok, bad = False, beta0
+            shift = m.q_num(lifted) - m.q_num(g)
+            for pair, c in _apply_monomial(d, _gamma_op(d, g), u).items():
+                acc[pair] = acc.get(pair, zero) + c.mul_root(shift)
+        acc = {pair: c.scale(Fraction(1, card)) for pair, c in acc.items()
+               if not c.is_zero()}
+        if acc != basis_vector(d, beta0, beta0):
+            bad = beta0
             break
-    record("h-beta", ok, "h_{beta0} u = 1_{beta0,beta0} for every beta0", t0)
-    if bad is not None:
-        report["counterexamples"].append({"check": "h-beta", "witness": bad})
+    record("h-beta", "h_{beta0} u = 1_{beta0,beta0} for every beta0", t0, bad)
 
     t0 = time.perf_counter()
     g_sum = gauss_sum(m)
     ok = g_sum.is_rational() and g_sum.rational_value() == card
-    record("gauss-card", ok, f"G = {g_sum}, Card(a) = {card}", t0)
-    if not ok:
-        report["counterexamples"].append(
-            {"check": "gauss-card", "witness": str(g_sum)})
+    record("gauss-card", f"G = {g_sum}, Card(a) = {card}", t0,
+           None if ok else str(g_sum))
 
     t0 = time.perf_counter()
     lhs = eta_override if eta_override is not None else _monomial_rows(d, eta_op)
     rhs = qhat_matrix(d)
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            if lhs[i][j] != rhs[i][j]:
-                bad = {"row": d.pairs[i], "col": d.pairs[j],
-                       "eta": lhs[i][j].serialize(),
-                       "qhat": rhs[i][j].serialize()}
-                break
-        if bad:
-            break
-    record("theorem1", bad is None,
-           f"eta = q-hat as {n} x {n} matrices", t0)
-    if bad:
-        report["counterexamples"].append({"check": "theorem1", "witness": bad})
+    bad = next(({"row": d.pairs[i], "col": d.pairs[j],
+                 "eta": lhs[i][j].serialize(), "qhat": rhs[i][j].serialize()}
+                for i in range(n) for j in range(n)
+                if lhs[i][j] != rhs[i][j]), None)
+    record("theorem1", f"eta = q-hat as {n} x {n} matrices", t0, bad)
 
     report["pass"] = all(c["status"] == "PASS" for c in report["checks"])
     return report
@@ -507,10 +514,7 @@ def parse_vmodel(text):
     if stop is None:
         raise ValueError("embedded ring block has no 'end'")
     ring = parse_ring("\n".join(lines[1:stop + 1]))
-    a_rows = []
-    q_vals = None
-    b_rows = []
-    s_lines = []
+    a_rows, q_vals, b_rows, section = [], None, [], {}
     for ln in lines[stop + 1:]:
         parts = ln.split()
         if parts[0] == "end":
@@ -522,7 +526,9 @@ def parse_vmodel(text):
         elif parts[0] == "B":
             b_rows.append(parts[1:])
         elif parts[0] == "s":
-            s_lines.append(ln)
+            head, _, tail = ln[2:].partition("->")
+            section[tuple(int(c) % ring.pk for c in head.split())] = tuple(
+                int(c) % ring.pk for c in tail.split())
         else:
             raise ValueError(f"unknown line {ln!r}")
     else:
@@ -532,11 +538,4 @@ def parse_vmodel(text):
     a = Subring(ring, a_rows)
     metric = MetricGroup(ring.p, [ring.k] * ring.rank, q_vals, b_rows,
                          name=f"metric({name})")
-    section = None
-    if s_lines:
-        section = {}
-        for ln in s_lines:
-            head, _, tail = ln[2:].partition("->")
-            beta = tuple(int(c) % ring.pk for c in head.split())
-            section[beta] = tuple(int(c) % ring.pk for c in tail.split())
-    return VModelData(ring, a, metric, section=section, name=name)
+    return VModelData(ring, a, metric, section=section or None, name=name)

@@ -1,8 +1,9 @@
 import pytest
 
 from orbitlab.arith import QpModZp
-from orbitlab.lazard import catalog
+from orbitlab.lazard import LieRing, Subring, catalog
 from orbitlab.metric import MetricGroup
+from orbitlab.vmodel import VModelData
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +28,26 @@ def hyperbolic_metric(p, k, r, name=None):
 def quadratic_metric(p):
     """Z/p with q(x) = x^2/p, the rank-one nondegenerate example."""
     return MetricGroup(p, (1,), [f"1/{p}"], [[f"2/{p}"]], name=f"x^2/{p}")
+
+
+def cotangent_h3(q_e2=0):
+    """T*h3 over Z/3, the cotangent double of the Heisenberg ring
+    (Medina-Revoy, "Algebres de Lie et produit scalaire invariant", 1985):
+    rank 6 with [e0,e1] = e2, [e0,e5] = -e4 and [e1,e5] = e3, so that
+    <e3, e4, e5> is h3's coadjoint module.  B(e_i, e_{i+3}) = 1/3, q = 0
+    on the generators and a = <e3, e4, e5>.  q_e2 sets q(e2) = q_e2/3,
+    with B_22 = 2 q(e2); any nonzero value breaks conjugation invariance,
+    which no abelian bundle can."""
+    ring = LieRing(3, 1, 6, {(0, 1): (0, 0, 1, 0, 0, 0),
+                             (0, 5): (0, 0, 0, 0, -1, 0),
+                             (1, 5): (0, 0, 0, 1, 0, 0)}, name="T*h3/Z3")
+    zero = QpModZp(3, 0, 1)
+    q_gens = [zero] * 6
+    q_gens[2] = QpModZp(3, q_e2, 1)
+    gram = [[zero] * 6 for _ in range(6)]
+    gram[2][2] = q_gens[2].scale(2)
+    for i in range(3):
+        gram[i][i + 3] = gram[i + 3][i] = QpModZp(3, 1, 1)
+    metric = MetricGroup(3, (1,) * 6, q_gens, gram, name="T*h3 pairing")
+    a = Subring(ring, [ring.basis(i) for i in (3, 4, 5)])
+    return VModelData(ring, a, metric, name="T*h3/Z3")

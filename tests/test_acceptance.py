@@ -12,7 +12,7 @@ from math import factorial, isqrt
 
 import pytest
 
-from conftest import hyperbolic_metric, quadratic_metric
+from conftest import cotangent_h3, hyperbolic_metric, quadratic_metric
 from orbitlab.cyclotomic import CycNumber
 from orbitlab.freelie import (
     LiePoly,
@@ -206,16 +206,19 @@ def test_criterion_08_qhat_two_paths():
 def test_criterion_09_theorem1_ribbon():
     with budget(120):
         instances = [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (3, 1, 2)]
-        for args in instances:
-            for seed in (None, 17):
-                d = build_hyperbolic(*args, section_seed=seed)
-                report = verify_ribbon(d)
-                names = [c["check"] for c in report["checks"]]
-                assert names == ["action", "equivariance", "gu-rank",
-                                 "h-beta", "gauss-card", "theorem1"]
-                assert report["pass"], (args, seed, report["checks"])
-                assert report["counterexamples"] == []
-                assert report["dim"] == d.ring.size()
+        models = [build_hyperbolic(*args, section_seed=seed)
+                  for args in instances for seed in (None, 17)]
+        # the non-abelian T*h3/Z3: gamma is not a plain translation there
+        models.append(cotangent_h3())
+        for d in models:
+            validate_data(d)
+            report = verify_ribbon(d)
+            names = [c["check"] for c in report["checks"]]
+            assert names == ["action", "equivariance", "gu-rank",
+                             "h-beta", "gauss-card", "theorem1"]
+            assert report["pass"], (d.name, report["checks"])
+            assert report["counterexamples"] == []
+            assert report["dim"] == d.ring.size()
 
 
 def test_criterion_10_negative_controls(tmp_path, capsys):
@@ -240,6 +243,11 @@ def test_criterion_10_negative_controls(tmp_path, capsys):
     pairing = MetricGroup(3, (1,) * 4, [z] * 4, gram)
     with pytest.raises(VModelError) as err:
         validate_data(VModelData(ring, ideal, pairing))
+    assert err.value.axiom == "invariance"
+    # and on the non-abelian T*h3/Z3, q(e2) = 1/3 (B_22 = 2/3): e2 is a
+    # bracket, so conjugation moves q
+    with pytest.raises(VModelError) as err:
+        validate_data(cotangent_h3(q_e2=1))
     assert err.value.axiom == "invariance"
 
     # (c) forged eta entry: report fails with an entry-level witness, and

@@ -178,6 +178,20 @@ def test_validate_refuses_hostile_shapes(capsys, tmp_path, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("gauss", "metric m\np\ntype 1\nq 0/1\nB 0/1\nend\n"),
+    ("validate", "ring r\np\nk 1\nrank 3\nend\n"),
+    ("validate", "ring r\np 3\nk 1\nrank 3\nbracket 1\nend\n"),
+], ids=["metric-p", "ring-p", "ring-bracket"])
+def test_short_lines_are_input_errors(capsys, tmp_path, command, text):
+    path = tmp_path / "short.txt"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["1000000000", "8"])
 def test_gauss_refuses_hostile_order(capsys, tmp_path, value):
     # the order bound is checked before p^k is formed; 3^8 > 4096 as well
@@ -198,14 +212,19 @@ def test_cap_env_default(capsys, h3p5_file, monkeypatch):
     capsys.readouterr()
 
 
-def test_cap_is_not_a_counterexample(capsys, h3p5_file):
+@pytest.mark.parametrize("command, message", [
     # the exhaustive stabilizer scan needs |G| = 125 > cap: no verdict
-    code = cli.main(["kernel-check", h3p5_file, "--cap", "10",
+    ("kernel-check", "exhaustive-scan cap 10"),
+    # the census would visit all 125 characters
+    ("orbits", "cap exceeded"),
+], ids=["kernel-check", "orbits"])
+def test_cap_is_not_a_counterexample(capsys, h3p5_file, command, message):
+    code = cli.main([command, h3p5_file, "--cap", "10",
                      "--format", "records"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "exhaustive-scan cap 10" in captured.err
+    assert message in captured.err
 
 
 # -- ribbon: every failure is a counterexample record, never a traceback ------

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from conftest import hyperbolic_metric
+from conftest import cotangent_h3, hyperbolic_metric
+from orbitlab import vmodel
 from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber
-from orbitlab.lazard import LieRing, Subring
+from orbitlab.lazard import (LieRing, Subring, all_elements, conjugate,
+                             element_index, exp_mul)
 from orbitlab.metric import MetricGroup
 from orbitlab.vmodel import (
     VModelData,
@@ -125,6 +129,69 @@ def test_gamma_closed_form_on_hyperbolic_plane():
             target = (alpha, ((beta[0] + b_part) % 3,))
             assert set(v) == {target}
             assert v[target] == CycNumber.root(3, 1, a_part * alpha[0])
+
+
+def _gamma_monomial(d, g):
+    """gamma(Exp(g)) on the scalar series path, one basis vector at a
+    time: the oracle for the batch-built arrays."""
+    ring, m = d.ring, d.metric
+    gbar = d.project(g)
+    target_beta, coeff = {}, {}
+    for beta in d.b_elements:
+        gs = exp_mul(ring, g, d.s[beta])
+        target_beta[beta] = d.project(gs)
+        coeff[beta] = ring.sub(gs, d.s[target_beta[beta]])
+        assert d.a.contains(coeff[beta])
+    perm, expo = [], []
+    for alpha, beta in d.pairs:
+        galpha = conjugate(d.b, gbar, alpha)
+        gbeta = target_beta[beta]
+        w = d._phi_b(galpha, gbeta)
+        perm.append(d.index[(galpha, gbeta)])
+        expo.append(m.b_num(coeff[beta], d.s[w]))
+    return perm, expo
+
+
+def _assert_rows_match_oracle(d, rows):
+    validate_data(d)
+    perm, expo = vmodel._gamma_arrays(d)
+    elements = all_elements(d.ring)
+    for r in rows:
+        g = tuple(elements[r].tolist())
+        assert (perm[r].tolist(), expo[r].tolist()) == _gamma_monomial(d, g)
+
+
+@pytest.mark.parametrize("args, seed", [((3, 1, 1), None), ((5, 1, 1), 7),
+                                        ((3, 2, 1), 5)],
+                         ids=["hyp311", "hyp511s7", "hyp321s5"])
+def test_gamma_arrays_match_scalar_oracle(args, seed):
+    d = build_hyperbolic(*args, section_seed=seed)
+    _assert_rows_match_oracle(d, range(d.ring.size()))
+
+
+def test_gamma_arrays_match_scalar_oracle_nonabelian():
+    d = cotangent_h3()
+    _assert_rows_match_oracle(
+        d, random.Random(0).sample(range(d.ring.size()), 20))
+
+
+def test_action_check_catches_one_wrong_exponent():
+    d = build_hyperbolic(3, 1, 2)
+    validate_data(d)
+    g = (1, 2, 1, 0)  # neither 0 nor a generator e_t
+    r = element_index(d.ring, [g])[0]
+    perm, expo = vmodel._gamma_arrays(d)
+    expo[r, 5] = (expo[r, 5] + 1) % d.metric.modulus
+    report = verify_ribbon(d)
+    assert not report["pass"]
+    action = report["checks"][0]
+    assert (action["check"], action["status"]) == ("action", "FAIL")
+    (witness,) = [c["witness"] for c in report["counterexamples"]
+                  if c["check"] == "action"]
+    e_t, h = witness
+    assert all(type(c) is int for c in e_t + h)
+    assert e_t in [d.ring.basis(t) for t in range(d.ring.rank)]
+    assert g in (h, exp_mul(d.ring, e_t, h))
 
 
 def test_eta_closed_form_with_linear_section():
