@@ -11,6 +11,19 @@ Each conductor p^M gets one context, built on first use: the sizes, the
 power-basis numerators of zeta^e for 0 <= e < n, and the index tables of
 the Galois automorphisms. Ring operations work on the extended basis
 1, ..., zeta^(n-1) and fold it back into the power basis in one pass.
+
+Sums of many roots of unity use the exponent format instead: an integer
+array h whose last axis has length n, with one denominator D, stands for
+(1/D) sum_e h[..., e] zeta^e.  _Conductor.fold turns it into power-basis
+numerators, and an entry is zero exactly when its folded numerators all
+vanish: the kernel of h -> sum_e h[e] zeta^e is spanned by the multiples
+of Phi, which are the vectors constant on each residue class mod
+p^(M-1), and fold subtracts that class's top entry from each class.
+to_rows and from_rows convert between CycNumbers and this format,
+same_values compares two such arrays exactly, and cyclic_matmul
+multiplies matrices whose entries are in it.  The arrays are int64 while
+a bound computed from the inputs stays below 2^62, and Python ints
+otherwise, so no sum overflows silently.
 """
 
 from __future__ import annotations
@@ -21,9 +34,15 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, neg, sub
 from typing import Sequence
 
+import numpy as np
+
 from orbitlab.arith import QpModZp, is_prime
 
-__all__ = ["CycNumber", "cyc_embed", "embed_exponent"]
+__all__ = ["CycNumber", "cyc_embed", "embed_exponent", "to_rows", "from_rows",
+           "same_values", "cyclic_matmul"]
+
+# int64 holds every intermediate while the computed bound stays below this
+_INT64_BOUND = 2**62
 
 
 class _Conductor:
@@ -49,12 +68,16 @@ class _Conductor:
         # copies and unpickled numbers share the one context per conductor
         return _conductor, (self.p, self.m)
 
-    def fold(self, ext) -> tuple:
+    def fold(self, ext):
         """Power-basis numerators of sum ext[e] zeta^e over 0 <= e < n.
 
+        ext is a tuple, or an integer array folded along its last axis.
         Uses zeta^(phi + r) = -(zeta^r + zeta^(r+s) + ... + zeta^(r+(p-2)s)),
         s = p^(M-1), for 0 <= r < s.
         """
+        if isinstance(ext, np.ndarray):
+            top = np.tile(ext[..., self.phi:], self.p - 1)
+            return ext[..., :self.phi] - top
         top = ext[self.phi:]
         if any(top):
             return tuple(map(sub, ext[:self.phi], top * (self.p - 1)))
@@ -290,3 +313,64 @@ def embed_exponent(v: QpModZp, m: int) -> int:
     if v.level > m:
         raise ValueError(f"level {v.level} exceeds conductor exponent {m}")
     return v.numerator * v.p ** (m - v.level) % v.p**m
+
+
+def _absmax(h) -> int:
+    return int(abs(h).max()) if h.size else 0
+
+
+def to_rows(values, p: int, m: int, terms: int = 1):
+    """(h, den): the CycNumbers as rows of an (len(values), p^m) array in
+    the exponent format over one denominator in lowest terms (the lcm of
+    theirs); row r holds values[r]'s power-basis numerators, then zeros.
+    h is int64 while max |h| * terms < 2^62, so that sums of up to terms
+    rows cannot overflow, and Python ints otherwise."""
+    ctx = _conductor(p, m)
+    if any(v._ctx is not ctx for v in values):
+        raise ValueError("mixed conductors")
+    den = lcm(*(v._den for v in values))
+    scale = [den // v._den for v in values]
+    big = max((abs(a) * f for v, f in zip(values, scale) for a in v._num),
+              default=0)
+    dtype = np.int64 if big * terms < _INT64_BOUND else object
+    h = np.zeros((len(values), ctx.n), dtype=dtype)
+    h[:, :ctx.phi] = np.array([v._num for v in values], dtype=dtype).reshape(
+        len(values), ctx.phi) * np.array(scale, dtype=dtype)[:, None]
+    return h, den
+
+
+def from_rows(h, den: int, p: int, m: int):
+    """The CycNumbers h / den, h in the exponent format, each in lowest
+    terms: nested lists shaped like h.shape[:-1], or one CycNumber when h
+    has a single axis."""
+    ctx = _conductor(p, m)
+    out = [_lowest(ctx, tuple(row), den)
+           for row in ctx.fold(h.reshape(-1, ctx.n)).tolist()]
+    for size in reversed(h.shape[1:-1]):
+        out = [out[i:i + size] for i in range(0, len(out), size)]
+    return out if h.ndim > 1 else out[0]
+
+
+def same_values(h1, den1: int, h2, den2: int, p: int, m: int):
+    """Mask over all axes but the last: h1/den1 == h2/den2 entry by entry,
+    that is, the fold of h1 den2 - h2 den1 vanishes."""
+    if 2 * (_absmax(h1) * den2 + _absmax(h2) * den1) >= _INT64_BOUND:
+        h1, h2 = h1.astype(object), h2.astype(object)
+    diff = h1 * den2 - h2 * den1
+    return ~_conductor(p, m).fold(diff).any(axis=-1)
+
+
+def cyclic_matmul(a, b):
+    """Matrix product of (r, l, n) and (l, c, n) arrays in the exponent
+    format, as N = n integer matmuls: c[i, j] = sum_k a[i, k] b[k, j] with
+    entries multiplied in Z[x]/(x^n - 1).  The result shares the two
+    denominators' product."""
+    n = a.shape[-1]
+    if _absmax(a) * _absmax(b) * a.shape[1] * n >= _INT64_BOUND:
+        a, b = a.astype(object), b.astype(object)
+    flat = b.reshape(b.shape[0], -1)
+    out = np.zeros((a.shape[0], b.shape[1], n), dtype=np.result_type(a, b))
+    for s in range(n):
+        # exponent s of a shifts every exponent of b up by s
+        out += np.roll((a[:, :, s] @ flat).reshape(out.shape), s, axis=-1)
+    return out

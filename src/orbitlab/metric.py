@@ -7,7 +7,11 @@ matrix of the induced pairing B(x, y) = q(x+y) - q(x) - q(y); for odd p
 this data determines q everywhere through the quadratic expansion.  The
 constructor certifies that expansion in O(rank^2) (see MetricGroup) and
 decides nondegeneracy by one Howell kernel.  All values live in Q_p/Z_p
-and exponentiate to exact roots of unity in Q(zeta_{p^K}).
+and exponentiate to exact roots of unity in Q(zeta_{p^K}).  Sums of them
+over G (Gauss sums, Fourier transforms, the S/T relations) are integer
+arrays over the exponents in Z/p^K (cyclotomic's exponent format); an entry
+is zero exactly when its folded numerators are, since Phi kills exactly the
+exponent vectors constant on residue classes mod p^(K-1).
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from .arith import (Modulus, ModMatrix, QpModZp, inv_mod, is_prime,
                     kernel, span_size)
-from .cyclotomic import CycNumber
+from .cyclotomic import (CycNumber, cyclic_matmul, from_rows, same_values,
+                         to_rows)
 from .lazard import CrossCheckError, conjugate
 
 ORDER_CAP = 4096
@@ -143,11 +150,11 @@ class MetricGroup:
 
 
 def gauss_sum(m):
-    """Sum of q-tilde over the group; for nondegenerate q the modulus
-    identity G conj(G) = |p| is a theorem and is enforced."""
-    total = CycNumber.zero(m.p, m.level)
-    for x in m.elements():
-        total = total + m.qt(x)
+    """Sum of q-tilde over the group, folded from the histogram of q's
+    values; for nondegenerate q the modulus identity G conj(G) = |p| is a
+    theorem and is enforced."""
+    hist = np.bincount([m.q_num(x) for x in m.elements()], minlength=m.modulus)
+    total = from_rows(hist, 1, m.p, m.level)
     if m.nondegenerate:
         norm = total * total.conj()
         if not (norm.is_rational() and norm.rational_value() == m.size()):
@@ -157,36 +164,40 @@ def gauss_sum(m):
     return total
 
 
-def _char_exponent(m, b, a):
-    """Exponent e with phi_b(a) = zeta_{p^level}^e for the standard
-    duality of ⊕ Z/p^{k_i}."""
-    return sum(ai * bi * m.p ** (m.level - k)
-               for ai, bi, k in zip(a, b, m.exponents)) % m.modulus
+def _transform(m, values, sign, scale):
+    """{b: sum over a of values[a] zeta^(sign chi_b(a)) / scale}, one axis
+    at a time: |G| N sum_i p^k_i integer adds on exponent rows (row-column
+    transform; Good 1958, Clausen-Baum 1993), chi_b(a) = sum_i a_i b_i
+    p^(level - k_i) the standard duality."""
+    n, N = m.size(), m.modulus
+    pos = {x: i for i, x in enumerate(m.elements())}
+    h, den = to_rows(list(values.values()), m.p, m.level, terms=n * N)
+    H = np.zeros((n, N), dtype=h.dtype)
+    H[[pos[a] for a in values]] = h
+    H = H.reshape(m.orders + (N,))
+    e = np.arange(N)
+    for axis, k in enumerate(m.exponents):
+        X = np.moveaxis(H, axis, 0)
+        Y = np.zeros_like(X)
+        wb = m.p ** (m.level - k) * np.arange(X.shape[0])[:, None]
+        for a in range(X.shape[0]):
+            # zeta^j of X[a] lands on zeta^(j + sign a b p^(level - k))
+            Y += np.moveaxis(X[a][..., (e - sign * a * wb) % N], -2, 0)
+        H = np.moveaxis(Y, 0, axis)
+    return dict(zip(m.elements(), from_rows(H.reshape(n, N), den * scale,
+                                            m.p, m.level)))
 
 
 def fourier(m, e):
     """Group-algebra element to function on the dual: phi |-> sum of
     coefficient(a) phi(a)^{-1}."""
-    out = {}
-    for b in m.elements():
-        acc = CycNumber.zero(m.p, m.level)
-        for a, c in e.items():
-            acc = acc + c.mul_root(-_char_exponent(m, b, a))
-        out[b] = acc
-    return out
+    return _transform(m, e, -1, 1)
 
 
 def fourier_inverse(m, h):
     """Function on the dual back to the group algebra:
     coefficient(a) = 1/|p| sum over phi of h(phi) phi(a)."""
-    n = m.size()
-    out = {}
-    for a in m.elements():
-        acc = CycNumber.zero(m.p, m.level)
-        for b, c in h.items():
-            acc = acc + c.mul_root(_char_exponent(m, b, a))
-        out[a] = acc.scale(Fraction(1, n))
-    return out
+    return _transform(m, h, 1, m.size())
 
 
 def ribbon_qhat(m):
@@ -204,21 +215,18 @@ def ribbon_qhat(m):
     closed = {a: g.mul_root(-m.q_num(a)).scale(Fraction(1, n))
               for a in m.elements()}
 
-    iso = {}
-    gens = [tuple(int(i == j) for j in range(m.rank)) for i in range(m.rank)]
-    for a in m.elements():
-        # b-coordinates of the character B(., a)
-        b = tuple(m.b_num(gi, a) // m.p ** (m.level - k) % m.p ** k
-                  if m.b_num(gi, a) % m.p ** (m.level - k) == 0 else None
-                  for gi, k in zip(gens, m.exponents))
-        if any(v is None for v in b):
-            raise MetricError(f"B(., {a}) is not a character of the group")
-        if b in iso:
-            raise MetricError(f"B-isomorphism not injective at {a}")
-        iso[b] = a
+    # b-coordinates of every character B(., a); |G| <= ORDER_CAP bounds x B
+    X = np.array(list(m.elements()), dtype=np.int64).reshape(n, m.rank)
+    XB = X @ np.array(m._b, dtype=np.int64).reshape(m.rank, m.rank) % m.modulus
+    w = np.array([m.p ** (m.level - k) for k in m.exponents], dtype=np.int64)
+    bad = np.flatnonzero((XB % w).any(axis=1))
+    if bad.size:
+        raise MetricError(f"B(., {tuple(X[bad[0]].tolist())}) is not a "
+                          "character of the group")
+    iso = dict(zip(map(tuple, (XB // w).tolist()), m.elements()))
     if len(iso) != n:
         raise MetricError("B-isomorphism is not onto the dual")
-    transported = {b: m.qt(iso[b]) for b in iso}
+    transported = {b: m.qt(a) for b, a in iso.items()}
     definitional = fourier_inverse(m, transported)
 
     for a in closed:
@@ -229,15 +237,6 @@ def ribbon_qhat(m):
     return closed
 
 
-def _matmul(rows_a, rows_b):
-    n = len(rows_b)
-    cols = len(rows_b[0])
-    return [[sum((rows_a[i][l] * rows_b[l][j] for l in range(n)),
-                 start=rows_a[i][0].__class__.zero(rows_a[i][0].p,
-                                                   rows_a[i][0].m))
-             for j in range(cols)] for i in range(len(rows_a))]
-
-
 def st_matrices(m):
     """Pointed modular data: T = diag(q̃(a)), S = B̃(a, b)^{-1}/Card.
 
@@ -246,7 +245,8 @@ def st_matrices(m):
     times the identity rather than S^2.  Requires |p| to be a perfect
     square so the normalization is the integer Card = sqrt(|p|); verifies
     S conj(S) = 1, S^2 = the a -> -a permutation, and
-    (ST)^3 = (G/Card) S^2 before returning.
+    (ST)^3 = (G/Card) S^2 before returning, on Card S, Card conj(S) and Card ST
+    as one-hot exponent arrays, with G as the histogram of q's values.
     """
     n = m.size()
     card = isqrt(n)
@@ -256,31 +256,30 @@ def st_matrices(m):
         raise MetricError("modular data needs a nondegenerate form")
     elems = list(m.elements())
     idx = {a: i for i, a in enumerate(elems)}
-    zero = CycNumber.zero(m.p, m.level)
-    scale = Fraction(1, card)
-    s_rows = [[CycNumber.root(m.p, m.level, -m.b_num(a, b)).scale(scale)
-               for b in elems] for a in elems]
-    t_rows = [[m.qt(a) if i == j else zero for j, a in enumerate(elems)]
-              for i, _ in enumerate(elems)]
+    p, level, N = m.p, m.level, m.modulus
+    q = np.array([m.q_num(a) for a in elems], dtype=np.int64)
+    bm = np.array([[m.b_num(a, b) for b in elems] for a in elems],
+                  dtype=np.int64)
+    rows, cols = np.arange(n)[:, None], np.arange(n)
 
-    ident = [[CycNumber.one(m.p, m.level) if i == j else zero
-              for j in range(n)] for i in range(n)]
-    sbar = [[v.conj() for v in row] for row in s_rows]
-    if _matmul(s_rows, sbar) != ident:
+    def hot(where, expo):
+        # row i holds zeta^expo[i, j] in column where[i, j]
+        out = np.zeros((n, n, N), dtype=np.int64)
+        out[rows, where, expo % N] = 1
+        return out
+
+    s, t, st = hot(cols, -bm), hot(rows, q[:, None]), hot(cols, q - bm)
+    s2 = cyclic_matmul(s, s)
+    same = lambda a, den, b: same_values(a, den, b, 1, p, level).all()
+    if not same(cyclic_matmul(s, hot(cols, bm)), n, hot(rows, 0)):
         raise MetricError("S conj(S) != identity")
-    s2 = _matmul(s_rows, s_rows)
-    perm = [[CycNumber.one(m.p, m.level)
-             if idx[m.neg(a)] == j else zero
-             for j in range(n)] for a in elems]
-    if s2 != perm:
+    if not same(s2, n, hot(np.array([[idx[m.neg(a)]] for a in elems]), 0)):
         raise MetricError("S^2 is not the negation permutation")
-    st = _matmul(s_rows, t_rows)
-    st3 = _matmul(_matmul(st, st), st)
-    g = gauss_sum(m).scale(scale)
-    want = [[g * v for v in row] for row in s2]
-    if st3 != want:
+    hist = np.bincount(q, minlength=N).tolist()
+    want = sum(c * np.roll(s2, e, axis=-1) for e, c in enumerate(hist))
+    if not same(cyclic_matmul(cyclic_matmul(st, st), st), 1, want):
         raise MetricError("(ST)^3 != (G/Card) S^2")
-    return s_rows, t_rows
+    return from_rows(s, card, p, level), from_rows(t, 1, p, level)
 
 
 def _grow_spans(zero, candidates, add, exponent, cap):

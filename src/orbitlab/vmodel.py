@@ -11,7 +11,8 @@ and the Gauss sum evaluation.
 
 gamma is built for all of Gamma at once from the batch kernels; eta is
 built one basis vector at a time, so Theorem 1 never compares gamma with
-itself.  The action axiom is checked from generators: the Exp(e_t)
+itself.  Theorem 1 compares eta with q-hat = sum_g c_g gamma(g) as integer
+arrays over the exponents of zeta (cyclotomic's exponent format).  The action axiom is checked from generators: the Exp(e_t)
 generate the finite group Gamma, each of finite order, so every g is a
 word Exp(e_t1) ... Exp(e_tr) without inverses.  If gamma(0) = id and
 gamma(e_t h) = gamma(e_t) gamma(h) for every t and h, induction on the
@@ -30,7 +31,7 @@ from math import isqrt
 import numpy as np
 
 from .arith import QpModZp, reduce_rows
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, from_rows, same_values, to_rows
 from .lazard import (CrossCheckError, LieRing, Subring, all_elements,
                      batch_conjugate, batch_exp_mul, conjugate, element_index,
                      exp_mul, parse_ring, quotient_ring, serialize_ring,
@@ -62,6 +63,10 @@ class VModelData:
         if section is None:
             self.s = {beta: self.lift(beta) for beta in belems}
         else:
+            missing = next((beta for beta in belems if beta not in section),
+                           None)
+            if missing is not None:
+                raise ValueError(f"the section misses the coset {missing}")
             self.s = {beta: tuple(int(c) % ring.pk for c in section[beta])
                       for beta in belems}
         self.pairs = [(alpha, beta) for alpha in belems for beta in belems]
@@ -287,21 +292,32 @@ def eta_matrix(d):
     return _monomial_rows(d, _eta_monomial(d))
 
 
+def _qhat_exponents(d):
+    """(h, den): q-hat's matrix in the exponent format, h of shape
+    (dim V, dim V, N) over one denominator.  q-hat = sum_g c_g gamma(g)
+    puts c_g zeta^expo_g[i] at (perm_g[i], i); the c_g come from
+    ribbon_qhat, which cross-checks the closed form against the Fourier
+    definition."""
+    m, n = d.metric, d.dim()
+    coeffs = ribbon_qhat(m)
+    c, den = to_rows(list(coeffs.values()), m.p, m.level,
+                     terms=len(coeffs) * m.modulus)
+    perm, expo = _gamma_arrays(d)
+    rows = element_index(d.ring, list(coeffs))
+    perm, expo = perm[rows], expo[rows]
+    h = np.zeros(n * n * m.modulus, dtype=c.dtype)
+    at = (perm * n + np.arange(n)) * m.modulus
+    for e in np.flatnonzero(c.any(axis=0)):
+        np.add.at(h, at + (expo + e) % m.modulus, c[:, e:e + 1])
+    return h.reshape(n, n, m.modulus), den
+
+
 def qhat_matrix(d):
-    """Matrix of the central element q-hat acting through gamma; the
-    coefficients come from ribbon_qhat, which itself cross-checks the
-    closed form against the Fourier definition."""
+    """Matrix of the central element q-hat acting through gamma, from the
+    same exponent arrays as theorem1."""
     _require_valid(d)
-    coeffs = ribbon_qhat(d.metric)
-    n = d.dim()
-    zero = CycNumber.zero(d.metric.p, d.metric.level)
-    rows = [[zero] * n for _ in range(n)]
-    for g, c in coeffs.items():
-        perm, expo = _gamma_op(d, g)
-        for i in range(n):
-            j = perm[i]
-            rows[j][i] = rows[j][i] + c.mul_root(expo[i])
-    return rows
+    h, den = _qhat_exponents(d)
+    return from_rows(h, den, d.metric.p, d.metric.level)
 
 
 def _cyc_rank(rows):
@@ -435,12 +451,32 @@ def verify_ribbon(d, eta_override=None):
            None if ok else str(g_sum))
 
     t0 = time.perf_counter()
-    lhs = eta_override if eta_override is not None else _monomial_rows(d, eta_op)
-    rhs = qhat_matrix(d)
-    bad = next(({"row": d.pairs[i], "col": d.pairs[j],
-                 "eta": lhs[i][j].serialize(), "qhat": rhs[i][j].serialize()}
-                for i in range(n) for j in range(n)
-                if lhs[i][j] != rhs[i][j]), None)
+    rhs, rden = _qhat_exponents(d)
+    if eta_override is None:
+        lden = 1
+
+        def lhs(i):
+            # eta's row i: zeta^ee[j] in each column j with ep[j] = i
+            row, cols = np.zeros_like(rhs[i]), np.flatnonzero(ep == i)
+            row[cols, ee[cols]] = 1
+            return row
+    else:
+        flat, lden = to_rows([v for row in eta_override for v in row],
+                             m.p, m.level)
+        lhs = lambda i: flat[i * n:(i + 1) * n]
+    bad = None
+    for i in range(n):
+        # row by row, so that no dense copy of eta or of the cross-multiplied
+        # difference is held
+        lhs_i = lhs(i)
+        cols = np.flatnonzero(~same_values(lhs_i, lden, rhs[i], rden,
+                                           m.p, m.level))
+        if cols.size:
+            j = int(cols[0])
+            bad = {"row": d.pairs[i], "col": d.pairs[j],
+                   "eta": from_rows(lhs_i[j], lden, m.p, m.level).serialize(),
+                   "qhat": from_rows(rhs[i, j], rden, m.p, m.level).serialize()}
+            break
     record("theorem1", f"eta = q-hat as {n} x {n} matrices", t0, bad)
 
     report["pass"] = all(c["status"] == "PASS" for c in report["checks"])

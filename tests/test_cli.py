@@ -182,7 +182,10 @@ def test_validate_refuses_hostile_shapes(capsys, tmp_path, field, value):
     ("gauss", "metric m\np\ntype 1\nq 0/1\nB 0/1\nend\n"),
     ("validate", "ring r\np\nk 1\nrank 3\nend\n"),
     ("validate", "ring r\np 3\nk 1\nrank 3\nbracket 1\nend\n"),
-], ids=["metric-p", "ring-p", "ring-bracket"])
+    # one 's' line: the cosets (0,) and (2,) have no section value
+    ("ribbon", "vmodel v\nring r\np 3\nk 1\nrank 2\nclass 1\nend\na 1 0\n"
+     "q 0/1 0/1\nB 0/1 1/3\nB 1/3 0/1\ns 1 -> 0 1\nend\n"),
+], ids=["metric-p", "ring-p", "ring-bracket", "vmodel-section"])
 def test_short_lines_are_input_errors(capsys, tmp_path, command, text):
     path = tmp_path / "short.txt"
     path.write_text(text)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from orbitlab.arith import QpModZp
-from orbitlab.cyclotomic import CycNumber, cyc_embed, embed_exponent
+from orbitlab.cyclotomic import (CycNumber, cyc_embed, embed_exponent,
+                                 from_rows, same_values, to_rows)
 
 
 def test_power_basis_length():
@@ -74,6 +77,44 @@ def test_inverse_is_two_sided(coeffs):
     one = CycNumber.one(5, 1)
     assert x * x.inverse() == one
     assert x.inverse() * x == one
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=6),
+                         min_size=6, max_size=6), min_size=1, max_size=4))
+def test_exponent_rows_round_trip(rows):
+    values = [CycNumber(3, 2, row) for row in rows]
+    h, den = to_rows(values, 3, 2)
+    assert h.shape == (len(values), 9)
+    assert np.gcd.reduce(np.append(h.ravel(), den)) == 1  # lowest terms
+    assert from_rows(h, den, 3, 2) == values
+    # the same values over a doubled denominator are still equal
+    assert same_values(h, den, 2 * h, 2 * den, 3, 2).all()
+
+
+def test_exponent_rows_vanish_exactly_on_class_constants():
+    # sum_e h[e] zeta^e = 0 in Q(zeta_9) iff h is constant mod 3
+    for h in ([1] * 9, [2, 5, 7] * 3, [0] * 9):
+        assert same_values(np.array(h), 1, np.zeros(9, int), 1, 3, 2)
+    for h in ([1] * 8 + [0], [2, 5, 7] * 2 + [2, 5, 8]):
+        assert not same_values(np.array(h), 1, np.zeros(9, int), 1, 3, 2)
+
+
+def test_same_values_exact_beyond_int64():
+    # 1/2^32 and (2^32 + 1)/2^32 cross-multiply to values 2^64 apart, which
+    # int64 arithmetic would wrap onto each other
+    one = np.array([[1, 0, 0]])
+    assert one.dtype == np.int64
+    assert not same_values(one, 2**32, one * (2**32 + 1), 2**32, 3, 1)[0]
+    assert same_values(one * 2**31, 2**63, one, 2**32, 3, 1)[0]
+    # an object array on either side
+    x = CycNumber(3, 1, [2**40 + 1, -3])
+    hx, dx = to_rows([x], 3, 1)
+    hz, dz = to_rows([x.scale(2**30)], 3, 1)
+    assert hx.dtype == np.int64 and hz.dtype == object
+    assert same_values(hz, dz * 2**30, hx, dx, 3, 1)[0]
+    assert not same_values(hz, dz, hx, dx, 3, 1)[0]
 
 
 def test_rational_detection():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import prod
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import hyperbolic_metric, quadratic_metric
 from orbitlab import metric
 from orbitlab.arith import QpModZp
-from orbitlab.cyclotomic import CycNumber
+from orbitlab.cyclotomic import CycNumber, cyclic_matmul, from_rows, to_rows
 from orbitlab.lazard import LieRing
 from orbitlab.metric import (
     MetricError,
@@ -194,6 +195,82 @@ def test_trivial_group_gauss_sum():
     assert gauss_sum(m).rational_value() == 1
 
 
+# Oracles for the exponent-array kernels: the |G|^2 CycNumber loops of
+# the Fourier transforms and the dense CycNumber matrix product.
+
+def _char_exponent(m, b, a):
+    return sum(ai * bi * m.p ** (m.level - k)
+               for ai, bi, k in zip(a, b, m.exponents)) % m.modulus
+
+
+def fourier_oracle(m, e):
+    out = {}
+    for b in m.elements():
+        acc = CycNumber.zero(m.p, m.level)
+        for a, c in e.items():
+            acc = acc + c.mul_root(-_char_exponent(m, b, a))
+        out[b] = acc
+    return out
+
+
+def fourier_inverse_oracle(m, h):
+    n = m.size()
+    out = {}
+    for a in m.elements():
+        acc = CycNumber.zero(m.p, m.level)
+        for b, c in h.items():
+            acc = acc + c.mul_root(_char_exponent(m, b, a))
+        out[a] = acc.scale(Fraction(1, n))
+    return out
+
+
+def matmul_oracle(rows_a, rows_b):
+    n = len(rows_b)
+    cols = len(rows_b[0])
+    return [[sum((rows_a[i][l] * rows_b[l][j] for l in range(n)),
+                 start=rows_a[i][0].__class__.zero(rows_a[i][0].p,
+                                                   rows_a[i][0].m))
+             for j in range(cols)] for i in range(len(rows_a))]
+
+
+TEST_METRICS = {
+    "x2_3": quadratic_metric(3), "x2_5": quadratic_metric(5),
+    "x2_7": quadratic_metric(7),
+    "hyp311": hyperbolic_metric(3, 1, 1), "hyp511": hyperbolic_metric(5, 1, 1),
+    "hyp321": hyperbolic_metric(3, 2, 1), "hyp312": hyperbolic_metric(3, 1, 2),
+    "mixed": MetricGroup(5, (2, 1), ["1/25", "2/5"],
+                         [["2/25", "1/5"], ["1/5", "4/5"]]),
+    "degenerate": MetricGroup(3, (1, 1), ["1/3", "0/1"],
+                              [["2/3", "0/1"], ["0/1", "0/1"]]),
+    "trivial": MetricGroup(3, (), [], []),
+}
+
+
+def _random_values(m, rng, big):
+    """A value per element with denominators 1, 2, 3 and 7 mixed; big
+    numerators reach 10^30."""
+    top = 10**30 if big else 5
+    phi = (m.p - 1) * m.p ** (m.level - 1)
+    return {x: CycNumber(m.p, m.level, [
+        Fraction(rng.randint(-top, top), rng.choice([1, 2, 3, 7]))
+        for _ in range(phi)]) for x in m.elements()}
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "pyint"])
+@pytest.mark.parametrize("name", sorted(TEST_METRICS))
+def test_fourier_matches_cyclotomic_loop(name, big):
+    m = TEST_METRICS[name]
+    rng = random.Random(name)
+    e = _random_values(m, rng, big)
+    h, _ = to_rows(list(e.values()), m.p, m.level, terms=m.size() * m.modulus)
+    assert (h.dtype == object) == big
+    assert fourier(m, e) == fourier_oracle(m, e)
+    assert fourier_inverse(m, e) == fourier_inverse_oracle(m, e)
+    # a sparse dict: the missing elements count as zero
+    some = dict(itertools.islice(e.items(), 0, None, 2))
+    assert fourier_inverse(m, some) == fourier_inverse_oracle(m, some)
+
+
 def test_fourier_round_trip():
     m = hyperbolic_metric(3, 1, 1)
     e = {x: CycNumber.rational(3, 1, Fraction(i - 4, 3))
@@ -249,6 +326,72 @@ def test_st_matrices_relations_and_shape():
                 assert t[i][j] == CycNumber.root(3, 1, m.q_num(a))
             else:
                 assert t[i][j].is_zero()
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "pyint"])
+def test_cyclic_matmul_matches_dense_product(big):
+    rng = random.Random(big)
+    top = 10**12 if big else 3
+    a = [[CycNumber(3, 2, [Fraction(rng.randint(-top, top), rng.choice([1, 4]))
+                           for _ in range(6)]) for _ in range(4)]
+         for _ in range(3)]
+    b = [[CycNumber(3, 2, [rng.randint(-top, top) for _ in range(6)])
+          for _ in range(2)] for _ in range(4)]
+    ha, da = to_rows([v for row in a for v in row], 3, 2)
+    hb, db = to_rows([v for row in b for v in row], 3, 2)
+    product = cyclic_matmul(ha.reshape(3, 4, 9), hb.reshape(4, 2, 9))
+    assert (product.dtype == object) == big
+    assert from_rows(product, da * db, 3, 2) == matmul_oracle(a, b)
+
+
+def test_st_matrices_relations_on_dense_oracle():
+    m = hyperbolic_metric(3, 1, 1)
+    s, t = st_matrices(m)
+    n = m.size()
+    one, zero = CycNumber.one(3, 1), CycNumber.zero(3, 1)
+    sbar = [[v.conj() for v in row] for row in s]
+    assert matmul_oracle(s, sbar) == [[one if i == j else zero
+                                       for j in range(n)] for i in range(n)]
+    elems = list(m.elements())
+    assert matmul_oracle(s, s) == [[one if m.neg(a) == b else zero
+                                    for b in elems] for a in elems]
+    st_ = matmul_oracle(s, t)
+    g = gauss_sum(m).scale(Fraction(1, 3))
+    assert matmul_oracle(matmul_oracle(st_, st_), st_) == [
+        [g * v for v in row] for row in matmul_oracle(s, s)]
+
+
+@pytest.mark.parametrize("where, relation", [
+    # B moved at one pair (and its mirror): S is no longer unitary
+    (lambda a, x, y: (x, y) in ((a, (0, 1)), ((0, 1), a)), "S conj"),
+    # B moved along a's row and column: S becomes D S D with D a diagonal
+    # unitary, still unitary, but S^2 leaves the negation permutation
+    (lambda a, x, y: (x == a) + (y == a), "S\\^2"),
+], ids=["b-pair", "b-row"])
+def test_st_matrices_catch_broken_pairing(monkeypatch, where, relation):
+    m = hyperbolic_metric(5, 1, 1)
+    b_num, a = m.b_num, (2, 1)
+    monkeypatch.setattr(m, "b_num", lambda x, y: (b_num(x, y) + where(a, x, y))
+                        % m.modulus)
+    with pytest.raises(MetricError, match=relation):
+        st_matrices(m)
+
+
+def test_st_matrices_catch_broken_q(monkeypatch):
+    m = hyperbolic_metric(5, 1, 1)
+    q_num = m.q_num
+    monkeypatch.setattr(m, "q_num", lambda x: (q_num(x) + (x == (2, 1)))
+                        % m.modulus)
+    with pytest.raises(MetricError, match="\\(ST\\)\\^3"):
+        st_matrices(m)
+
+
+def test_st_matrices_dims_49_and_81_fast():
+    start = time.process_time()
+    for args in ((7, 1, 1), (3, 2, 1)):
+        s, t = st_matrices(hyperbolic_metric(*args))
+        assert len(s) == len(t) == args[0] ** (2 * args[1])
+    assert time.process_time() - start < 2
 
 
 def test_st_matrices_require_square_order():

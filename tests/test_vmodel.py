@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber
 from orbitlab.lazard import (LieRing, Subring, all_elements, conjugate,
                              element_index, exp_mul)
-from orbitlab.metric import MetricGroup
+from orbitlab.metric import MetricGroup, ribbon_qhat
 from orbitlab.vmodel import (
     VModelData,
     VModelError,
@@ -230,6 +231,52 @@ def test_verify_ribbon_passes_default_and_seeded():
 def test_verify_ribbon_matrices_agree():
     d = build_hyperbolic(3, 1, 1)
     assert eta_matrix(d) == qhat_matrix(d)
+
+
+def _qhat_rows_oracle(d):
+    """q-hat's matrix on the dense CycNumber route, one mul_root and one
+    add per group element and basis vector: the oracle for the exponent
+    arrays."""
+    coeffs = ribbon_qhat(d.metric)
+    n = d.dim()
+    zero = CycNumber.zero(d.metric.p, d.metric.level)
+    rows = [[zero] * n for _ in range(n)]
+    for g, c in coeffs.items():
+        perm, expo = vmodel._gamma_op(d, g)
+        for i in range(n):
+            j = perm[i]
+            rows[j][i] = rows[j][i] + c.mul_root(expo[i])
+    return rows
+
+
+@pytest.mark.parametrize("args, seed", [((3, 1, 1), None), ((5, 1, 1), 3),
+                                        ((3, 2, 1), 5)],
+                         ids=["hyp311", "hyp511s3", "hyp321s5"])
+def test_qhat_matrix_matches_dense_oracle(args, seed):
+    d = build_hyperbolic(*args, section_seed=seed)
+    validate_data(d)
+    assert qhat_matrix(d) == _qhat_rows_oracle(d)
+
+
+@pytest.mark.parametrize("args, seed", [((3, 1, 1), 1), ((5, 1, 1), 2),
+                                        ((3, 2, 1), 3)],
+                         ids=["hyp311s1", "hyp511s2", "hyp321s3"])
+def test_forged_half_gives_exact_witness(args, seed):
+    # eta_override has denominators 1, 2 and 3; the witness is the first
+    # mismatch in row-major order, printed as the dense route prints it
+    d = build_hyperbolic(*args, section_seed=seed)
+    rng = random.Random(seed)
+    n, p, level = d.dim(), d.metric.p, d.metric.level
+    i, j = rng.randrange(n - 1), rng.randrange(n)
+    forged = eta_matrix(d)
+    forged[i][j] = forged[i][j] + CycNumber.rational(p, level, Fraction(1, 2))
+    forged[n - 1][0] = forged[n - 1][0] + CycNumber.rational(
+        p, level, Fraction(1, 3))
+    report = verify_ribbon(d, eta_override=forged)
+    want = _qhat_rows_oracle(d)[i][j]
+    assert report["counterexamples"] == [{"check": "theorem1", "witness": {
+        "row": d.pairs[i], "col": d.pairs[j],
+        "eta": forged[i][j].serialize(), "qhat": want.serialize()}}]
 
 
 def test_forged_eta_detected_with_witness():
