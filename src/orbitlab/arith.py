@@ -3,7 +3,8 @@ linear algebra over Z/p^k.
 
 All verification-grade computations reduce to integer arithmetic here; the
 Howell normal form is the canonical representative of a row span, so subgroup
-equality, membership and kernels are exact decidable predicates.
+equality, membership, kernels, inverses and ranks (over F_l when k = 1) are
+all read off one elimination, _howell_engine.
 """
 
 from __future__ import annotations
@@ -213,23 +214,10 @@ class ModMatrix:
         return ModMatrix(self.modulus, out)
 
     def is_invertible(self) -> bool:
-        """Invertible over Z/p^k iff invertible mod p."""
-        if self.nrows != self.ncols:
-            return False
-        p = self.modulus.p
-        a = [[x % p for x in r] for r in self.rows]
+        """Square, with Howell rows spanning all of (Z/p^k)^n."""
         n = self.nrows
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c] % p), None)
-            if piv is None:
-                return False
-            a[c], a[piv] = a[piv], a[c]
-            ic = inv_mod(a[c][c], p)
-            for i in range(c + 1, n):
-                f = a[i][c] * ic % p
-                if f:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
-        return True
+        return n == self.ncols and span_size(
+            howell(self.rows, self.modulus), self.modulus) == self.modulus.pk**n
 
     def __eq__(self, other):
         return (isinstance(other, ModMatrix)
@@ -380,32 +368,30 @@ def span_size(hrows, modulus: Modulus) -> int:
     return n
 
 
+def _augmented_howell(m: ModMatrix):
+    """Howell rows of [m | I]: their span is {(x m, x)}."""
+    n = m.nrows
+    return howell([list(r) + [int(i == j) for j in range(n)]
+                   for i, r in enumerate(m.rows)], m.modulus)
+
+
 def mat_inverse(m: ModMatrix) -> ModMatrix:
-    """Inverse of a square matrix over Z/p^k (unit-pivot Gauss-Jordan)."""
+    """Inverse of a square matrix over Z/p^k.  m is invertible exactly
+    when the Howell rows of [m | I] begin with [I | m^-1]: the span then
+    holds (e_i, y_i) with y_i m = e_i, and an invertible m puts every
+    (e_i, e_i m^-1) in it, whose Howell rows are these n and no more."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("not square")
-    p, pk = m.modulus.p, m.modulus.pk
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] % p), None)
-        if piv is None:
-            raise ValueError("matrix not invertible over Z/p^k")
-        a[c], a[piv] = a[piv], a[c]
-        inv = inv_mod(a[c][c], pk)
-        a[c] = [x * inv % pk for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % pk for x, y in zip(a[i], a[c])]
-    return ModMatrix(m.modulus, [r[n:] for r in a])
+    h = _augmented_howell(m)
+    if tuple(r[:n] for r in h[:n]) != ModMatrix.identity(m.modulus, n).rows:
+        raise ValueError("matrix not invertible over Z/p^k")
+    return ModMatrix(m.modulus, [r[n:] for r in h[:n]])
 
 
 def kernel(m: ModMatrix) -> ModMatrix:
-    """Generators of {x : x*m = 0}, canonical, via Howell of [m | I]."""
-    n = m.nrows
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
-    h = howell(aug, m.modulus)
+    """Generators of {x : x*m = 0}, canonical: the Howell rows of [m | I]
+    whose left block vanishes."""
     left = m.ncols
-    gens = [r[left:] for r in h if not any(r[:left])]
-    return ModMatrix(m.modulus, gens)
+    return ModMatrix(m.modulus, [r[left:] for r in _augmented_howell(m)
+                                 if not any(r[:left])])

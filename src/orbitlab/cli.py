@@ -129,14 +129,7 @@ def cmd_bch(args, rep):
 
 def cmd_orbits(args, rep):
     ring = _load_ring(args.file)
-    try:
-        orbits = enumerate_orbits(ring, cap=args.cap)
-    except CapError:
-        raise
-    except OrbitError as e:
-        return _counterexample(rep, "orbits", e)
-    except CrossCheckError as e:
-        return _counterexample(rep, e.check, e)
+    orbits = enumerate_orbits(ring, cap=args.cap)
     hist = orbit_histogram(orbits)
     total = sum(size * count for size, count in hist.items())
     sizes = ", ".join(f"{size}x{count}" for size, count in sorted(hist.items()))
@@ -165,16 +158,9 @@ def cmd_kernel_check(args, rep):
                                   random.Random(args.seed))
         mode = f"{args.samples} sampled (seed {args.seed})"
     count = 0
-    try:
-        for chi in chars:
-            kernel_lemma_check(ring, chi, cap=args.cap)
-            count += 1
-    except CapError:
-        raise
-    except OrbitError as e:
-        return _counterexample(rep, "kernel", e)
-    except CrossCheckError as e:
-        return _counterexample(rep, e.check, e)
+    for chi in chars:
+        kernel_lemma_check(ring, chi, cap=args.cap)
+        count += 1
     rep.emit("kernel",
              f"kernel = stabilizer for {count} characters of {ring.name} "
              f"({mode})",
@@ -197,11 +183,7 @@ def cmd_polarize(args, rep):
              f"chi = ({', '.join(str(v) for v in chi.covector())}) "
              f"on {ring.name}",
              ring=ring.name, chi=chi.covector())
-    try:
-        form = SkewForm(chi)
-        steps, final, lag = polarize(form)
-    except (OrbitError, PolarizationError) as e:
-        return _counterexample(rep, "polarize", e)
+    steps, final, lag = polarize(SkewForm(chi))
     for i, pol in enumerate(steps):
         rep.emit("step",
                  f"  step {i}: |h| = {pol.h.size()}, |perp| = "
@@ -227,10 +209,7 @@ def cmd_gauss(args, rep):
         m = parse_metric(text)
     except (ValueError, MetricError) as e:
         raise InputError(f"{args.file}: {e}")
-    try:
-        g = gauss_sum(m)
-    except MetricError as e:
-        return _counterexample(rep, "gauss", e)
+    g = gauss_sum(m)
     norm = g * g.conj()
     rep.emit("metric",
              f"{m!r}: G = {g}, G conj(G) = {norm}",
@@ -266,20 +245,13 @@ def cmd_ribbon(args, rep):
         d = parse_vmodel(text)
     except (ValueError, LazardError, MetricError) as e:
         raise InputError(f"{args.file}: {e}")
-    try:
-        validate_data(d)
-        override = None
-        if args.forge_eta:
-            override = eta_matrix(d)
-            override[0][0] = override[0][0] + CycNumber.one(
-                d.metric.p, d.metric.level)
-        report = verify_ribbon(d, eta_override=override)
-    except VModelError as e:
-        return _counterexample(rep, e.axiom, e)
-    except CrossCheckError as e:
-        return _counterexample(rep, e.check, e)
-    except MetricError as e:
-        return _counterexample(rep, "metric", e)
+    validate_data(d)
+    override = None
+    if args.forge_eta:
+        override = eta_matrix(d)
+        override[0][0] = override[0][0] + CycNumber.one(
+            d.metric.p, d.metric.level)
+    report = verify_ribbon(d, eta_override=override)
     for check in report["checks"]:
         rep.emit("check",
                  f"{check['check']:13s} {check['status']}  {check['detail']} "
@@ -342,30 +314,30 @@ def _build_parser():
 
     p = sub.add_parser("orbits", parents=[common], help="coadjoint census")
     p.add_argument("file", help="ring file")
-    p.set_defaults(run=cmd_orbits)
+    p.set_defaults(run=cmd_orbits, check="orbits")
 
     p = sub.add_parser("kernel-check", parents=[common],
                        help="kernel = stabilizer suite")
     p.add_argument("file", help="ring file")
-    p.set_defaults(run=cmd_kernel_check)
+    p.set_defaults(run=cmd_kernel_check, check="kernel")
 
     p = sub.add_parser("polarize", parents=[common],
                        help="polarization chain report")
     p.add_argument("file", help="ring file")
     p.add_argument("--chi", help="character values a/p^m, comma separated "
                    "(default: a generic character)")
-    p.set_defaults(run=cmd_polarize)
+    p.set_defaults(run=cmd_polarize, check="polarize")
 
     p = sub.add_parser("gauss", parents=[common], help="metric-group report")
     p.add_argument("file", help="metric file")
-    p.set_defaults(run=cmd_gauss)
+    p.set_defaults(run=cmd_gauss, check="gauss")
 
     p = sub.add_parser("ribbon", parents=[common],
                        help="twist = ribbon element suite")
     p.add_argument("file", help="v-model file")
     p.add_argument("--forge-eta", action="store_true",
                    help="perturb one twist entry (negative control)")
-    p.set_defaults(run=cmd_ribbon)
+    p.set_defaults(run=cmd_ribbon, check="metric")
     return parser
 
 
@@ -382,6 +354,13 @@ def main(argv=None):
         print(f"cap exceeded: {e}; raise --cap or ORBITLAB_CAP",
               file=sys.stderr)
         return 2
+    except CrossCheckError as e:
+        return _counterexample(rep, e.check, e)
+    except VModelError as e:
+        return _counterexample(rep, e.axiom, e)
+    except (OrbitError, PolarizationError, MetricError) as e:
+        # the subcommand names the check a bare verification error fails
+        return _counterexample(rep, getattr(args, "check", args.command), e)
 
 
 if __name__ == "__main__":

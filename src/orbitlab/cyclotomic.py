@@ -20,26 +20,28 @@ vanish: the kernel of h -> sum_e h[e] zeta^e is spanned by the multiples
 of Phi, which are the vectors constant on each residue class mod
 p^(M-1), and fold subtracts that class's top entry from each class.
 to_rows and from_rows convert between CycNumbers and this format,
-same_values compares two such arrays exactly, and cyclic_matmul
-multiplies matrices whose entries are in it.  The arrays are int64 while
-a bound computed from the inputs stays below 2^62, and Python ints
-otherwise, so no sum overflows silently.
+same_values compares two such arrays exactly, cyclic_matmul multiplies
+matrices whose entries are in it, and rank decides the rank over Q(zeta)
+of such a matrix from Howell forms over primes l = 1 (mod n), with no
+inverse in Q(zeta).  The arrays are int64 while a bound computed from the
+inputs stays below 2^62, and Python ints otherwise, so no sum overflows
+silently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, neg, sub
 from typing import Sequence
 
 import numpy as np
 
-from orbitlab.arith import QpModZp, is_prime
+from orbitlab.arith import Modulus, QpModZp, howell, is_prime
 
 __all__ = ["CycNumber", "cyc_embed", "embed_exponent", "to_rows", "from_rows",
-           "same_values", "cyclic_matmul"]
+           "same_values", "cyclic_matmul", "rank"]
 
 # int64 holds every intermediate while the computed bound stays below this
 _INT64_BOUND = 2**62
@@ -374,3 +376,38 @@ def cyclic_matmul(a, b):
         # exponent s of a shifts every exponent of b up by s
         out += np.roll((a[:, :, s] @ flat).reshape(out.shape), s, axis=-1)
     return out
+
+
+def rank(h, p: int, m: int) -> int:
+    """Rank over Q(zeta) of the (r, c) matrix with entries sum_e h[i, j, e]
+    zeta^e, h an (r, c, n) integer array in the exponent format, n = p^m.
+    A denominator does not change the rank, so only numerators are taken.
+
+    For primes l = 1 (mod n) upward from 2^30, w = g^((l-1)/n), with g
+    the least integer with g^((l-1)/p) != 1 (mod l), has order n in F_l,
+    so zeta -> w is a ring map Z[zeta] -> F_l and the rank mod l (the
+    number of Howell rows over F_l) is at most the true rank r0.  It is
+    less only when some nonzero r0 x r0 minor D maps to 0, that is when
+    D lies in the prime (l, zeta - w), whose integers are lZ; then l
+    divides Norm(D).  Each conjugate of D obeys Hadamard's bound with
+    |sigma(h_ij)| <= sum_e |h_ij[e]|, so |Norm(D)|^2 <= R^(r0 phi), R the
+    largest sum_j (sum_e |h_ij[e]|)^2 over rows.  Once (prod l)^2 exceeds
+    R^(min(r, c) phi), some prime tried does not divide Norm(D), so the
+    largest rank seen is r0: the result is exact, and full rank min(r, c)
+    ends the search at once.
+    """
+    ctx = _conductor(p, m)
+    n, full = ctx.n, min(h.shape[:2])
+    l1 = np.abs(h.astype(object)).sum(axis=-1)
+    bound = max((l1 * l1).sum(axis=1).tolist(), default=0) ** (full * ctx.phi)
+    best, prod, ell = 0, 1, 2**30 + (1 - 2**30) % n
+    while best < full and prod * prod <= bound:
+        if is_prime(ell):
+            g = next(g for g in count(2) if pow(g, (ell - 1) // p, ell) != 1)
+            w = pow(g, (ell - 1) // n, ell)
+            powers = np.array([pow(w, e, ell) for e in range(n)], dtype=object)
+            rows = ((h % ell).astype(object) @ powers % ell).tolist()
+            best = max(best, len(howell(rows, Modulus(ell, 1))))
+            prod *= ell
+        ell += n
+    return best

@@ -375,44 +375,37 @@ def bch_apply(a: LiePoly, b: LiePoly) -> LiePoly:
     return apply_series(bch(a.basis.cls), a, b)
 
 
-def ad_powers(x: LiePoly, y: LiePoly, nmax: int):
-    """[ (ad x)^n y for n = 0..nmax ]."""
-    out = [y]
-    for _ in range(nmax):
-        out.append(x.bracket(out[-1]))
+def _ad_sum(coeffs, x: LiePoly, y: LiePoly) -> LiePoly:
+    """sum_n coeffs[n] (ad x)^n y."""
+    out, t = LiePoly.zero(x.basis), y
+    for n, c in enumerate(coeffs):
+        if n:
+            t = x.bracket(t)
+        out = out + t.scale(c)
     return out
+
+
+def _generators(c: int):
+    basis = hall_basis(2, c)
+    return LiePoly.generator(basis, 0), LiePoly.generator(basis, 1)
 
 
 def exp_ad(c: int) -> LiePoly:
     """e^(ad x)(y) = y + [x,y] + (1/2)[x,[x,y]] + ... through class c."""
-    basis = hall_basis(2, c)
-    x, y = LiePoly.generator(basis, 0), LiePoly.generator(basis, 1)
-    pows = ad_powers(x, y, c - 1)
-    out = LiePoly.zero(basis)
-    for n, t in enumerate(pows):
-        out = out + t.scale(Fraction(1, factorial(n)))
-    return out
+    return exp_ad_apply(*_generators(c))
 
 
 def exp_ad_apply(a: LiePoly, b: LiePoly) -> LiePoly:
     """e^(ad a)(b) for concrete arguments."""
-    c = a.basis.cls
-    pows = ad_powers(a, b, c - 1)
-    out = LiePoly.zero(a.basis)
-    for n, t in enumerate(pows):
-        out = out + t.scale(Fraction(1, factorial(n)))
-    return out
+    return _ad_sum([Fraction(1, factorial(n)) for n in range(a.basis.cls)],
+                   a, b)
 
 
 def phi_series(c: int) -> LiePoly:
     """Phi(x,y) = sum_n (-1)^n/(n+1)! (ad y)^n(x) through class c."""
-    basis = hall_basis(2, c)
-    x, y = LiePoly.generator(basis, 0), LiePoly.generator(basis, 1)
-    pows = ad_powers(y, x, c - 1)
-    out = LiePoly.zero(basis)
-    for n, t in enumerate(pows):
-        out = out + t.scale(Fraction((-1) ** n, factorial(n + 1)))
-    return out
+    x, y = _generators(c)
+    return _ad_sum([Fraction((-1) ** n, factorial(n + 1)) for n in range(c)],
+                   y, x)
 
 
 def lambda_coefficients(nmax: int):
@@ -427,29 +420,20 @@ def lambda_coefficients(nmax: int):
 
 def lambda_series(c: int) -> LiePoly:
     """lambda(y) = sum_n B_n (ad x)^n(y), with sum B_n t^n = t/(1-e^(-t))."""
-    basis = hall_basis(2, c)
-    x, y = LiePoly.generator(basis, 0), LiePoly.generator(basis, 1)
-    coeffs = lambda_coefficients(c - 1)
-    pows = ad_powers(x, y, c - 1)
-    out = LiePoly.zero(basis)
-    for b, t in zip(coeffs, pows):
-        out = out + t.scale(b)
-    return out
+    return _ad_sum(lambda_coefficients(c - 1), *_generators(c))
 
 
 # -- identity checks (exact, symbolic) ---------------------------------------
 
 def check_lemma1(c: int) -> bool:
     """x*y*(-x) under BCH equals e^(ad x)(y), through class c."""
-    basis = hall_basis(2, c)
-    x, y = LiePoly.generator(basis, 0), LiePoly.generator(basis, 1)
+    x, y = _generators(c)
     return bch_apply(bch_apply(x, y), -x) == exp_ad(c)
 
 
 def check_phi_identity(c: int) -> bool:
     """x - y^(-1)xy = [y, Phi(x,y)], through class c."""
-    basis = hall_basis(2, c)
-    x, y = LiePoly.generator(basis, 0), LiePoly.generator(basis, 1)
+    x, y = _generators(c)
     lhs = x - exp_ad_apply(-y, x)
     rhs = y.bracket(phi_series(c))
     return lhs == rhs
@@ -457,8 +441,7 @@ def check_phi_identity(c: int) -> bool:
 
 def check_lambda_identity(c: int) -> bool:
     """(*): [x,y] = (id - e^(-ad x))(lambda(y)), through class c."""
-    basis = hall_basis(2, c)
-    x, y = LiePoly.generator(basis, 0), LiePoly.generator(basis, 1)
+    x, y = _generators(c)
     lam = lambda_series(c)
     rhs = lam - exp_ad_apply(-x, lam)
     return rhs == x.bracket(y)

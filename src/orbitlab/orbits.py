@@ -95,6 +95,7 @@ class SkewForm:
     def __init__(self, chi):
         self.ring = chi.ring
         self.chi = chi
+        self._radical = None  # filled by radical(self)
         pk, n = self.ring.pk, self.ring.rank
         # ring.table[i][j] holds the coordinates of [e_i, e_j]
         self.nums = tuple(
@@ -123,14 +124,18 @@ def radical(form):
 
     By the kernel = stabilizer statement this is the stabilizer Lie ring,
     so a bracket-closure failure here would be a counterexample and is
-    raised rather than ignored.
+    raised rather than ignored, on every call.  A radical that passes is
+    kept on the form, so each form computes it once.
     """
+    if form._radical is not None:
+        return form._radical
     ring = form.ring
     ker = kernel(ModMatrix(ring.modulus, [list(r) for r in form.nums]))
     sub = Subring(ring, [tuple(r) for r in ker.rows])
     if not sub.is_lie_subring():
         raise OrbitError(
             f"radical of chi = {form.chi} is not closed under bracket")
+    form._radical = sub
     return sub
 
 

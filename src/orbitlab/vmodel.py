@@ -9,15 +9,21 @@ ribbon identity eta = q-hat exactly in cyclotomic arithmetic, alongside
 the action axioms, the gu spanning lemma, the h_{beta0} reconstruction,
 and the Gauss sum evaluation.
 
-gamma is built for all of Gamma at once from the batch kernels; eta is
-built one basis vector at a time, so Theorem 1 never compares gamma with
-itself.  Theorem 1 compares eta with q-hat = sum_g c_g gamma(g) as integer
-arrays over the exponents of zeta (cyclotomic's exponent format).  The action axiom is checked from generators: the Exp(e_t)
-generate the finite group Gamma, each of finite order, so every g is a
-word Exp(e_t1) ... Exp(e_tr) without inverses.  If gamma(0) = id and
-gamma(e_t h) = gamma(e_t) gamma(h) for every t and h, induction on the
-word length gives gamma(g h) = gamma(g) gamma(h) for all g and h; so
-rank * |p| comparisons make the check exhaustive.
+gamma is built for all of Gamma at once from the batch kernels, as two
+(|p|, dim V) arrays (perm, expo), and every check reads those arrays; eta
+is built one basis vector at a time, so Theorem 1 never compares gamma
+with itself.  Theorem 1 compares eta with q-hat = sum_g c_g gamma(g) as
+integer arrays over the exponents of zeta (cyclotomic's exponent format).
+The gu spanning lemma and the h_{beta0} reconstruction read gamma(g) u,
+u = sum_alpha 1_{alpha,0}, off the (alpha, 0) columns of the arrays; the
+rank over Q(zeta) that the lemma needs is cyclotomic.rank, a Howell rank
+modulo primes l = 1 (mod N) made exact by a norm bound.  The action
+axiom is checked from generators: the Exp(e_t) generate the finite group
+Gamma, each of finite order, so every g is a word Exp(e_t1) ... Exp(e_tr)
+without inverses.  If gamma(0) = id and gamma(e_t h) = gamma(e_t) gamma(h)
+for every t and h, induction on the word length gives gamma(g h) =
+gamma(g) gamma(h) for all g and h; so rank * |p| comparisons make the
+check exhaustive.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from .arith import QpModZp, reduce_rows
-from .cyclotomic import CycNumber, from_rows, same_values, to_rows
+from .cyclotomic import (CycNumber, from_rows, rank as cyc_rank, same_values,
+                         to_rows)
 from .lazard import (CrossCheckError, LieRing, Subring, all_elements,
                      batch_conjugate, batch_exp_mul, conjugate, element_index,
                      exp_mul, parse_ring, quotient_ring, serialize_ring,
@@ -320,33 +326,6 @@ def qhat_matrix(d):
     return from_rows(h, den, d.metric.p, d.metric.level)
 
 
-def _cyc_rank(rows):
-    """Rank over the cyclotomic field by fraction-free style elimination
-    with exact inverses."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows))
-                    if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _vector_u(d):
-    one = CycNumber.one(d.metric.p, d.metric.level)
-    return {(alpha, d.b.zero()): one for alpha in d.b_elements}
-
-
 def _action_witness(d, elements):
     """None when gamma(0) = id and gamma(e_t h) = gamma(e_t) gamma(h) for
     every t and h, else ("unit",) or the first failing (e_t, h)."""
@@ -411,38 +390,43 @@ def verify_ribbon(d, eta_override=None):
            tuple(elements[bad[0]].tolist()) if bad.size else None)
 
     t0 = time.perf_counter()
-    u = _vector_u(d)
-    blocks = {beta: [] for beta in d.b_elements}
-    zero = CycNumber.zero(m.p, m.level)
-    for g in map(tuple, elements.tolist()):
-        gu = _apply_monomial(d, _gamma_op(d, g), u)
-        betas = {pair[1] for pair in gu}
-        if len(betas) != 1:
-            raise CrossCheckError(
-                "gu-support", f"gu is not supported on one beta for g={g}")
-        beta = betas.pop()
-        blocks[beta].append([gu.get((alpha, beta), zero)
-                             for alpha in d.b_elements])
-    rank = sum(_cyc_rank(rows) for rows in blocks.values())
+    # u = sum_alpha 1_{alpha,0}: gamma(g) u lives in the (alpha, 0) columns
+    nb, N = len(d.b_elements), m.modulus
+    target = perm[:, ::nb]
+    beta = target % nb
+    split = np.flatnonzero((beta != beta[:, :1]).any(axis=1))
+    if split.size:
+        raise CrossCheckError(
+            "gu-support", f"gu is not supported on one beta for "
+            f"g={tuple(elements[split[0]].tolist())}")
+    # row g of block beta: the coefficients of gamma(g) u over alpha
+    coeffs = np.zeros((len(elements), nb, N), dtype=np.int64)
+    np.add.at(coeffs, (np.arange(len(elements))[:, None], target // nb,
+                       expo[:, ::nb]), 1)
+    rank = sum(cyc_rank(coeffs[beta[:, 0] == b], m.p, m.level)
+               for b in range(nb))
     record("gu-rank", f"rank of the |p| x |p| coefficient matrix = {rank}, "
            f"dim V = {n}", t0,
            None if rank == n else {"rank": rank, "dim": n})
 
     t0 = time.perf_counter()
-    bad = None
-    for beta0 in d.b_elements:
-        lifted, acc = d.s[beta0], {}
-        for a_el in d.a.elements():
-            g = ring.add(lifted, a_el)
-            shift = m.q_num(lifted) - m.q_num(g)
-            for pair, c in _apply_monomial(d, _gamma_op(d, g), u).items():
-                acc[pair] = acc.get(pair, zero) + c.mul_root(shift)
-        acc = {pair: c.scale(Fraction(1, card)) for pair, c in acc.items()
-               if not c.is_zero()}
-        if acc != basis_vector(d, beta0, beta0):
-            bad = beta0
-            break
-    record("h-beta", "h_{beta0} u = 1_{beta0,beta0} for every beta0", t0, bad)
+    # h_{beta0} u = sum over g = s(beta0) + x, x in a, of
+    # zeta^(q(s(beta0)) - q(g)) gamma(g) u, one slab per beta0
+    lifts = np.array([d.s[b] for b in d.b_elements], dtype=np.int64)
+    A = np.array(d.a.elements(), dtype=np.int64)
+    G = ((lifts[:, None] + A) % ring.pk).reshape(-1, ring.rank)
+    owner = np.repeat(np.arange(nb), len(A))  # the beta0 of each g
+    q = np.array([m.q_num(x) for x in lifts.tolist() + G.tolist()])
+    rows = element_index(ring, G)
+    shift = (q[owner] - q[nb:])[:, None] + expo[rows, ::nb]
+    acc = np.zeros((nb, n, N), dtype=np.int64)
+    np.add.at(acc, (owner[:, None], perm[rows, ::nb], shift % N), 1)
+    want = np.zeros_like(acc)
+    want[np.arange(nb), np.arange(nb) * (nb + 1), 0] = card
+    bad = np.flatnonzero(~same_values(acc, 1, want, 1, m.p, m.level)
+                         .all(axis=1))
+    record("h-beta", "h_{beta0} u = 1_{beta0,beta0} for every beta0", t0,
+           d.b_elements[bad[0]] if bad.size else None)
 
     t0 = time.perf_counter()
     g_sum = gauss_sum(m)

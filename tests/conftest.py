@@ -51,3 +51,26 @@ def cotangent_h3(q_e2=0):
     metric = MetricGroup(3, (1,) * 6, q_gens, gram, name="T*h3 pairing")
     a = Subring(ring, [ring.basis(i) for i in (3, 4, 5)])
     return VModelData(ring, a, metric, name="T*h3/Z3")
+
+
+def cyc_rank(rows):
+    """Rank over the cyclotomic field of a list of CycNumber rows, by
+    Gauss-Jordan elimination with exact inverses: the oracle for
+    cyclotomic.rank."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows))
+                    if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [v * inv for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

@@ -206,6 +206,79 @@ def test_mat_inverse_round_trip():
         mat_inverse(ModMatrix(mod, [[5, 0], [0, 1]]))
 
 
+def _gauss_jordan_inverse(m):
+    """Unit-pivot Gauss-Jordan over Z/p^k: the inverse, or None when some
+    column has no unit below the diagonal (the oracle for mat_inverse)."""
+    n, p, pk = m.nrows, m.modulus.p, m.modulus.pk
+    a = [list(r) + [int(i == j) for j in range(n)]
+         for i, r in enumerate(m.rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] % p), None)
+        if piv is None:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        inv = inv_mod(a[c][c], pk)
+        a[c] = [x * inv % pk for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % pk for x, y in zip(a[i], a[c])]
+    return ModMatrix(m.modulus, [r[n:] for r in a])
+
+
+def _invertible_mod_p(m):
+    """Elimination mod p (the oracle for ModMatrix.is_invertible)."""
+    if m.nrows != m.ncols:
+        return False
+    p, n = m.modulus.p, m.nrows
+    a = [[x % p for x in r] for r in m.rows]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] % p), None)
+        if piv is None:
+            return False
+        a[c], a[piv] = a[piv], a[c]
+        ic = inv_mod(a[c][c], p)
+        for i in range(c + 1, n):
+            f = a[i][c] * ic % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return True
+
+
+@st.composite
+def _small_matrix(draw):
+    """A matrix over Z/p^k, p^k <= 25, of up to 4 x 4; a third of the
+    square ones get a row made dependent mod p."""
+    p, k = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1),
+                                 (5, 2)]))
+    mod = Modulus(p, k)
+    n = draw(st.integers(1, 4))
+    ncols = draw(st.sampled_from([n, n, n, n + 1, max(n - 1, 1)]))
+    rows = draw(st.lists(st.lists(st.integers(0, mod.pk - 1), min_size=ncols,
+                                  max_size=ncols), min_size=n, max_size=n))
+    if n == ncols and n > 1 and draw(st.integers(0, 2)) == 0:
+        c, noise = draw(st.integers(0, mod.pk - 1)), draw(st.integers(0, 1))
+        rows[0] = [(c * y + noise * p * x) for x, y in zip(rows[0], rows[1])]
+    return ModMatrix(mod, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_matrix())
+def test_howell_inverse_matches_gauss_jordan(m):
+    assert m.is_invertible() == _invertible_mod_p(m)
+    if m.nrows != m.ncols:
+        with pytest.raises(ValueError):
+            mat_inverse(m)
+        return
+    want = _gauss_jordan_inverse(m)
+    assert m.is_invertible() == (want is not None)
+    if want is None:
+        with pytest.raises(ValueError):
+            mat_inverse(m)
+    else:
+        assert mat_inverse(m) == want
+
+
 def test_kernel_is_left_annihilator():
     mod = Modulus(3, 2)
     m = ModMatrix(mod, [[3, 0], [0, 1]])

@@ -284,16 +284,21 @@ def test_ribbon_twist_beta0_cross_check(capsys, tmp_path, monkeypatch):
 
 
 def test_ribbon_gu_support_cross_check(capsys, vmodel_file, monkeypatch):
-    vector_u = vmodel._vector_u
+    # gamma(g) for g = (1, 1) (row 4) sends the 1_{0,0} term of u to a
+    # second beta
+    gamma_arrays = vmodel._gamma_arrays
 
-    def two_betas(d):
-        u = vector_u(d)
-        u[(d.b.zero(), d.b_elements[1])] = CycNumber.one(3, 1)
-        return u
+    def moved_target(d):
+        perm, expo = gamma_arrays(d)
+        nb = len(d.b_elements)
+        perm = perm.copy()
+        perm[4, 0] = perm[4, 0] - perm[4, 0] % nb + (perm[4, 0] + 1) % nb
+        return perm, expo
 
-    monkeypatch.setattr(vmodel, "_vector_u", two_betas)
-    assert _ribbon_counterexample(capsys, vmodel_file).startswith(
-        "counterexample check=gu-support witness=")
+    monkeypatch.setattr(vmodel, "_gamma_arrays", moved_target)
+    assert _ribbon_counterexample(capsys, vmodel_file) == (
+        'counterexample check=gu-support witness="gu is not supported on '
+        'one beta for g=(1, 1)"')
 
 
 def test_ribbon_qhat_paths_cross_check(capsys, vmodel_file, monkeypatch):
@@ -345,6 +350,18 @@ def test_kernel_check_conjugation_cross_check(capsys, h3p5_file,
     _break_group_law(monkeypatch)
     _conjugation_counterexample(capsys, "kernel-check", h3p5_file,
                                 "--samples", "3")
+
+
+def test_validate_cross_check_is_a_counterexample(capsys, h3p5_file,
+                                                   monkeypatch):
+    # main maps a CrossCheckError from any subcommand to exit 1
+    def disagree(ring):
+        raise lazard.CrossCheckError("conjugation", "routes disagree")
+
+    monkeypatch.setattr(cli, "validate", disagree)
+    code, out = run(capsys, "validate", h3p5_file, "--format", "records")
+    assert (code, out) == (1, 'counterexample check=conjugation '
+                              'witness="routes disagree"\n')
 
 
 def _kernel_counterexample(capsys, path):

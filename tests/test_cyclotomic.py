@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from orbitlab.arith import QpModZp
+from conftest import cyc_rank
+from orbitlab.arith import QpModZp, is_prime
 from orbitlab.cyclotomic import (CycNumber, cyc_embed, embed_exponent,
-                                 from_rows, same_values, to_rows)
+                                 from_rows, rank, same_values, to_rows)
 
 
 def test_power_basis_length():
@@ -115,6 +116,59 @@ def test_same_values_exact_beyond_int64():
     assert hx.dtype == np.int64 and hz.dtype == object
     assert same_values(hz, dz * 2**30, hx, dx, 3, 1)[0]
     assert not same_values(hz, dz, hx, dx, 3, 1)[0]
+
+
+@st.composite
+def _root_sum_matrix(draw):
+    """(h, p, m): an (r, c, p^m) matrix whose entries are sums of +-zeta^e,
+    with some rows and then some columns replaced by zeta^a times one
+    other line plus or minus zeta^b times another."""
+    p, m = draw(st.sampled_from([(3, 1), (3, 2), (5, 1), (7, 1)]))
+    n = p**m
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    term = st.tuples(st.integers(0, n - 1), st.sampled_from([-1, 1]))
+    h = np.zeros((r, c, n), dtype=np.int64)
+    for i in range(r):
+        for j in range(c):
+            for e, sign in draw(st.lists(term, max_size=3)):
+                h[i, j, e] += sign
+    for axis, size in ((0, r), (1, c)):
+        for _ in range(draw(st.integers(0, 3)) if size > 1 else 0):
+            i = draw(st.integers(0, size - 1))
+            others = st.sampled_from([x for x in range(size) if x != i])
+            j, k = draw(others), draw(others)
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            sign = draw(st.sampled_from([-1, 1]))
+            moved = (np.roll(h.take(j, axis), a, axis=-1)
+                     + sign * np.roll(h.take(k, axis), b, axis=-1))
+            if axis == 0:
+                h[i] = moved
+            else:
+                h[:, i] = moved
+    return h, p, m
+
+
+@settings(max_examples=120, deadline=None)
+@given(_root_sum_matrix())
+def test_rank_matches_exact_elimination(case):
+    h, p, m = case
+    assert rank(h, p, m) == cyc_rank(from_rows(h, 1, p, m))
+
+
+def test_rank_tries_more_primes_when_the_first_divides_a_minor():
+    # the first prime l = 1 (mod 3) from 2^30 kills the 1 x 1 matrix (l),
+    # and the product of the first two kills (l l'); the rank is still 1
+    first = [ell for ell in range(2**30, 2**30 + 600, 3) if is_prime(ell)]
+    assert first[0] % 3 == 1
+    for value in (first[0], first[0] * first[1], first[0] * 2**70):
+        h = np.array([[[value, 0, 0]]], dtype=object)
+        assert rank(h, 3, 1) == 1
+    # 1 + zeta + zeta^2 = 0, so a row of those is rank 0; a row and its
+    # zeta-multiple are rank 1
+    assert rank(np.ones((1, 2, 3), dtype=np.int64), 3, 1) == 0
+    row = np.array([[1, -1, 0], [0, 2, 1]])
+    assert rank(np.array([row, np.roll(row, 1, axis=-1)]), 3, 1) == 1
+    assert rank(np.zeros((0, 3, 9), dtype=np.int64), 3, 2) == 0
 
 
 def test_rational_detection():

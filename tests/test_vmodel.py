@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 
-from conftest import cotangent_h3, hyperbolic_metric
+from conftest import cotangent_h3, cyc_rank, hyperbolic_metric
 from orbitlab import vmodel
 from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber
@@ -193,6 +195,81 @@ def test_action_check_catches_one_wrong_exponent():
     assert all(type(c) is int for c in e_t + h)
     assert e_t in [d.ring.basis(t) for t in range(d.ring.rank)]
     assert g in (h, exp_mul(d.ring, e_t, h))
+
+
+def _dict_u(d):
+    """u = sum_alpha 1_{alpha,0} as a dict over basis pairs."""
+    one = CycNumber.one(d.metric.p, d.metric.level)
+    return {(alpha, d.b.zero()): one for alpha in d.b_elements}
+
+
+def _dict_gu_rank(d):
+    """gu-rank on the dict path: gamma(g) u one g at a time, the rank of
+    each target coset's block by exact elimination over Q(zeta)."""
+    zero = CycNumber.zero(d.metric.p, d.metric.level)
+    u, blocks = _dict_u(d), {beta: [] for beta in d.b_elements}
+    for g in map(tuple, all_elements(d.ring).tolist()):
+        gu = gamma_act(d, g, u)
+        (beta,) = {pair[1] for pair in gu}
+        blocks[beta].append([gu.get((alpha, beta), zero)
+                             for alpha in d.b_elements])
+    return sum(cyc_rank(rows) for rows in blocks.values())
+
+
+def _dict_h_beta(d):
+    """The first beta0, on the dict path, with h_{beta0} u != 1_{beta0,
+    beta0}, or None."""
+    ring, m = d.ring, d.metric
+    zero, u = CycNumber.zero(m.p, m.level), _dict_u(d)
+    for beta0 in d.b_elements:
+        lifted, acc = d.s[beta0], {}
+        for x in d.a.elements():
+            g = ring.add(lifted, x)
+            shift = m.q_num(lifted) - m.q_num(g)
+            for pair, c in gamma_act(d, g, u).items():
+                acc[pair] = acc.get(pair, zero) + c.mul_root(shift)
+        acc = {pair: c.scale(Fraction(1, isqrt(ring.size())))
+               for pair, c in acc.items() if not c.is_zero()}
+        if acc != basis_vector(d, beta0, beta0):
+            return beta0
+    return None
+
+
+def _copy_exponent_across_coset(d, coset, alpha):
+    """Give every g whose gu lands in b_elements[coset] the first such
+    g's exponent in column (alpha, 0)."""
+    perm, expo = vmodel._gamma_arrays(d)
+    nb = len(d.b_elements)
+    rows = np.flatnonzero(perm[:, 0] % nb == coset)
+    expo[rows, alpha * nb] = expo[rows[0], alpha * nb]
+
+
+@pytest.mark.parametrize("args, seed, coset, alpha, rank, beta0", [
+    ((3, 1, 1), None, 1, 1, 8, (1,)),
+    ((3, 1, 1), 17, 0, 2, 8, (0,)),
+    ((3, 1, 1), None, 1, 2, 8, None),
+    ((3, 1, 1), None, 2, 0, 9, None),
+    ((5, 1, 1), 3, 2, 2, 24, (2,)),
+], ids=["hyp311", "hyp311s17", "hyp311-h-beta-holds", "hyp311-no-change",
+        "hyp511s3"])
+def test_gamma_mutation_gives_dict_path_witnesses(args, seed, coset, alpha,
+                                                  rank, beta0):
+    # gu-rank and h-beta read the gamma arrays; on a broken copy they must
+    # report what the dict path (gamma_act, exact Q(zeta) elimination)
+    # computes from the same arrays
+    d = build_hyperbolic(*args, section_seed=seed)
+    validate_data(d)
+    _copy_exponent_across_coset(d, coset, alpha)
+    assert (_dict_gu_rank(d), _dict_h_beta(d)) == (rank, beta0)
+    report = verify_ribbon(d)
+    status = {c["check"]: c["status"] for c in report["checks"]}
+    witness = {c["check"]: c["witness"] for c in report["counterexamples"]}
+    n = d.dim()
+    assert witness.get("gu-rank") == (
+        None if rank == n else {"rank": rank, "dim": n})
+    assert status["gu-rank"] == ("PASS" if rank == n else "FAIL")
+    assert witness.get("h-beta") == beta0
+    assert status["h-beta"] == ("PASS" if beta0 is None else "FAIL")
 
 
 def test_eta_closed_form_with_linear_section():
