@@ -172,7 +172,10 @@ class QpModZp:
     @classmethod
     def parse(cls, p: int, text: str) -> "QpModZp":
         num, _, den = text.partition("/")
-        return cls.from_fraction(p, Fraction(int(num), int(den) if den else 1))
+        den = int(den) if den else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return cls.from_fraction(p, Fraction(int(num), den))
 
 
 class ModMatrix:

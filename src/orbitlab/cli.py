@@ -106,8 +106,6 @@ def cmd_validate(args, rep):
 
 
 def cmd_bch(args, rep):
-    if args.gens != 2:
-        raise InputError("the Campbell-Hausdorff series takes two generators")
     if args.cls < 1 or args.cls > 6:
         raise InputError("--class must be between 1 and 6")
     series = bch(args.cls)
@@ -287,13 +285,10 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "records"),
                         default="human", help="report format")
-    common.add_argument("--cap", type=int, default=cap_default,
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=int, default=cap_default,
                         help=f"enumeration cap (default {cap_default}; "
                         "env ORBITLAB_CAP)")
-    common.add_argument("--samples", type=int, default=500,
-                        help="sample count for randomized checks")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks")
 
     parser = argparse.ArgumentParser(
         prog="orbitlab",
@@ -308,17 +303,19 @@ def _build_parser():
 
     p = sub.add_parser("bch", parents=[common],
                        help="Campbell-Hausdorff coefficient table")
-    p.add_argument("--gens", type=int, default=2)
     p.add_argument("--class", dest="cls", type=int, required=True)
     p.set_defaults(run=cmd_bch)
 
-    p = sub.add_parser("orbits", parents=[common], help="coadjoint census")
+    p = sub.add_parser("orbits", parents=[capped], help="coadjoint census")
     p.add_argument("file", help="ring file")
     p.set_defaults(run=cmd_orbits, check="orbits")
 
-    p = sub.add_parser("kernel-check", parents=[common],
+    p = sub.add_parser("kernel-check", parents=[capped],
                        help="kernel = stabilizer suite")
     p.add_argument("file", help="ring file")
+    p.add_argument("--samples", type=int, default=500,
+                   help="characters to sample when there are more")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(run=cmd_kernel_check, check="kernel")
 
     p = sub.add_parser("polarize", parents=[common],

@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from .arith import (Modulus, ModMatrix, howell, howell_pivots, inv_mod,
-                    mat_inverse, member, reduce_mod_span, reduce_rows,
+                    kernel, mat_inverse, member, reduce_mod_span, reduce_rows,
                     span_size)
 from .freelie import bch, exp_ad, phi_series
 
@@ -573,6 +573,17 @@ def bracket_span(a, b):
     ring = a.ring
     return Subring(ring, [ring.bracket(x, y)
                           for x in a.generators() for y in b.generators()])
+
+
+def orthogonal(ring, gram, gens):
+    """{x : x gram g = 0 for every g in gens} as a Subring: the Howell
+    kernel of the rank x |gens| matrix gram g^T, gram given by integer
+    rows mod p^k."""
+    if not gens:
+        return Subring.full(ring)
+    cols = [[sum(b * c for b, c in zip(row, g)) for g in gens]
+            for row in gram]
+    return Subring(ring, kernel(ModMatrix(ring.modulus, cols)).rows)
 
 
 def quotient_ring(ring, ideal, name=None):

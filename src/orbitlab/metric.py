@@ -11,7 +11,8 @@ and exponentiate to exact roots of unity in Q(zeta_{p^K}).  Sums of them
 over G (Gauss sums, Fourier transforms, the S/T relations) are integer
 arrays over the exponents in Z/p^K (cyclotomic's exponent format); an entry
 is zero exactly when its folded numerators are, since Phi kills exactly the
-exponent vectors constant on residue classes mod p^(K-1).
+exponent vectors constant on residue classes mod p^(K-1).  Subgroups are
+lazard.Subrings of the abelian ring (Z/p^K)^rank, x_i -> x_i p^(K - k_i).
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
 from .arith import (Modulus, ModMatrix, QpModZp, inv_mod, is_prime,
-                    kernel, span_size)
+                    kernel, reduce_rows, span_size)
 from .cyclotomic import (CycNumber, cyclic_matmul, from_rows, same_values,
                          to_rows)
-from .lazard import CrossCheckError, conjugate
+from .lazard import CrossCheckError, LieRing, Subring, all_elements, conjugate
 
 ORDER_CAP = 4096
 
@@ -282,48 +283,54 @@ def st_matrices(m):
     return from_rows(s, card, p, level), from_rows(t, 1, p, level)
 
 
-def _grow_spans(zero, candidates, add, exponent, cap):
-    """Every subgroup reached from {zero} by adjoining one element at a
-    time, breadth first, as a dict from frozenset span to the generators
-    it was first reached by; spans of size >= cap are not grown further.
-    candidates(gens) lists, in a fixed order, the elements that may be
-    adjoined to the span of gens; exponent kills every element."""
-    start = frozenset([zero])
-    seen = {start: []}
+def _grow(start, candidates, cap):
+    """Every Subring reached from start by adjoining one element at a time,
+    breadth first, keyed by Howell rows; spans of size >= cap are kept but
+    not grown.  candidates(sub) is an integer array of elements.  Rows in
+    one coset of sub, or unit multiples of each other, give one span, so
+    each is tried once: reduced against sub, scaled to a leading p^v."""
+    ring, pk = start.ring, start.ring.pk
+    # unit[v]: the inverse of v's unit part v / gcd(v, p^k)
+    unit = np.array([0] + [pow(v // gcd(v, pk), -1, pk) for v in range(1, pk)])
+    seen = {start.rows: start}
     frontier = [start]
     while frontier:
         nxt = []
-        for span in frontier:
-            if len(span) >= cap:
+        for sub in frontier:
+            if sub.size() >= cap:
                 continue
-            gens = seen[span]
-            for y in candidates(gens):
-                if y in span:
-                    continue
-                new = set(span)
-                for s in span:
-                    v = s
-                    for _ in range(1, exponent):
-                        v = add(v, y)
-                        new.add(v)
-                key = frozenset(new)
-                if key not in seen:
-                    seen[key] = gens + [y]
-                    nxt.append(key)
+            R = reduce_rows(candidates(sub), sub.rows, ring.modulus,
+                            sub.pivots)
+            R = R[R.any(axis=1)]
+            lead = unit[R[np.arange(len(R)), (R != 0).argmax(axis=1)]]
+            for y in np.unique(R * lead[:, None] % pk, axis=0).tolist():
+                new = Subring(ring, sub.rows + (tuple(y),))
+                if new.rows not in seen:
+                    seen[new.rows] = new
+                    nxt.append(new)
         frontier = nxt
-    return seen
+    return list(seen.values())
 
 
 def isotropic_subgroups(m, max_size=None):
     """All subgroups on which q vanishes identically, grown by adjoining
-    q-null elements orthogonal to the current generators."""
-    nulls = [x for x in m.elements() if m.q_num(x) == 0]
-    spans = _grow_spans(
-        tuple(0 for _ in range(m.rank)),
-        lambda gens: [y for y in nulls
-                      if not any(m.b_num(y, g) for g in gens)],
-        m.add, m.modulus, max_size or m.size())
-    return sorted(spans, key=lambda s: (len(s), sorted(s)))
+    q-null elements orthogonal to the current span's Howell rows."""
+    if not m.rank:
+        return [frozenset([()])]
+    ring = LieRing(m.p, m.level, m.rank, {})
+    w = np.array([m.p ** (m.level - k) for k in m.exponents], dtype=np.int64)
+    X = np.array([x for x in m.elements() if m.q_num(x) == 0],
+                 dtype=np.int64).reshape(-1, m.rank)
+    XB = X @ np.array(m._b, dtype=np.int64).reshape(m.rank, m.rank)
+
+    def candidates(sub):
+        rows = np.array(sub.rows, dtype=np.int64).reshape(-1, m.rank) // w
+        return X[~(XB @ rows.T % m.modulus).any(axis=1)] * w
+
+    spans = _grow(Subring.zero(ring), candidates, max_size or m.size())
+    subs = [frozenset(map(tuple, (np.array(s.elements()) // w).tolist()))
+            for s in spans]
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 def lagrangians(m):
@@ -360,10 +367,9 @@ def search_invariant_forms(ring, cap=200000):
     if total > cap:
         raise MetricError(f"{total} candidate forms exceed the cap {cap}")
 
-    conj_mats = []
-    for t in range(n):
-        cols = [conjugate(ring, ring.basis(t), ring.basis(j)) for j in range(n)]
-        conj_mats.append([[cols[j][i] for j in range(n)] for i in range(n)])
+    # column j of conj[t] is Exp(e_t) e_j Exp(e_t)^-1
+    conj = [np.array([conjugate(ring, ring.basis(t), ring.basis(j))
+                      for j in range(n)], dtype=np.int64).T for t in range(n)]
 
     ideals = _square_root_ideals(ring)
     if not ideals:
@@ -377,7 +383,9 @@ def search_invariant_forms(ring, cap=200000):
             gram[i][j] = gram[j][i] = v
         if not ModMatrix(ring.modulus, gram).is_invertible():
             continue
-        if not all(_gram_invariant(gram, c, pk) for c in conj_mats):
+        # the cap keeps n^2 p^3k, the size of c^T g c, below 2^63
+        g = np.array(gram, dtype=np.int64)
+        if any(((c.T @ g @ c - g) % pk).any() for c in conj):
             continue
         mg = MetricGroup(p, [ring.k] * n,
                          [QpModZp(p, gram[i][i] * inv2, ring.k)
@@ -390,31 +398,17 @@ def search_invariant_forms(ring, cap=200000):
     return SearchResult(found, True, total)
 
 
-def _gram_invariant(gram, conj, pk):
-    n = len(gram)
-    for i in range(n):
-        for j in range(i, n):
-            v = sum(conj[l][i] * gram[l][s] * conj[s][j]
-                    for l in range(n) for s in range(n)) % pk
-            if v != gram[i][j] % pk:
-                return False
-    return True
-
-
 def _square_root_ideals(ring):
-    """Element sets of Lie ideals a with |a|^2 = |ring|, found by closure
-    growth inside the additive group."""
+    """Member lists of Lie ideals a with |a|^2 = |ring|, grown as
+    Subrings of the ring's additive group."""
     total = ring.size()
     card = isqrt(total)
     if card * card != total:
         return []
-    elems = list(ring.elements())
-    spans = _grow_spans(ring.zero(), lambda gens: elems, ring.add, ring.pk,
-                        card)
-    basis = [ring.basis(i) for i in range(ring.rank)]
-    return sorted(sorted(span) for span in spans if len(span) == card
-                  and all(ring.bracket(b, x) in span
-                          for b in basis for x in span))
+    elems = all_elements(ring)
+    spans = _grow(Subring.zero(ring), lambda sub: elems, card)
+    return sorted(s.elements() for s in spans
+                  if s.size() == card and s.is_ideal())
 
 
 # plain-text serialization for metric-group files

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .arith import ModMatrix, howell, kernel
-from .lazard import Subring, bracket_span
+from .arith import howell
+from .lazard import Subring, bracket_span, orthogonal
 from .orbits import SkewForm, radical
 
 
@@ -27,16 +27,11 @@ def _is_subset(a, b):
 
 
 def perp(h, form):
-    """{x : B_chi(x, h) = 0}, via the kernel of the Gram-times-generators
-    matrix.  When the radical sits inside h, the cardinality identity
+    """{x : B_chi(x, h) = 0}, the orthogonal complement of h's Howell
+    rows.  When the radical sits inside h, the cardinality identity
     |perp| * |h| = |g| * |radical| is a theorem and is enforced."""
     ring = form.ring
-    gens = h.generators()
-    if not gens:
-        return Subring.full(ring)
-    cols = [[sum(form.nums[i][j] * g[j] for j in range(ring.rank)) % ring.pk
-             for g in gens] for i in range(ring.rank)]
-    out = Subring(ring, kernel(ModMatrix(ring.modulus, cols)).rows)
+    out = orthogonal(ring, form.nums, h.generators())
     rad = radical(form)
     if _is_subset(rad, h):
         if out.size() * h.size() != ring.size() * rad.size():

@@ -40,8 +40,8 @@ from .cyclotomic import (CycNumber, from_rows, rank as cyc_rank, same_values,
                          to_rows)
 from .lazard import (CrossCheckError, LieRing, Subring, all_elements,
                      batch_conjugate, batch_exp_mul, conjugate, element_index,
-                     exp_mul, parse_ring, quotient_ring, serialize_ring,
-                     series_program)
+                     exp_mul, orthogonal, parse_ring, quotient_ring,
+                     serialize_ring, series_program)
 from .metric import MetricGroup, gauss_sum, ribbon_qhat
 
 
@@ -117,16 +117,13 @@ def validate_data(d):
     if size_a * size_a != ring.size():
         raise VModelError(
             "lagrangian", f"|a|^2 = {size_a}^2 != |p| = {ring.size()}")
-    perp_count = 0
-    for x in ring.elements():
-        if all(m.b_num(x, g) == 0 for g in gens):
-            perp_count += 1
-            if not a.contains(x):
-                raise VModelError(
-                    "lagrangian", f"{x} pairs to zero with a but lies outside")
-    if perp_count != size_a:
+    # metric-shape puts B at level k, so m._b is the Gram matrix mod p^k;
+    # a is isotropic, so a <= a^perp and equal Howell rows decide a = a^perp
+    perp = orthogonal(ring, m._b, gens)
+    if perp.rows != a.rows:
+        x = next(r for r in perp.generators() if not a.contains(r))
         raise VModelError(
-            "lagrangian", f"|a^perp| = {perp_count} != |a| = {size_a}")
+            "lagrangian", f"{x} pairs to zero with a but lies outside")
     for t in range(ring.rank):
         g = ring.basis(t)
         for x in ring.elements():

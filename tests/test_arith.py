@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -25,14 +24,13 @@ from orbitlab.arith import (
 
 
 def brute_span(rows, modulus, n):
-    """All Z/p^k-combinations of the rows, as a frozenset (always holds 0)."""
+    """All Z/p^k-combinations of the rows, as a frozenset (always holds 0):
+    every coefficient tuple from np.indices times the rows, mod p^k."""
+    if not rows:
+        return frozenset([(0,) * n])
     pk = modulus.pk
-    out = {(0,) * n}
-    for coeffs in itertools.product(range(pk), repeat=len(rows)):
-        v = tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % pk
-                  for i in range(n))
-        out.add(v)
-    return frozenset(out)
+    coeffs = np.indices((pk,) * len(rows)).reshape(len(rows), -1).T
+    return frozenset(map(tuple, (coeffs @ np.array(rows) % pk).tolist()))
 
 
 def test_is_prime_small():

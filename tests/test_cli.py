@@ -1,14 +1,19 @@
+import contextlib
+import io
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitlab import cli, lazard, metric, orbits, vmodel
 from orbitlab.cyclotomic import CycNumber
-from orbitlab.lazard import catalog, serialize_ring
-from orbitlab.metric import MetricError, serialize_metric
-from orbitlab.vmodel import VModelData, build_hyperbolic, serialize_vmodel
+from orbitlab.lazard import catalog, parse_ring, serialize_ring
+from orbitlab.metric import MetricError, parse_metric, serialize_metric
+from orbitlab.vmodel import (VModelData, build_hyperbolic, parse_vmodel,
+                             serialize_vmodel)
 
-from conftest import quadratic_metric
+from conftest import hyperbolic_metric, quadratic_metric
 
 
 @pytest.fixture()
@@ -83,7 +88,10 @@ def test_bch_table_and_certificate(capsys):
 
 
 def test_bch_rejects_bad_gens(capsys):
-    assert cli.main(["bch", "--class", "3", "--gens", "3"]) == 2
+    # the series has two generators and no flag to say otherwise
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bch", "--class", "3", "--gens", "3"])
+    assert exc.value.code == 2
 
 
 def test_kernel_check_modes(capsys, h3p5_file):
@@ -178,6 +186,9 @@ def test_validate_refuses_hostile_shapes(capsys, tmp_path, field, value):
     assert "Traceback" not in err
 
 
+_HYP_VM = serialize_vmodel(build_hyperbolic(3, 1, 1))
+
+
 @pytest.mark.parametrize("command, text", [
     ("gauss", "metric m\np\ntype 1\nq 0/1\nB 0/1\nend\n"),
     ("validate", "ring r\np\nk 1\nrank 3\nend\n"),
@@ -185,11 +196,19 @@ def test_validate_refuses_hostile_shapes(capsys, tmp_path, field, value):
     # one 's' line: the cosets (0,) and (2,) have no section value
     ("ribbon", "vmodel v\nring r\np 3\nk 1\nrank 2\nclass 1\nend\na 1 0\n"
      "q 0/1 0/1\nB 0/1 1/3\nB 1/3 0/1\ns 1 -> 0 1\nend\n"),
-], ids=["metric-p", "ring-p", "ring-bracket", "vmodel-section"])
+    # a zero denominator is an input error wherever a value is read
+    ("gauss", "metric m\np 3\ntype 1\nq 1/0\nB 0/1\nend\n"),
+    ("ribbon", _HYP_VM.replace("q 0/1 0/1", "q 1/0 0/1")),
+    ("ribbon", _HYP_VM.replace("B 0/1 1/3", "B 0/1 1/0")),
+    ("polarize --chi 1/0,0,0", serialize_ring(catalog()["h3_p5"])),
+], ids=["metric-p", "ring-p", "ring-bracket", "vmodel-section",
+        "metric-q-zero-denominator", "vmodel-q-zero-denominator",
+        "vmodel-B-zero-denominator", "chi-zero-denominator"])
 def test_short_lines_are_input_errors(capsys, tmp_path, command, text):
     path = tmp_path / "short.txt"
     path.write_text(text)
-    assert cli.main([command, str(path)]) == 2
+    command, *flags = command.split()
+    assert cli.main([command, str(path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("input error:")
     assert "Traceback" not in err
@@ -505,3 +524,68 @@ def test_golden_records(capsys, golden_files, argv, code, lines):
     got = run(capsys, command, golden_files[key], "--format", "records",
               *flags)
     assert got == (code, "".join(line + "\n" for line in lines))
+
+
+# -- fuzzing: any input gives exit 0, 1 or 2, never an escaping exception -----
+
+FUZZ_SOURCES = {
+    "ring": (serialize_ring(catalog()["h3_p3"]),
+             ("validate", "orbits", "polarize")),
+    "metric": (serialize_metric(hyperbolic_metric(3, 1, 1)), ("gauss",)),
+    "vmodel": (serialize_vmodel(build_hyperbolic(3, 1, 1, section_seed=2)),
+               ("ribbon",)),
+}
+FUZZ_TOKENS = ["1/0", "-1", "99999999999999999999", "end", "->", "", "0",
+               "1", "2", "1/3", "0/1", "a", "s", "q", "B", "bracket"]
+
+
+def _mutate(text, edits):
+    """Replace, delete or insert whitespace-separated tokens; positions
+    wrap around the token count, and an insertion lands before the token."""
+    lines = [ln.split() for ln in text.splitlines()]
+    for op, pos, token in edits:
+        slots = [(i, j) for i, ln in enumerate(lines) for j in range(len(ln))]
+        if not slots:
+            break
+        i, j = slots[pos % len(slots)]
+        if op == "replace":
+            lines[i][j] = token
+        elif op == "delete":
+            del lines[i][j]
+        else:
+            lines[i].insert(j, token)
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(FUZZ_SOURCES)),
+       edits=st.lists(st.tuples(st.sampled_from(["replace", "delete",
+                                                 "insert"]),
+                                st.integers(0, 200),
+                                st.sampled_from(FUZZ_TOKENS)),
+                      min_size=1, max_size=3))
+@example(kind="metric", edits=[("replace", 8, "1/0")])  # q 1/0 0/1
+def test_mutated_inputs_exit_cleanly(tmp_path_factory, kind, edits):
+    text, commands = FUZZ_SOURCES[kind]
+    path = tmp_path_factory.mktemp("fuzz") / f"mutated.{kind}"
+    path.write_text(_mutate(text, edits))
+    for command in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path), "--format", "records"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+def test_serialize_parse_round_trip():
+    texts = [(parse_ring, serialize_ring, serialize_ring(ring))
+             for ring in catalog().values()]
+    texts += [(parse_metric, serialize_metric,
+               serialize_metric(hyperbolic_metric(3, k, r)))
+              for k, r in ((1, 1), (2, 1), (1, 2))]
+    texts += [(parse_vmodel, serialize_vmodel,
+               serialize_vmodel(build_hyperbolic(p, 1, 1, section_seed=seed)))
+              for p in (3, 5) for seed in (None, 1, 7)]
+    for parse, serialize, text in texts:
+        assert serialize(parse(text)) == text

@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -412,13 +412,103 @@ def test_isotropic_subgroups_heisenberg_plane():
 
 
 @pytest.mark.parametrize("p, r, count", [(3, 1, 2), (5, 1, 2), (7, 1, 2),
-                                         (3, 2, 8), (5, 2, 12)])
+                                         (3, 2, 8), (5, 2, 12), (3, 3, 80)])
 def test_lagrangian_count_of_hyperbolic_forms(p, r, count):
     # O+(2r, p) has prod_{i<r} (p^i + 1) maximal totally singular subspaces
     assert count == prod(p**i + 1 for i in range(r))
     lags = lagrangians(hyperbolic_metric(p, 1, r))
     assert len(lags) == count and len(set(lags)) == count
     assert all(len(lag) == p**r for lag in lags)
+
+
+# Oracles for the Subring growth: the frozenset span closure that grew
+# isotropic subgroups and square-root ideals element by element.
+
+def grow_spans(zero, candidates, add, exponent, cap):
+    """Every subgroup reached from {zero} by adjoining one element at a
+    time, breadth first, as a dict from frozenset span to the generators
+    it was first reached by; spans of size >= cap are not grown further.
+    candidates(gens) lists the elements that may be adjoined to the span
+    of gens; exponent kills every element."""
+    start = frozenset([zero])
+    seen = {start: []}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for span in frontier:
+            if len(span) >= cap:
+                continue
+            gens = seen[span]
+            for y in candidates(gens):
+                if y in span:
+                    continue
+                new = set(span)
+                for s in span:
+                    v = s
+                    for _ in range(1, exponent):
+                        v = add(v, y)
+                        new.add(v)
+                key = frozenset(new)
+                if key not in seen:
+                    seen[key] = gens + [y]
+                    nxt.append(key)
+        frontier = nxt
+    return seen
+
+
+def isotropic_oracle(m, max_size=None):
+    nulls = [x for x in m.elements() if m.q_num(x) == 0]
+    spans = grow_spans(
+        tuple(0 for _ in range(m.rank)),
+        lambda gens: [y for y in nulls
+                      if not any(m.b_num(y, g) for g in gens)],
+        m.add, m.modulus, max_size or m.size())
+    return sorted(spans, key=lambda s: (len(s), sorted(s)))
+
+
+def square_root_ideals_oracle(ring):
+    card = isqrt(ring.size())
+    if card * card != ring.size():
+        return []
+    elems = list(ring.elements())
+    spans = grow_spans(ring.zero(), lambda gens: elems, ring.add, ring.pk,
+                       card)
+    basis = [ring.basis(i) for i in range(ring.rank)]
+    return sorted(sorted(span) for span in spans if len(span) == card
+                  and all(ring.bracket(b, x) in span
+                          for b in basis for x in span))
+
+
+@pytest.mark.parametrize("m, count", [
+    *((hyperbolic_metric(p, k, r), count) for p, k, r, count in (
+        (3, 1, 1, 2), (5, 1, 1, 2), (7, 1, 1, 2), (3, 1, 2, 8), (3, 2, 1, 3),
+        (5, 1, 2, 12))),
+    # Z/9 + Z/3 + Z/3 with q = x0^2/9 + x1 x2/3: mixed levels
+    (MetricGroup(3, (2, 1, 1), ["1/9", "0/1", "0/1"],
+                 [["2/9", "0/1", "0/1"], ["0/1", "0/1", "1/3"],
+                  ["0/1", "1/3", "0/1"]]), 2),
+    # the zero form on F_3^4: every plane is a "Lagrangian"
+    (MetricGroup(3, (1,) * 4, ["0/1"] * 4, [["0/1"] * 4] * 4), 130),
+    (MetricGroup(3, (), [], []), 1),
+], ids=["hyp311", "hyp511", "hyp711", "hyp312", "hyp321", "hyp512", "mixed",
+        "zero-F3^4", "trivial"])
+def test_subring_growth_matches_frozenset_oracle(m, count):
+    want = isotropic_oracle(m)
+    assert isotropic_subgroups(m) == want
+    card = isqrt(m.size())
+    lags = lagrangians(m)
+    assert lags == [s for s in want if len(s) == card]
+    assert len(lags) == count
+
+
+@pytest.mark.parametrize("rank, brackets", [
+    (2, {}), (4, {}),
+    # h3 + a1: only 13 of the 130 planes are ideals
+    (4, {(0, 1): (0, 0, 1, 0)}),
+], ids=["abelian2", "abelian4", "h3xa1"])
+def test_square_root_ideals_match_frozenset_oracle(rank, brackets):
+    ring = LieRing(3, 1, rank, brackets)
+    assert metric._square_root_ideals(ring) == square_root_ideals_oracle(ring)
 
 
 def test_lagrangians_of_x_squared_are_absent():

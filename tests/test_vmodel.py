@@ -91,6 +91,20 @@ class TestValidateFailures:
             validate_data(d)
         assert e.value.axiom == "lagrangian"
 
+    def test_lagrangian_rejects_proper_perp(self):
+        # q = 0 on (Z/3)^2: a = <e0> is isotropic with |a|^2 = |p|, but
+        # a^perp is everything; the witness is a^perp's first Howell row
+        # outside a, which is also the first such element in order
+        ring = LieRing(3, 1, 2, {}, name="a2")
+        z = QpModZp(3, 0, 1)
+        zero_form = MetricGroup(3, (1, 1), [z, z], [[z, z], [z, z]])
+        d = VModelData(ring, Subring(ring, [(1, 0)]), zero_form)
+        with pytest.raises(VModelError) as e:
+            validate_data(d)
+        assert e.value.axiom == "lagrangian"
+        assert str(e.value) == (
+            "lagrangian: (0, 1) pairs to zero with a but lies outside")
+
     def test_invariance_rejects_non_ad_invariant_q(self):
         # q is the e1-e3 / e2-e4 pairing; conjugating e1 + e2 by Exp(e1)
         # picks up e3 and changes q by B(e1, e3) = 1/3
