@@ -12,6 +12,7 @@ from orbitlab.lazard import catalog
 from orbitlab.orbits import (
     all_characters,
     enumerate_orbits,
+    kernel_lemma_all,
     kernel_lemma_check,
     orbit_histogram,
 )
@@ -40,3 +41,10 @@ for chi in all_characters(ring):
     assert report["stabilizer_size"] == report["radical_size"]
 print(f"kernel = stabilizer for all {ring.pk ** ring.rank} characters "
       f"of {ring.name}")
+
+# every character of u4 over Z/5 at once, from the orbit labels and the
+# radicals of all skew forms; the stabilizer scan runs per orbit
+u4 = rings["u4_p5"]
+report = kernel_lemma_all(u4)
+print(f"kernel = stabilizer for all {report['characters']} characters "
+      f"of {u4.name} ({report['orbits']} orbits scanned)")

@@ -16,6 +16,7 @@ from orbitlab.orbits import (
     radical,
     stabilizer_oracle,
     kernel_lemma_check,
+    kernel_lemma_all,
 )
 from orbitlab.polarizations import Polarization, perp, heisenberg_chain, lagrangian_extend
 from orbitlab.metric import (
@@ -35,7 +36,7 @@ __all__ = [
     "hall_basis", "bch", "exp_ad", "phi_series", "lambda_series", "certify",
     "LieRing", "Subring", "exp_mul", "log_group", "conjugate", "catalog",
     "Character", "SkewForm", "coadjoint_act", "enumerate_orbits", "radical",
-    "stabilizer_oracle", "kernel_lemma_check",
+    "stabilizer_oracle", "kernel_lemma_check", "kernel_lemma_all",
     "Polarization", "perp", "heisenberg_chain", "lagrangian_extend",
     "MetricGroup", "gauss_sum", "fourier", "fourier_inverse", "ribbon_qhat",
     "st_matrices", "search_invariant_forms",

@@ -19,8 +19,8 @@ from .freelie import bch, certify, tree_degree, tree_str
 from .lazard import CrossCheckError, LazardError, parse_ring, validate
 from .metric import MetricError, gauss_sum, lagrangians, parse_metric
 from .orbits import (DUAL_CAP, CapError, Character, OrbitError, SkewForm,
-                     all_characters, dual_size, enumerate_orbits,
-                     generic_character, kernel_lemma_check, orbit_histogram,
+                     dual_size, enumerate_orbits, generic_character,
+                     kernel_lemma_all, kernel_lemma_check, orbit_histogram,
                      sample_characters)
 from .polarizations import PolarizationError, polarize
 from .vmodel import (VModelError, eta_matrix, parse_vmodel, validate_data,
@@ -149,16 +149,15 @@ def cmd_orbits(args, rep):
 def cmd_kernel_check(args, rep):
     ring = _load_ring(args.file)
     if dual_size(ring) <= args.samples:
-        chars = all_characters(ring)
-        mode = f"all {dual_size(ring)}"
+        count = kernel_lemma_all(ring, cap=args.cap)["characters"]
+        mode = f"all {count}"
     else:
-        chars = sample_characters(ring, args.samples,
-                                  random.Random(args.seed))
+        count = 0
+        for chi in sample_characters(ring, args.samples,
+                                     random.Random(args.seed)):
+            kernel_lemma_check(ring, chi, cap=args.cap)
+            count += 1
         mode = f"{args.samples} sampled (seed {args.seed})"
-    count = 0
-    for chi in chars:
-        kernel_lemma_check(ring, chi, cap=args.cap)
-        count += 1
     rep.emit("kernel",
              f"kernel = stabilizer for {count} characters of {ring.name} "
              f"({mode})",

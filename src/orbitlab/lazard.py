@@ -16,6 +16,7 @@ nonzero structure constants.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class LieRing:
     structure lists the nonzero brackets, one (i, j, ((l, c), ...)) per
     given pair i < j with c coordinate l of [e_i, e_j]; the bracket and
     the batch kernels walk it.  orbit_cache is the one per-ring cache (the
-    compiled series programs and the orbits layer's tables).
+    series programs, the orbits layer's tables, metric's unit inverses).
     """
 
     def __init__(self, p, k, rank, brackets, name="unnamed", check=True):
@@ -513,7 +514,7 @@ class Subring:
         return tuple(tuple(r) for r in self.rows)
 
     def size(self):
-        return span_size(self.rows, self.ring.modulus)
+        return math.prod(self.ring.pk // self.ring.p**v for _, v in self.pivots)
 
     def contains(self, x):
         return member(list(_vec(self.ring, x)), self.rows, self.ring.modulus,

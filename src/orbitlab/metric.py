@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -144,6 +145,16 @@ class MetricGroup:
 
     def qt(self, x):
         return CycNumber.root(self.p, self.level, self.q_num(x))
+
+    @cached_property
+    def _isotropic_data(self):
+        """For isotropic_subgroups: the ring (Z/p^L)^rank that G embeds in
+        by x_i -> x_i w_i, the weights w, the q-null X in G, and X B."""
+        w = self.p ** (self.level - np.array(self.exponents, dtype=np.int64))
+        X = np.array([x for x in self.elements() if self.q_num(x) == 0],
+                     dtype=np.int64).reshape(-1, self.rank)
+        return (LieRing(self.p, self.level, self.rank, {}), w, X,
+                X @ np.array(self._b, dtype=np.int64))
 
     def __repr__(self):
         shape = " + ".join(f"Z/{o}" for o in self.orders) or "0"
@@ -290,8 +301,11 @@ def _grow(start, candidates, cap):
     one coset of sub, or unit multiples of each other, give one span, so
     each is tried once: reduced against sub, scaled to a leading p^v."""
     ring, pk = start.ring, start.ring.pk
-    # unit[v]: the inverse of v's unit part v / gcd(v, p^k)
-    unit = np.array([0] + [pow(v // gcd(v, pk), -1, pk) for v in range(1, pk)])
+    # unit[v]: the inverse of v's unit part v / gcd(v, p^k), once per ring
+    unit = ring.orbit_cache.get("unit_inverses")
+    if unit is None:
+        unit = ring.orbit_cache["unit_inverses"] = np.array(
+            [0] + [pow(v // gcd(v, pk), -1, pk) for v in range(1, pk)])
     seen = {start.rows: start}
     frontier = [start]
     while frontier:
@@ -303,8 +317,9 @@ def _grow(start, candidates, cap):
                             sub.pivots)
             R = R[R.any(axis=1)]
             lead = unit[R[np.arange(len(R)), (R != 0).argmax(axis=1)]]
-            for y in np.unique(R * lead[:, None] % pk, axis=0).tolist():
-                new = Subring(ring, sub.rows + (tuple(y),))
+            scaled = (R * lead[:, None] % pk).tolist()
+            for y in sorted(set(map(tuple, scaled))):
+                new = Subring(ring, sub.rows + (y,))
                 if new.rows not in seen:
                     seen[new.rows] = new
                     nxt.append(new)
@@ -317,11 +332,7 @@ def isotropic_subgroups(m, max_size=None):
     q-null elements orthogonal to the current span's Howell rows."""
     if not m.rank:
         return [frozenset([()])]
-    ring = LieRing(m.p, m.level, m.rank, {})
-    w = np.array([m.p ** (m.level - k) for k in m.exponents], dtype=np.int64)
-    X = np.array([x for x in m.elements() if m.q_num(x) == 0],
-                 dtype=np.int64).reshape(-1, m.rank)
-    XB = X @ np.array(m._b, dtype=np.int64).reshape(m.rank, m.rank)
+    ring, w, X, XB = m._isotropic_data
 
     def candidates(sub):
         rows = np.array(sub.rows, dtype=np.int64).reshape(-1, m.rank) // w

@@ -4,18 +4,19 @@ A character is an additive map chi: g -> Q_p/Z_p, stored by its values on
 the basis.  Exp(g) acts by (g.chi)(y) = chi(conjugate(g^-1, y)); orbits,
 stabilizers, and the skew form B_chi(x, y) = chi([x, y]) are all computed
 exhaustively at desk scale, since the point is to verify the kernel =
-stabilizer statement rather than assume it.
+stabilizer statement rather than assume it (kernel_lemma_all: all at once).
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
 from .arith import ModMatrix, QpModZp, kernel
-from .lazard import (Subring, all_elements, batch_conjugate, conjugate,
-                     element_index)
+from .lazard import (Subring, all_elements, batch_bracket, batch_conjugate,
+                     conjugate, element_index)
 
 DUAL_CAP = 5 ** 7
 
@@ -114,10 +115,6 @@ class SkewForm:
                 for j in range(self.ring.rank)) % self.ring.pk
         return QpModZp(self.ring.p, a, self.ring.k)
 
-    def gram(self):
-        return tuple(tuple(QpModZp(self.ring.p, a, self.ring.k) for a in row)
-                     for row in self.nums)
-
 
 def radical(form):
     """{x : B_chi(x, y) = 0 for all y}, the left kernel of the Gram matrix.
@@ -142,18 +139,14 @@ def radical(form):
 class CoadjointOrbit:
     """Orbit record: lexicographically minimal representative, size, and
     the radical of B_rep standing in for the stabilizer (the exhaustive
-    oracle is separate); size * |stabilizer| = |G| is enforced here, which
-    cross-checks the two against orbit-stabilizer counting."""
+    oracle is separate), a Subring built on first access."""
 
-    def __init__(self, rep, size):
-        self.rep = rep
-        self.size = size
-        self.stabilizer = radical(SkewForm(rep))
-        order = rep.ring.size()
-        if self.size * self.stabilizer.size() != order:
-            raise OrbitError(
-                f"orbit size {self.size} times stabilizer size "
-                f"{self.stabilizer.size()} is not |G| = {order} at rep {rep}")
+    def __init__(self, rep, size, radical_rows):
+        self.rep, self.size, self._rows = rep, size, radical_rows
+
+    @cached_property
+    def stabilizer(self):
+        return Subring(self.rep.ring, self._rows)
 
     def __repr__(self):
         return f"CoadjointOrbit(rep={self.rep!r}, size={self.size})"
@@ -163,42 +156,98 @@ def dual_size(ring):
     return ring.pk ** ring.rank
 
 
-def enumerate_orbits(ring, cap=DUAL_CAP):
-    """Partition the dual space into coadjoint orbits.
+def _perms(ring):
+    """perms[t][i]: the index of Exp(e_t) acting on the i-th character."""
+    return _cached(ring, "perms", lambda ring: [
+        element_index(ring, all_elements(ring) @ np.array(m).T)
+        for m in _basis_matrices(ring)])
 
-    Breadth-first closure under the action of the basis one-parameter
-    elements Exp(e_t); these generate G, and in a finite group the
-    semigroup they generate is the full group, so no inverses are needed.
-    Seeds are scanned in lexicographic order, which makes each orbit's
-    representative the lexicographically minimal member.
-    """
+
+def _labels(ring, cap):
+    """lab[i]: the index of the least character in the orbit of the i-th.
+    Labels stay in their orbit and only fall, so the fixed point of
+    lab = min(lab, lab[perm_t]), lab = lab[lab] is constant on orbits."""
     n = dual_size(ring)
     if cap is not None and n > cap:
         raise CapError(
             f"dual space has {n} characters, above the cap {cap}; "
             f"raise the cap or use sampled checks")
-    chis = all_elements(ring)
-    # perms[t][i]: the index of Exp(e_t) acting on the i-th character
-    perms = [element_index(ring, chis @ np.array(m, dtype=np.int64).T)
-             for m in _basis_matrices(ring)]
-    visited = np.zeros(n, dtype=bool)
-    orbits = []
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        frontier = np.array([seed], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            nxt = np.unique(np.concatenate([p[frontier] for p in perms]))
-            nxt = nxt[~visited[nxt]]
-            visited[nxt] = True
-            size += int(nxt.size)
-            frontier = nxt
-        rep = Character(ring, tuple(int(c) for c in chis[seed]))
-        orbits.append(CoadjointOrbit(rep, size))
-    assert sum(o.size for o in orbits) == n
-    return orbits
+
+    def build(ring):
+        lab = np.arange(n)
+        while True:
+            old = lab
+            for perm in _perms(ring):
+                lab = np.minimum(lab, lab[perm])
+            lab = lab[lab]
+            if np.array_equal(lab, old):
+                return lab
+    return _cached(ring, "labels", build)
+
+
+def _forms(ring, chis):
+    """(m, n, n) numerators of B_chi for the rows chi of chis."""
+    table = np.array(ring.table).reshape((ring.rank,) * 3)
+    return np.einsum("ijl,cl->cij", table, chis) % ring.pk
+
+
+def _left_kernels(A, p):
+    """Left kernels over F_p of a stack A (m, n, n), from eliminating every
+    [A | I] at once.  Each pivot row clears its column from all rows, its
+    own included, so the rows left nonzero span each kernel, a basis."""
+    m, n, _ = A.shape
+    A = np.concatenate([A % p, np.tile(np.eye(n, dtype=A.dtype), (m, 1, 1))],
+                       axis=2)
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    row = np.zeros(m, dtype=np.int64)
+    for j in range(n):
+        cand = (A[:, :, j] != 0) & (np.arange(n) >= row[:, None])
+        c = np.flatnonzero(cand.any(axis=1))
+        r, top = cand[c].argmax(axis=1), row[c]
+        A[c, r], A[c, top] = A[c, top], A[c, r]
+        f = A[c, :, j] * inv[A[c, top, j]][:, None] % p
+        A[c] = (A[c] - f[:, :, None] * A[c, top][:, None, :]) % p
+        row[c] += 1
+    return A[:, :, n:]
+
+
+def _radicals(ring, chis):
+    """Rows spanning rad(B_chi), zero-padded to (m, n, n), and |rad(B_chi)|
+    for the rows chi of chis: batched with bracket closure checked in bulk
+    for k = 1, radical(SkewForm(chi)) one by one for k > 1."""
+    if ring.k > 1:
+        gens = np.zeros((len(chis),) + (ring.rank,) * 2, dtype=np.int64)
+        subs = [radical(SkewForm(Character(ring, chi))) for chi in chis]
+        for c, sub in enumerate(subs):
+            gens[c, :len(sub.rows)] = sub.rows
+        return gens, np.array([sub.size() for sub in subs], dtype=np.int64)
+    B = _forms(ring, chis)
+    gens = _left_kernels(B, ring.p)
+    for a, b in itertools.combinations(range(ring.rank), 2):
+        br = batch_bracket(ring, gens[:, a], gens[:, b])
+        for c in np.flatnonzero(np.einsum("ci,cij->cj", br, B) % ring.p)[:1]:
+            raise OrbitError(f"radical of chi = {Character(ring, chis[c])} "
+                             f"is not closed under bracket")
+    return gens, ring.p ** gens.any(axis=2).sum(axis=1)
+
+
+def enumerate_orbits(ring, cap=DUAL_CAP):
+    """Partition the dual space into coadjoint orbits: representatives
+    (lexicographically minimal) are the fixed points of the labels, which
+    the generators Exp(e_t) of G give, and size * |rad(B_rep)| = |G|
+    cross-checks the action against the linear algebra."""
+    lab = _labels(ring, cap)
+    reps = np.flatnonzero(lab == np.arange(len(lab)))
+    sizes = np.bincount(lab)[reps]
+    chis = all_elements(ring)[reps]
+    gens, rad_sizes = _radicals(ring, chis)
+    for i in np.flatnonzero(sizes * rad_sizes != ring.size())[:1]:
+        raise OrbitError(
+            f"orbit size {sizes[i]} times stabilizer size {rad_sizes[i]} "
+            f"is not |G| = {ring.size()} at rep {Character(ring, chis[i])}")
+    return [CoadjointOrbit(Character(ring, nums), size, rows)
+            for nums, size, rows in zip(chis.tolist(), sizes.tolist(),
+                                        gens.tolist())]
 
 
 def orbit_histogram(orbits):
@@ -287,11 +336,12 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
     (_group): every group element and its coadjoint matrix.  Per
     character: one (|G|, n, n) x (n,) product gives the fixed points;
     then, repeatedly, one batched membership test over the fixed points
-    not yet known to lie in the span finds the first one outside it, which
-    is adjoined.  That adjoins the same generators, in the same order, as
-    scanning the fixed points one by one, in at most rank * k rounds.  The
-    fixed set is a subgroup of Exp(g); the scan also confirms it is closed
-    under addition before packaging it as a Subring, so the return value
+    not yet known to lie in the span (in blocks that double while they
+    hold none outside) finds the first one outside it, which is adjoined.
+    That adjoins the same generators, in the same order, as scanning the
+    fixed points one by one, in at most rank * k rounds.  The fixed set is
+    a subgroup of Exp(g); the scan also confirms it is closed under
+    addition before packaging it as a Subring, so the return value
     represents the set faithfully.
     """
     ring = chi.ring
@@ -303,11 +353,12 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
     members = elems[fixed]
     gens = []
     sub = Subring(ring, gens)
-    start = 0
-    while True:
-        outside = np.flatnonzero(~sub.contains_rows(members[start:]))
-        if not outside.size:
-            break
+    start, block = 0, 64
+    while start < len(members):
+        outside = np.flatnonzero(~sub.contains_rows(members[start:][:block]))
+        if not outside.size:  # spans only grow: these stay inside
+            start, block = start + block, 2 * block
+            continue
         start += int(outside[0])
         gens.append(tuple(members[start].tolist()))
         sub = Subring(ring, gens)
@@ -319,53 +370,51 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
     return sub
 
 
-def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
-    """The two-sided verification that the stabilizer is the radical.
-
-    Asserts stabilizer_oracle(chi) and radical(B_chi) coincide as
-    canonical subgroups, then spot-checks the perpendicularity statement:
-    for subalgebras a with [b, a] <= a, chi and b.chi agree on a exactly
-    when B_chi(b, a) = 0.  Here b runs over the basis, plus two random
-    elements drawn from rng when it is given, and a over the coordinate
-    subalgebras.
-
-    Once per ring (in ring.orbit_cache): the coordinate subalgebras, which
-    of them each e_t stabilizes, and the coadjoint matrix of each
-    Exp(e_t).  Per character: B_chi, its radical, the stabilizer scan,
-    b.chi for each b, and for random b its coadjoint matrix and stable
-    subalgebras.  Values are compared as numerators at level k, which is
-    QpModZp equality.  Returns a report dict; any failure raises with the
-    witness.
-    """
-    form = SkewForm(chi)
-    rad = radical(form)
-    stab = stabilizer_oracle(chi, cap=cap)
+def _same_subgroup(chi, rad, stab):
     if rad.rows != stab.rows:
         raise OrbitError(
             f"stabilizer differs from radical at chi = {chi}: "
             f"radical rows {rad.rows}, stabilizer rows {stab.rows}")
-    pk, nums = ring.pk, chi.nums
-    cases = [(ring.basis(t), _act(m, nums, pk), stable)
+
+
+def _perp_cases(ring, b, chis, moved, pairing, stable):
+    """On each coordinate subalgebra a in stable ([b, a] <= a), chi and
+    moved = b.chi agree exactly when pairing = B_chi(b, .) vanishes on a,
+    for each row chi of chis.  Returns the number of cases."""
+    S = _cached(ring, ("masks", tuple(stable)), lambda ring: np.array(
+        [[i in a for i in range(ring.rank)] for a in stable],
+        dtype=np.int64).reshape(-1, ring.rank))
+    agree = (moved != chis) @ S.T == 0
+    perp = (pairing != 0) @ S.T == 0
+    for c, r in np.argwhere(agree != perp)[:1]:
+        raise OrbitError(
+            f"perpendicularity violated at chi = {Character(ring, chis[c])}, "
+            f"b = {b}, subalgebra on coordinates {list(stable[r])}: "
+            f"agree = {agree[c, r]}, perpendicular = {perp[c, r]}")
+    return agree.size
+
+
+def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
+    """The two-sided verification that the stabilizer is the radical, for
+    one character: stabilizer_oracle(chi) and radical(B_chi) coincide as
+    canonical subgroups, and the perpendicularity cases hold with b over
+    the basis, plus two random elements drawn from rng when it is given.
+    Returns a report dict; any failure raises with the witness."""
+    form = SkewForm(chi)
+    rad = radical(form)
+    stab = stabilizer_oracle(chi, cap=cap)
+    _same_subgroup(chi, rad, stab)
+    cases = [(ring.basis(t), _act(m, chi.nums, ring.pk), stable)
              for t, (m, stable) in enumerate(zip(_basis_matrices(ring),
                                                  _basis_stable(ring)))]
     if rng is not None:
         for b in [ring.random_element(rng) for _ in range(2)]:
             cases.append((b, coadjoint_act(b, chi).nums,
                           _stable_subalgebras(ring, b)))
-    tested = 0
-    for b, moved, stable in cases:
-        # numerators of B_chi(b, e_i)
-        pairing = [sum(x * row[i] for x, row in zip(b, form.nums)) % pk
-                   for i in range(ring.rank)]
-        for subset in stable:
-            agree = all(moved[i] == nums[i] for i in subset)
-            perp = all(pairing[i] == 0 for i in subset)
-            if agree != perp:
-                raise OrbitError(
-                    f"perpendicularity violated at chi = {chi}, b = {b}, "
-                    f"subalgebra on coordinates {list(subset)}: "
-                    f"agree = {agree}, perpendicular = {perp}")
-            tested += 1
+    chis, B = np.array([chi.nums]), np.array([form.nums])
+    tested = sum(_perp_cases(ring, b, chis, np.array([moved]),
+                             np.einsum("i,cij->cj", b, B) % ring.pk, stable)
+                 for b, moved, stable in cases)
     return {
         "chi": chi.nums,
         "stabilizer_size": stab.size(),
@@ -373,6 +422,41 @@ def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
         "equal": True,
         "perp_cases": tested,
     }
+
+
+def kernel_lemma_all(ring, cap=DUAL_CAP):
+    """kernel = stabilizer for every character with no scan each:
+    |rad(chi)| = |G| / |orbit(chi)|, each row spanning rad(chi) fixes chi
+    (those rows generate Exp(rad), rad being a Lie subring, so with equal
+    orders it is the stabilizer), and the perpendicularity cases over the
+    basis.  stabilizer_oracle runs on each orbit representative."""
+    _, tensor = _group(ring, cap)
+    lab = _labels(ring, cap)
+    chis = all_elements(ring)
+    gens, sizes = _radicals(ring, chis)
+    orbit = np.bincount(lab)[lab]
+    for c in np.flatnonzero(sizes * orbit != ring.size())[:1]:
+        raise OrbitError(
+            f"radical of chi = {Character(ring, chis[c])} has {sizes[c]} "
+            f"elements, its orbit {orbit[c]} of |G| = {ring.size()}")
+    for s in range(ring.rank):
+        moved = np.einsum("cij,cj->ci", tensor[element_index(
+            ring, gens[:, s])], chis) % ring.pk
+        for c in np.flatnonzero((moved != chis).any(axis=1))[:1]:
+            raise OrbitError(
+                f"radical row {tuple(gens[c, s].tolist())} does not fix "
+                f"chi = {Character(ring, chis[c])}: it moves it to "
+                f"{Character(ring, moved[c])}")
+    B, stables = _forms(ring, chis), _basis_stable(ring)
+    tested = sum(_perp_cases(ring, ring.basis(t), chis, chis[perm], B[:, t],
+                             stables[t]) for t, perm in enumerate(_perms(ring)))
+    reps = np.flatnonzero(lab == np.arange(len(lab))).tolist()
+    for c in reps:
+        chi = Character(ring, chis[c])
+        _same_subgroup(chi, Subring(ring, gens[c].tolist()),
+                       stabilizer_oracle(chi, cap=cap))
+    return {"characters": len(chis), "orbits": len(reps),
+            "perp_cases": tested}
 
 
 def generic_character(ring):

@@ -37,6 +37,7 @@ from orbitlab.orbits import (
     all_characters,
     enumerate_orbits,
     generic_character,
+    kernel_lemma_all,
     kernel_lemma_check,
     orbit_histogram,
     sample_characters,
@@ -127,6 +128,12 @@ def test_criterion_04_kernel_equals_stabilizer():
             assert report["equal"]
             sampled += 1
         assert sampled >= 500
+        # every character, from the orbit labels and batched radicals
+        for ring, orbit_count in ((u4, 265), (h3, 29),
+                                  (rings["h3_z9"], 105)):
+            report = kernel_lemma_all(ring)
+            assert report["characters"] == ring.size()
+            assert report["orbits"] == orbit_count
 
 
 def test_criterion_05_orbit_census():

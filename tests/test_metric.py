@@ -511,6 +511,29 @@ def test_square_root_ideals_match_frozenset_oracle(rank, brackets):
     assert metric._square_root_ideals(ring) == square_root_ideals_oracle(ring)
 
 
+def gaussian_binomial(n, k, q):
+    """[n, k]_q, the number of k-dimensional subspaces of F_q^n."""
+    return (prod(q**(n - i) - 1 for i in range(k))
+            // prod(q**(i + 1) - 1 for i in range(k)))
+
+
+@pytest.mark.parametrize("n, count", [(2, 4), (4, 130)])
+def test_lagrangians_of_zero_forms_are_gaussian_binomials(n, count):
+    # q = B = 0 on F_3^n: every subspace of half the dimension qualifies
+    assert gaussian_binomial(n, n // 2, 3) == count
+    m = MetricGroup(3, (1,) * n, ["0/1"] * n, [["0/1"] * n] * n)
+    lags = lagrangians(m)
+    assert len(lags) == len(set(lags)) == count
+    assert all(len(lag) == 3 ** (n // 2) for lag in lags)
+
+
+def test_isotropic_data_is_built_once(monkeypatch):
+    m = hyperbolic_metric(3, 1, 1)
+    first = lagrangians(m)
+    monkeypatch.setattr(metric, "LieRing", None)
+    assert lagrangians(m) == first
+
+
 def test_lagrangians_of_x_squared_are_absent():
     assert lagrangians(quadratic_metric(3)) == []
 

@@ -1,12 +1,16 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from orbitlab.arith import QpModZp
-from orbitlab import orbits
-from orbitlab.lazard import LieRing, Subring, exp_mul
+from orbitlab.arith import Modulus, ModMatrix, QpModZp, howell, kernel
+from orbitlab import cli, orbits
+from orbitlab.lazard import (LieRing, Subring, all_elements, element_index,
+                             exp_mul, serialize_ring)
+from orbitlab.lazard import catalog as lazard_catalog
 from orbitlab.orbits import (
     CapError,
     Character,
@@ -18,6 +22,7 @@ from orbitlab.orbits import (
     dual_size,
     enumerate_orbits,
     generic_character,
+    kernel_lemma_all,
     kernel_lemma_check,
     orbit_histogram,
     radical,
@@ -233,3 +238,162 @@ def test_perpendicularity_witness_prints_plain_ints(monkeypatch, random_b):
                               "Character(0/1, 0/1, 1/5), b = (")
     assert message.endswith("agree = True, perpendicular = False")
     assert "np." not in message and "int64" not in message
+
+
+# -- census from orbit labels and batched radicals ----------------------------
+
+def class2_ring(name, p, dv, dz, seed):
+    """g = V + Z with random brackets V x V -> Z central (Jacobi holds by
+    construction), redrawn until [V, V] spans Z."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(dv) for j in range(i + 1, dv)]
+    while True:
+        brackets = {pair: (0,) * dv + tuple(rng.randrange(p)
+                                            for _ in range(dz))
+                    for pair in pairs}
+        ring = LieRing(p, 1, dv + dz, brackets, name=name)
+        derived = Subring(ring, list(brackets.values()))
+        if derived.size() == p ** dz:
+            return ring
+
+
+CENSUS_RINGS = sorted(name for name, ring in lazard_catalog().items()
+                      if dual_size(ring) <= 5 ** 5)
+CLASS2_SHAPES = [("c2_h5_p5", 5, 4, 1), ("c2_v3z2_p7", 7, 3, 2),
+                 ("c2_v3z1_p5", 5, 3, 1)]
+
+
+def bfs_census(ring):
+    """(representative, size) per orbit by breadth-first closure
+    from seeds in lexicographic order, under the generator matrices of
+    coadjoint_matrix(e_t): the lexicographically first seed of an orbit
+    is its minimal member."""
+    chis = all_elements(ring)
+    perms = [element_index(ring, chis @ np.array(
+        orbits.coadjoint_matrix(ring, ring.basis(t))).T)
+        for t in range(ring.rank)]
+    visited = np.zeros(len(chis), dtype=bool)
+    out = []
+    for seed in range(len(chis)):
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        frontier, size = np.array([seed]), 1
+        while frontier.size:
+            nxt = np.unique(np.concatenate([p[frontier] for p in perms]))
+            nxt = nxt[~visited[nxt]]
+            visited[nxt] = True
+            size += nxt.size
+            frontier = nxt
+        out.append((tuple(chis[seed].tolist()), size))
+    return out
+
+
+@pytest.mark.parametrize("source", CENSUS_RINGS + CLASS2_SHAPES,
+                         ids=lambda s: s if isinstance(s, str) else s[0])
+def test_census_matches_bfs_and_radicals(source):
+    # fresh rings: the census fills the per-ring cache
+    ring = (lazard_catalog()[source] if isinstance(source, str)
+            else class2_ring(*source, seed=11))
+    found = enumerate_orbits(ring)
+    assert [(o.rep.nums, o.size) for o in found] == bfs_census(ring)
+    for o in found:
+        assert o.stabilizer.rows == radical(SkewForm(o.rep)).rows
+        assert o.size * o.stabilizer.size() == ring.size()
+
+
+def test_swapped_generator_entry_names_the_representative():
+    # h3 over F_3: (1, 0, 0) is fixed, (0, 0, 1) has an orbit of 9; send
+    # the first into the second orbit and the merged orbit breaks
+    # orbit-stabilizer counting at its minimum (0, 0, 1)
+    ring = lazard_catalog()["h3_p3"]
+    perm = orbits._perms(ring)[0]
+    i, j = element_index(ring, [(1, 0, 0), (0, 0, 1)]).tolist()
+    perm[i], perm[j] = perm[j], perm[i]
+    with pytest.raises(OrbitError) as err:
+        enumerate_orbits(ring)
+    assert str(err.value) == (
+        "orbit size 10 times stabilizer size 3 is not |G| = 27 at rep "
+        "Character(0/1, 0/1, 1/3)")
+
+
+def test_left_kernels_match_howell_kernel():
+    rng = np.random.default_rng(3)
+    for p, n in ((3, 4), (5, 6), (7, 3)):
+        A = rng.integers(0, p, size=(200, n, n))
+        A[::3, 0] = 0   # rank drops
+        A[::5] = 0
+        V = orbits._left_kernels(A, p)
+        mod = Modulus(p, 1)
+        for a, v in zip(A, V):
+            assert not (v @ a % p).any()
+            rows = kernel(ModMatrix(mod, a.tolist())).rows
+            assert Subring(LieRing(p, 1, n, {}), v.tolist()).rows == howell(
+                rows, mod)
+
+
+# -- kernel = stabilizer for every character ----------------------------------
+
+@pytest.mark.parametrize("name", ["h3_p5", "h3_z9", "h3xa1_p3"])
+def test_all_characters_match_per_character_checks(rings, name):
+    ring = rings[name]
+    report = kernel_lemma_all(ring)
+    cases = 0
+    for chi in all_characters(ring):
+        cases += kernel_lemma_check(ring, chi)["perp_cases"]
+    assert report == {"characters": dual_size(ring),
+                      "orbits": len(enumerate_orbits(ring)),
+                      "perp_cases": cases}
+
+
+def test_all_mode_scans_each_representative_once(tmp_path, capsys,
+                                                 monkeypatch):
+    calls = []
+    scan = orbits.stabilizer_oracle
+    monkeypatch.setattr(orbits, "stabilizer_oracle",
+                        lambda chi, cap=orbits.DUAL_CAP:
+                            calls.append(chi) or scan(chi, cap=cap))
+    path = tmp_path / "u4_p5.ring"
+    path.write_text(serialize_ring(lazard_catalog()["u4_p5"]))
+    t0 = time.process_time()
+    code = cli.main(["kernel-check", str(path), "--samples", "15625",
+                     "--format", "records"])
+    elapsed = time.process_time() - t0
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "kernel ring=u4_p5 characters=15625 mode=all seed=0\n")
+    assert len(calls) == 265
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("corrupt, witness", [
+    # e12 lies outside the radical of u4's generic character (it pairs
+    # with e24 to chi(e14) != 0), so it moves the character
+    ("row", "radical row (1, 0, 0, 0, 0, 0) does not fix chi = "
+            "Character(0/1, 0/1, 0/1, 0/1, 0/1, 1/5): it moves it to "),
+    ("size", "radical of chi = Character(0/1, 0/1, 0/1, 0/1, 0/1, 1/5) "
+             "has 125 elements, its orbit 625 of |G| = 15625"),
+])
+def test_corrupted_radical_is_a_witness(monkeypatch, corrupt, witness):
+    ring = lazard_catalog()["u4_p5"]
+    c = int(element_index(ring, [generic_character(ring).nums])[0])
+    batched = orbits._radicals
+
+    def corrupted(ring, chis):
+        gens, sizes = batched(ring, chis)
+        if corrupt == "row":
+            gens[c, np.flatnonzero(gens[c].any(axis=1))[0]] = ring.basis(0)
+        else:
+            sizes[c] *= 5
+        return gens, sizes
+    monkeypatch.setattr(orbits, "_radicals", corrupted)
+    with pytest.raises(OrbitError) as err:
+        kernel_lemma_all(ring)
+    message = str(err.value)
+    assert message.startswith(witness)
+    assert "np." not in message and "int64" not in message
+
+
+def test_all_mode_cap_is_checked_first(rings):
+    with pytest.raises(CapError, match="exhaustive-scan cap 10"):
+        kernel_lemma_all(rings["h3_p3"], cap=10)
