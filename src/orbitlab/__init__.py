@@ -4,8 +4,8 @@ Everything here computes over Z/p^k, Q_p/Z_p, or a cyclotomic field with
 exact rational coefficients; no floating point enters any verification path.
 """
 
-from orbitlab.arith import Modulus, ModMatrix, QpModZp, howell_form, kernel
-from orbitlab.cyclotomic import CycNumber, cyc_embed
+from orbitlab.arith import Modulus, ModMatrix, QpModZp, kernel
+from orbitlab.cyclotomic import CycNumber
 from orbitlab.freelie import hall_basis, bch, exp_ad, phi_series, lambda_series, certify
 from orbitlab.lazard import LieRing, Subring, exp_mul, log_group, conjugate, catalog
 from orbitlab.orbits import (
@@ -26,19 +26,16 @@ from orbitlab.metric import (
     fourier_inverse,
     ribbon_qhat,
     st_matrices,
-    search_invariant_forms,
 )
-from orbitlab.vmodel import VModelData, validate_data, gamma_act, eta, verify_ribbon
+from orbitlab.vmodel import VModelData, validate_data, verify_ribbon
 
 __all__ = [
-    "Modulus", "ModMatrix", "QpModZp", "howell_form", "kernel",
-    "CycNumber", "cyc_embed",
+    "Modulus", "ModMatrix", "QpModZp", "kernel", "CycNumber",
     "hall_basis", "bch", "exp_ad", "phi_series", "lambda_series", "certify",
     "LieRing", "Subring", "exp_mul", "log_group", "conjugate", "catalog",
     "Character", "SkewForm", "coadjoint_act", "enumerate_orbits", "radical",
     "stabilizer_oracle", "kernel_lemma_check", "kernel_lemma_all",
     "Polarization", "perp", "heisenberg_chain", "lagrangian_extend",
     "MetricGroup", "gauss_sum", "fourier", "fourier_inverse", "ribbon_qhat",
-    "st_matrices", "search_invariant_forms",
-    "VModelData", "validate_data", "gamma_act", "eta", "verify_ribbon",
+    "st_matrices", "VModelData", "validate_data", "verify_ribbon",
 ]

@@ -4,7 +4,7 @@ linear algebra over Z/p^k.
 All verification-grade computations reduce to integer arithmetic here; the
 Howell normal form is the canonical representative of a row span, so subgroup
 equality, membership, kernels, inverses and ranks (over F_l when k = 1) are
-all read off one elimination, _howell_engine.
+all read off one elimination, howell.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "Modulus",
     "QpModZp",
     "ModMatrix",
-    "howell_form",
     "howell",
     "howell_pivots",
     "kernel",
@@ -233,23 +232,23 @@ class ModMatrix:
         return f"ModMatrix({self.modulus!r}, {list(map(list, self.rows))})"
 
 
-def _howell_engine(rows, p, k, ncols, transform):
-    """Row-reduce to Howell form over Z/p^k.
+def howell(rows: Sequence[Sequence[int]], modulus: Modulus):
+    """Canonical Howell rows (nonzero only) of the span of `rows`.
 
-    Works in place on a padded copy (ncols spare zero rows absorb annihilator
-    rows as invertible 'add to zero row' operations). Returns (matrix, T)
-    where T is the composed elementary transform when requested.
+    Row-reduces a padded copy in place: ncols spare zero rows absorb
+    annihilator rows as invertible 'add to zero row' operations.
     """
-    pk = p**k
-    a = [list(r) for r in rows] + [[0] * ncols for _ in range(ncols)]
+    p, k, pk = modulus.p, modulus.k, modulus.pk
+    rows = [[x % pk for x in r] for r in rows]
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    a = rows + [[0] * ncols for _ in range(ncols)]
     n = len(a)
-    t = [[int(i == j) for j in range(n)] for i in range(n)] if transform else None
     spare_used = 0
 
     def addmul(dst, src, c):
         a[dst] = [(x + c * y) % pk for x, y in zip(a[dst], a[src])]
-        if t is not None:
-            t[dst] = [(x + c * y) % pk for x, y in zip(t[dst], t[src])]
 
     r = 0
     for col in range(ncols):
@@ -266,12 +265,8 @@ def _howell_engine(rows, p, k, ncols, transform):
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            if t is not None:
-                t[r], t[piv] = t[piv], t[r]
         u = inv_mod(a[r][col] // p**pv, pk)
         a[r] = [x * u % pk for x in a[r]]
-        if t is not None:
-            t[r] = [x * u % pk for x in t[r]]
         step = p**pv
         for i in range(r + 1, n):
             if a[i][col]:
@@ -286,31 +281,10 @@ def _howell_engine(rows, p, k, ncols, transform):
             # keep the fresh annihilator row inside the active region
             if z != r + 1:
                 a[r + 1], a[z] = a[z], a[r + 1]
-                if t is not None:
-                    t[r + 1], t[z] = t[z], t[r + 1]
         r += 1
         if r >= n:
             break
-    return a, t
-
-
-def howell(rows: Sequence[Sequence[int]], modulus: Modulus):
-    """Canonical Howell rows (nonzero only) of the span of `rows`."""
-    rows = [tuple(x % modulus.pk for x in r) for r in rows]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    a, _ = _howell_engine(rows, modulus.p, modulus.k, ncols, transform=False)
     return tuple(tuple(r) for r in a if any(r))
-
-
-def howell_form(m: ModMatrix):
-    """Full Howell form with certificate: returns (H, U) with U invertible and
-    U * pad(m) = H, where pad(m) appends ncols zero rows (room for annihilator
-    rows). The nonzero rows of H are the canonical Howell basis of rowspan(m).
-    """
-    a, t = _howell_engine(m.rows, m.modulus.p, m.modulus.k, m.ncols, transform=True)
-    return ModMatrix(m.modulus, a), ModMatrix(m.modulus, t)
 
 
 def howell_pivots(hrows, p):

@@ -11,7 +11,6 @@ order and no timing fields, so fixed seeds give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
@@ -147,6 +146,8 @@ def cmd_orbits(args, rep):
 
 
 def cmd_kernel_check(args, rep):
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, not {args.samples}")
     ring = _load_ring(args.file)
     if dual_size(ring) <= args.samples:
         count = kernel_lemma_all(ring, cap=args.cap)["characters"]
@@ -278,16 +279,12 @@ def cmd_ribbon(args, rep):
 # -- argument plumbing ---------------------------------------------------------
 
 def _build_parser():
-    cap_default = os.environ.get("ORBITLAB_CAP")
-    cap_default = int(cap_default) if cap_default else DUAL_CAP
-
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "records"),
                         default="human", help="report format")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=int, default=cap_default,
-                        help=f"enumeration cap (default {cap_default}; "
-                        "env ORBITLAB_CAP)")
+    capped.add_argument("--cap", type=int, default=DUAL_CAP,
+                        help=f"enumeration cap (default {DUAL_CAP})")
 
     parser = argparse.ArgumentParser(
         prog="orbitlab",
@@ -347,8 +344,7 @@ def main(argv=None):
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except CapError as e:
-        print(f"cap exceeded: {e}; raise --cap or ORBITLAB_CAP",
-              file=sys.stderr)
+        print(f"cap exceeded: {e}; raise --cap", file=sys.stderr)
         return 2
     except CrossCheckError as e:
         return _counterexample(rep, e.check, e)

@@ -6,6 +6,8 @@ element is a tuple of Python-int numerators over one positive int
 denominator, always in lowest terms (gcd of the denominator and every
 numerator is 1, zero is 0/1), so equality and hashing are exact tuple
 comparisons and every identity checked against these numbers is exact.
+The embedding psi of Q_p/Z_p sends a/p^l to CycNumber.root(p, M,
+a * p^(M-l)); MetricGroup.qt forms that exponent itself.
 
 Each conductor p^M gets one context, built on first use: the sizes, the
 power-basis numerators of zeta^e for 0 <= e < n, and the index tables of
@@ -38,10 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from orbitlab.arith import Modulus, QpModZp, howell, is_prime
+from orbitlab.arith import Modulus, howell, is_prime
 
-__all__ = ["CycNumber", "cyc_embed", "embed_exponent", "to_rows", "from_rows",
-           "same_values", "cyclic_matmul", "rank"]
+__all__ = ["CycNumber", "to_rows", "from_rows", "same_values",
+           "cyclic_matmul", "rank"]
 
 # int64 holds every intermediate while the computed bound stays below this
 _INT64_BOUND = 2**62
@@ -299,22 +301,6 @@ class CycNumber:
 
     def serialize(self) -> str:
         return f"{self._ctx.n}:" + ",".join(str(c) for c in self.coeffs)
-
-
-def cyc_embed(v: QpModZp, p: int, m: int) -> CycNumber:
-    """The embedding psi: a/p^l in Q_p/Z_p -> zeta_{p^M}^(a*p^(M-l))."""
-    if v.p != p:
-        raise ValueError("prime mismatch")
-    if v.level > m:
-        raise ValueError(f"level {v.level} exceeds conductor exponent {m}")
-    return CycNumber.root(p, m, v.numerator * p ** (m - v.level))
-
-
-def embed_exponent(v: QpModZp, m: int) -> int:
-    """Exponent e with psi(v) = zeta^e; the fast scalar for monomial maps."""
-    if v.level > m:
-        raise ValueError(f"level {v.level} exceeds conductor exponent {m}")
-    return v.numerator * v.p ** (m - v.level) % v.p**m
 
 
 def _absmax(h) -> int:

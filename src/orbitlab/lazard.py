@@ -640,7 +640,6 @@ def _entries(p, k=1):
         pairs.append((f"abelian{r}", (r, {})))
     pairs.append(("h3", (3, {(0, 1): (0, 0, 1)})))
     pairs.append(("h3xa1", (4, {(0, 1): (0, 0, 1, 0)})))
-    pairs.append(("u3", (3, {(0, 1): (0, 0, 1)})))
     if p > 3:
         # strictly upper triangular 4x4: basis e12, e23, e34, e13, e24, e14
         pairs.append(("u4", (6, {

@@ -18,18 +18,17 @@ lazard.Subrings of the abelian ring (Z/p^K)^rank, x_i -> x_i p^(K - k_i).
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import (Modulus, ModMatrix, QpModZp, inv_mod, is_prime,
-                    kernel, reduce_rows, span_size)
+from .arith import (Modulus, ModMatrix, QpModZp, is_prime, kernel,
+                    reduce_rows, span_size)
 from .cyclotomic import (CycNumber, cyclic_matmul, from_rows, same_values,
                          to_rows)
-from .lazard import CrossCheckError, LieRing, Subring, all_elements, conjugate
+from .lazard import CrossCheckError, LieRing, Subring
 
 ORDER_CAP = 4096
 
@@ -353,73 +352,6 @@ def lagrangians(m):
         return []
     return [s for s in isotropic_subgroups(m, max_size=card)
             if len(s) == card]
-
-
-SearchResult = namedtuple("SearchResult", ["forms", "complete", "candidates"])
-
-
-def search_invariant_forms(ring, cap=200000):
-    """Conjugation-invariant nondegenerate forms on a Lie ring's additive
-    group that vanish on some Lagrangian ideal.
-
-    Enumerates symmetric Gram matrices at level k (the diagonal determines
-    q since p is odd); a candidate survives when the Gram is invertible
-    mod p, invariant under Ad(Exp(e_t)) for every basis generator, and
-    kills a Lie ideal of square-root order.  Survivors are rebuilt with
-    the constructor's certificate.  complete=True means the whole candidate
-    space was scanned.
-    """
-    if ring.size() > ring.p ** 4:
-        raise MetricError(
-            f"|p| = {ring.size()} exceeds the search cap {ring.p ** 4}")
-    n, pk, p = ring.rank, ring.pk, ring.p
-    entries = n * (n + 1) // 2
-    total = pk ** entries
-    if total > cap:
-        raise MetricError(f"{total} candidate forms exceed the cap {cap}")
-
-    # column j of conj[t] is Exp(e_t) e_j Exp(e_t)^-1
-    conj = [np.array([conjugate(ring, ring.basis(t), ring.basis(j))
-                      for j in range(n)], dtype=np.int64).T for t in range(n)]
-
-    ideals = _square_root_ideals(ring)
-    if not ideals:
-        return SearchResult([], True, total)
-    inv2 = inv_mod(2, pk)
-    found = []
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    for combo in itertools.product(range(pk), repeat=entries):
-        gram = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(pairs, combo):
-            gram[i][j] = gram[j][i] = v
-        if not ModMatrix(ring.modulus, gram).is_invertible():
-            continue
-        # the cap keeps n^2 p^3k, the size of c^T g c, below 2^63
-        g = np.array(gram, dtype=np.int64)
-        if any(((c.T @ g @ c - g) % pk).any() for c in conj):
-            continue
-        mg = MetricGroup(p, [ring.k] * n,
-                         [QpModZp(p, gram[i][i] * inv2, ring.k)
-                          for i in range(n)],
-                         [[QpModZp(p, v, ring.k) for v in row] for row in gram],
-                         name=f"invariant on {ring.name}")
-        if mg.nondegenerate and any(all(mg.q_num(x) == 0 for x in members)
-                                    for members in ideals):
-            found.append(mg)
-    return SearchResult(found, True, total)
-
-
-def _square_root_ideals(ring):
-    """Member lists of Lie ideals a with |a|^2 = |ring|, grown as
-    Subrings of the ring's additive group."""
-    total = ring.size()
-    card = isqrt(total)
-    if card * card != total:
-        return []
-    elems = all_elements(ring)
-    spans = _grow(Subring.zero(ring), lambda sub: elems, card)
-    return sorted(s.elements() for s in spans
-                  if s.size() == card and s.is_ideal())
 
 
 # plain-text serialization for metric-group files

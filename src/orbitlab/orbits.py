@@ -170,8 +170,7 @@ def _labels(ring, cap):
     n = dual_size(ring)
     if cap is not None and n > cap:
         raise CapError(
-            f"dual space has {n} characters, above the cap {cap}; "
-            f"raise the cap or use sampled checks")
+            f"dual space has {n} characters, above the cap {cap}")
 
     def build(ring):
         lab = np.arange(n)

@@ -218,13 +218,6 @@ def _gamma_arrays(d):
     return d._gamma
 
 
-def _gamma_op(d, g):
-    """gamma(Exp(g)) as one row of each array, in Python ints."""
-    perm, expo = _gamma_arrays(d)
-    r = element_index(d.ring, [g])[0]
-    return perm[r].tolist(), expo[r].tolist()
-
-
 def _eta_monomial(d):
     ring, m = d.ring, d.metric
     perm = [0] * d.dim()
@@ -250,49 +243,17 @@ def _eta_monomial(d):
     return tuple(perm), tuple(expo)
 
 
-def _apply_monomial(d, op, v):
-    perm, expo = op
-    out = {}
-    for pair, c in v.items():
-        i = d.index[pair]
-        target = d.pairs[perm[i]]
-        add = c.mul_root(expo[i])
-        got = out.get(target)
-        out[target] = add if got is None else got + add
-    return {pair: c for pair, c in out.items() if not c.is_zero()}
-
-
-def basis_vector(d, alpha, beta):
-    return {(alpha, beta): CycNumber.one(d.metric.p, d.metric.level)}
-
-
-def gamma_act(d, g, v):
-    """Action of Exp(g) on a vector (dict over basis pairs)."""
+def eta_matrix(d):
+    """Dense column-convention matrix of the twist: column i holds the
+    image of basis vector i."""
     _require_valid(d)
-    return _apply_monomial(d, _gamma_op(d, g), v)
-
-
-def eta(d, v):
-    """The twist applied to a vector."""
-    _require_valid(d)
-    return _apply_monomial(d, _eta_monomial(d), v)
-
-
-def _monomial_rows(d, op):
-    """Dense column-convention matrix of a monomial operator: column i
-    holds the image of basis vector i."""
-    perm, expo = op
+    perm, expo = _eta_monomial(d)
     n = d.dim()
     zero = CycNumber.zero(d.metric.p, d.metric.level)
     rows = [[zero] * n for _ in range(n)]
     for i in range(n):
         rows[perm[i]][i] = CycNumber.root(d.metric.p, d.metric.level, expo[i])
     return rows
-
-
-def eta_matrix(d):
-    _require_valid(d)
-    return _monomial_rows(d, _eta_monomial(d))
 
 
 def _qhat_exponents(d):

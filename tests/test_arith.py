@@ -10,7 +10,6 @@ from orbitlab.arith import (
     ModMatrix,
     QpModZp,
     howell,
-    howell_form,
     inv_mod,
     is_prime,
     kernel,
@@ -144,14 +143,6 @@ class TestHowell:
         # the residue differs from x by a span element
         diff = tuple((a - b) % 25 for a, b in zip(x, residue))
         assert member(diff, h, mod)
-
-    def test_howell_form_certificate(self):
-        mod = Modulus(3, 2)
-        m = ModMatrix(mod, [[3, 1, 2], [0, 3, 6], [6, 2, 4]])
-        h, u = howell_form(m)
-        assert u.is_invertible()
-        padded = ModMatrix(mod, list(m.rows) + [[0, 0, 0]] * m.ncols)
-        assert u.mul(padded) == h
 
 
 @st.composite

@@ -228,10 +228,29 @@ def test_gauss_refuses_hostile_order(capsys, tmp_path, value):
 
 
 def test_cap_env_default(capsys, h3p5_file, monkeypatch):
-    monkeypatch.setenv("ORBITLAB_CAP", "10")
-    assert cli.main(["orbits", h3p5_file]) == 2
+    # --cap is the one way to set the cap: the environment does not move it
     assert cli.main(["orbits", h3p5_file, "--cap", "1000"]) == 0
-    capsys.readouterr()
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("ORBITLAB_CAP", "10")
+    assert cli.main(["orbits", h3p5_file]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_cap_hint_names_the_flag(capsys, h3p5_file):
+    assert cli.main(["orbits", h3p5_file, "--cap", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip().endswith("; raise --cap")
+    assert "sampled" not in err and "ORBITLAB_CAP" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_kernel_check_needs_a_sample(capsys, h3p5_file, samples):
+    # a verdict on no characters is no verdict
+    code = cli.main(["kernel-check", h3p5_file, "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("input error:")
 
 
 @pytest.mark.parametrize("command, message", [

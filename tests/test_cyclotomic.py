@@ -10,8 +10,8 @@ import numpy as np
 
 from conftest import cyc_rank
 from orbitlab.arith import QpModZp, is_prime
-from orbitlab.cyclotomic import (CycNumber, cyc_embed, embed_exponent,
-                                 from_rows, rank, same_values, to_rows)
+from orbitlab.cyclotomic import (CycNumber, from_rows, rank, same_values,
+                                 to_rows)
 
 
 def test_power_basis_length():
@@ -191,22 +191,15 @@ def test_mixed_conductors_rejected():
 
 
 def test_embedding_is_additive_to_multiplicative():
-    # psi(u + v) = psi(u) psi(v) across mixed levels
+    # psi(u + v) = psi(u) psi(v) across mixed levels, psi(a/3^l) being
+    # zeta_9^(a 3^(2-l)) as MetricGroup.qt builds it
+    def psi(v):
+        return CycNumber.root(3, 2, v.numerator * 3 ** (2 - v.level))
+
     cases = [((1, 1), (1, 2)), ((2, 2), (4, 2)), ((1, 1), (8, 2))]
     for (anum, alev), (bnum, blev) in cases:
         u, v = QpModZp(3, anum, alev), QpModZp(3, bnum, blev)
-        lhs = cyc_embed(u + v, 3, 2)
-        rhs = cyc_embed(u, 3, 2) * cyc_embed(v, 3, 2)
-        assert lhs == rhs
-
-
-def test_embed_exponent_matches_embedding():
-    for num in range(9):
-        v = QpModZp(3, num, 2)
-        e = embed_exponent(v, 2)
-        assert cyc_embed(v, 3, 2) == CycNumber.root(3, 2, e)
-    with pytest.raises(ValueError):
-        embed_exponent(QpModZp(3, 1, 2), 1)
+        assert psi(u + v) == psi(u) * psi(v)
 
 
 def test_serialize_shows_conductor():

@@ -12,7 +12,6 @@ from conftest import hyperbolic_metric, quadratic_metric
 from orbitlab import metric
 from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber, cyclic_matmul, from_rows, to_rows
-from orbitlab.lazard import LieRing
 from orbitlab.metric import (
     MetricError,
     MetricGroup,
@@ -23,7 +22,6 @@ from orbitlab.metric import (
     lagrangians,
     parse_metric,
     ribbon_qhat,
-    search_invariant_forms,
     serialize_metric,
     st_matrices,
 )
@@ -421,8 +419,8 @@ def test_lagrangian_count_of_hyperbolic_forms(p, r, count):
     assert all(len(lag) == p**r for lag in lags)
 
 
-# Oracles for the Subring growth: the frozenset span closure that grew
-# isotropic subgroups and square-root ideals element by element.
+# Oracle for the Subring growth: the frozenset span closure that grew
+# isotropic subgroups element by element.
 
 def grow_spans(zero, candidates, add, exponent, cap):
     """Every subgroup reached from {zero} by adjoining one element at a
@@ -466,19 +464,6 @@ def isotropic_oracle(m, max_size=None):
     return sorted(spans, key=lambda s: (len(s), sorted(s)))
 
 
-def square_root_ideals_oracle(ring):
-    card = isqrt(ring.size())
-    if card * card != ring.size():
-        return []
-    elems = list(ring.elements())
-    spans = grow_spans(ring.zero(), lambda gens: elems, ring.add, ring.pk,
-                       card)
-    basis = [ring.basis(i) for i in range(ring.rank)]
-    return sorted(sorted(span) for span in spans if len(span) == card
-                  and all(ring.bracket(b, x) in span
-                          for b in basis for x in span))
-
-
 @pytest.mark.parametrize("m, count", [
     *((hyperbolic_metric(p, k, r), count) for p, k, r, count in (
         (3, 1, 1, 2), (5, 1, 1, 2), (7, 1, 1, 2), (3, 1, 2, 8), (3, 2, 1, 3),
@@ -499,16 +484,6 @@ def test_subring_growth_matches_frozenset_oracle(m, count):
     lags = lagrangians(m)
     assert lags == [s for s in want if len(s) == card]
     assert len(lags) == count
-
-
-@pytest.mark.parametrize("rank, brackets", [
-    (2, {}), (4, {}),
-    # h3 + a1: only 13 of the 130 planes are ideals
-    (4, {(0, 1): (0, 0, 1, 0)}),
-], ids=["abelian2", "abelian4", "h3xa1"])
-def test_square_root_ideals_match_frozenset_oracle(rank, brackets):
-    ring = LieRing(3, 1, rank, brackets)
-    assert metric._square_root_ideals(ring) == square_root_ideals_oracle(ring)
 
 
 def gaussian_binomial(n, k, q):
@@ -536,34 +511,6 @@ def test_isotropic_data_is_built_once(monkeypatch):
 
 def test_lagrangians_of_x_squared_are_absent():
     assert lagrangians(quadratic_metric(3)) == []
-
-
-def test_search_invariant_forms_abelian_plane():
-    ring = LieRing(3, 1, 2, {}, name="a2")
-    result = search_invariant_forms(ring)
-    assert result.complete
-    assert result.candidates == 27
-    assert len(result.forms) == 12
-    for m in result.forms:
-        assert m.nondegenerate
-        assert gauss_sum(m) is not None
-
-
-def test_search_invariant_forms_heisenberg_negative():
-    ring = LieRing(3, 1, 3, {(0, 1): (0, 0, 1)}, name="h3")
-    result = search_invariant_forms(ring)
-    assert result.forms == [] and result.complete
-
-
-def test_search_cap_rejects_large_ring():
-    ring = LieRing(5, 1, 6, {
-        (0, 1): (0, 0, 0, 1, 0, 0),
-        (1, 2): (0, 0, 0, 0, 1, 0),
-        (0, 4): (0, 0, 0, 0, 0, 1),
-        (2, 3): (0, 0, 0, 0, 0, -1),
-    }, name="u4")
-    with pytest.raises(MetricError):
-        search_invariant_forms(ring)
 
 
 def test_serialize_round_trip_mixed_exponents():

@@ -15,11 +15,8 @@ from orbitlab.metric import MetricGroup, ribbon_qhat
 from orbitlab.vmodel import (
     VModelData,
     VModelError,
-    basis_vector,
     build_hyperbolic,
-    eta,
     eta_matrix,
-    gamma_act,
     parse_vmodel,
     qhat_matrix,
     serialize_vmodel,
@@ -132,6 +129,39 @@ class TestValidateFailures:
         with pytest.raises(VModelError) as e:
             validate_data(d)
         assert e.value.axiom == "section"
+
+
+# Oracle: vectors of V as dicts over basis pairs, and gamma(Exp(g)) or the
+# twist applied to them one basis vector at a time.
+
+def basis_vector(d, alpha, beta):
+    return {(alpha, beta): CycNumber.one(d.metric.p, d.metric.level)}
+
+
+def _gamma_op(d, g):
+    """gamma(Exp(g)) as one row of each gamma array, in Python ints."""
+    perm, expo = vmodel._gamma_arrays(d)
+    r = element_index(d.ring, [g])[0]
+    return perm[r].tolist(), expo[r].tolist()
+
+
+def _apply_monomial(d, op, v):
+    perm, expo = op
+    out = {}
+    for pair, c in v.items():
+        i = d.index[pair]
+        target = d.pairs[perm[i]]
+        add = c.mul_root(expo[i])
+        out[target] = add if target not in out else out[target] + add
+    return {pair: c for pair, c in out.items() if not c.is_zero()}
+
+
+def gamma_act(d, g, v):
+    return _apply_monomial(d, _gamma_op(d, g), v)
+
+
+def eta(d, v):
+    return _apply_monomial(d, vmodel._eta_monomial(d), v)
 
 
 def test_gamma_closed_form_on_hyperbolic_plane():
@@ -333,7 +363,7 @@ def _qhat_rows_oracle(d):
     zero = CycNumber.zero(d.metric.p, d.metric.level)
     rows = [[zero] * n for _ in range(n)]
     for g, c in coeffs.items():
-        perm, expo = vmodel._gamma_op(d, g)
+        perm, expo = _gamma_op(d, g)
         for i in range(n):
             j = perm[i]
             rows[j][i] = rows[j][i] + c.mul_root(expo[i])
