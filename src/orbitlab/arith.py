@@ -203,24 +203,6 @@ class ModMatrix:
     def identity(cls, modulus: Modulus, n: int) -> "ModMatrix":
         return cls(modulus, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    def mul(self, other: "ModMatrix") -> "ModMatrix":
-        if self.modulus != other.modulus or self.ncols != other.nrows:
-            raise ValueError("shape or modulus mismatch")
-        pk = self.modulus.pk
-        ocols = range(other.ncols)
-        out = [
-            [sum(a * b for a, b in zip(row, col)) % pk
-             for col in zip(*other.rows)]
-            for row in self.rows
-        ] if other.rows else [[] for _ in self.rows]
-        return ModMatrix(self.modulus, out)
-
-    def is_invertible(self) -> bool:
-        """Square, with Howell rows spanning all of (Z/p^k)^n."""
-        n = self.nrows
-        return n == self.ncols and span_size(
-            howell(self.rows, self.modulus), self.modulus) == self.modulus.pk**n
-
     def __eq__(self, other):
         return (isinstance(other, ModMatrix)
                 and self.modulus == other.modulus and self.rows == other.rows)

@@ -8,13 +8,17 @@ group law and log_group recovers the ring operations from a black-box
 multiplication on the same carrier.
 
 Each Lie series evaluated in a ring (BCH, exp(ad g), the V-model's Phi)
-is compiled once per ring into one straight-line bracket program
-(series_program) with a scalar and a numpy entry point, both walking the
-nonzero structure constants.
+is compiled once per ring into one bracket program (series_program) with
+two independent entry points.  The scalar one is a straight-line Python
+function emitted from the program and the ring's nonzero structure
+constants on its first call, one local per coordinate; it is memoized by
+those integers, so rings with equal brackets share it.  The batch one
+walks the same steps on numpy arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -216,12 +220,19 @@ class _Program:
     to [slot a, slot b], and each distinct tree of the series is one step.
     The value is the sum of c * slot over the terms (slot, c), with c the
     series coefficient reduced mod p^k (its denominator is a unit since the
-    class is < p).  The program holds no reference to its ring.
+    class is < p).
+
+    scalar is a Python function (x, y) -> coordinate tuple, emitted by
+    _emit from the steps, the terms and the ring's nonzero structure
+    constants on the first scalar call; batch evaluates the same steps on
+    numpy arrays.  The program holds no reference to its ring, only the
+    integers the emitted code is built from.
     """
 
-    __slots__ = ("steps", "terms", "dead")
+    __slots__ = ("steps", "terms", "dead", "_key", "_scalar")
 
-    def __init__(self, series, pk):
+    def __init__(self, series, ring):
+        pk = ring.pk
         slots = {0: 0, 1: 1}
         steps = []
 
@@ -244,18 +255,16 @@ class _Program:
         last = {s: t for t, step in enumerate(steps) for s in step}
         self.dead = tuple(tuple(s for s, u in last.items() if u == t)
                           for t in range(len(steps)))
+        self._key = (self.steps, self.terms, pk, ring.rank, ring.structure)
+        self._scalar = None
 
-    def scalar(self, ring, x, y):
-        """Value at coordinate tuples: Python ints, reduced per bracket."""
-        vals = [x, y]
-        for _, a, b in self.steps:
-            vals.append(ring.bracket(vals[a], vals[b]))
-        out = [0] * ring.rank
-        for s, c in self.terms:
-            for l, v in enumerate(vals[s]):
-                out[l] += c * v
-        pk = ring.pk
-        return tuple([v % pk for v in out])
+    @property
+    def scalar(self):
+        """Value at two coordinate sequences of any integers, as a tuple
+        of residues; a wrong length raises ValueError."""
+        if self._scalar is None:
+            self._scalar = _emit(*self._key)
+        return self._scalar
 
     def batch(self, ring, X, Y):
         """Row-wise values at arrays of residues of ring.modulus.dtype,
@@ -283,20 +292,63 @@ class _Program:
         return out
 
 
+@functools.lru_cache(maxsize=256)
+def _emit(steps, terms, pk, rank, structure):
+    """Compile one program for one ring's structure to a function of
+    straight-line Python: a local per coordinate that is not known to be
+    zero, each bracket coordinate reduced mod pk.  The source is built
+    from integers only and runs with int, len and ValueError as its only
+    globals.  Rings with equal (pk, rank, structure) share the function."""
+    lines = []
+    vals = {}
+    for slot, arg in enumerate("xy"):
+        names = ["%s%d" % (arg, l) for l in range(rank)]
+        lines += ["if len(%s) != %d:" % (arg, rank),
+                  "    raise ValueError(f'expected %d coordinates, "
+                  "got {len(%s)}')" % (rank, arg),
+                  "%s, = %s" % (", ".join(names), arg)]
+        lines += ["%s = int(%s) %% %d" % (v, v, pk) for v in names]
+        vals[slot] = dict(enumerate(names))
+    for dst, a, b in steps:
+        u, v = vals[a], vals[b]
+        sums = {}
+        for i, j, nonzero in structure:
+            # [a, b] picks up a_i b_j - a_j b_i on the pair (i, j)
+            xy = ("%s*%s" % (u[i], v[j]) if i in u and j in v else "") + (
+                "-%s*%s" % (u[j], v[i]) if j in u and i in v else "")
+            if not xy:
+                continue
+            for l, c in nonzero:
+                sums.setdefault(l, []).append(
+                    xy if c == 1 else "%d*(%s)" % (c, xy))
+        vals[dst] = {l: "s%d_%d" % (dst, l) for l in sums}
+        lines += ["%s = (%s) %% %d" % (vals[dst][l], " + ".join(e), pk)
+                  for l, e in sorted(sums.items())]
+    out = []
+    for l in range(rank):
+        e = [vals[s][l] if c == 1 else "%d*%s" % (c, vals[s][l])
+             for s, c in terms if l in vals[s]]
+        out.append("(%s) %% %d" % (" + ".join(e), pk) if e else "0")
+    lines.append("return (%s,)" % ", ".join(out))
+    source = "def series(x, y):\n" + "".join("    %s\n" % ln for ln in lines)
+    env = {"__builtins__": {}, "int": int, "len": len, "ValueError": ValueError}
+    exec(compile(source, "<series program>", "exec"), env)
+    return env["series"]
+
+
 def series_program(ring, name):
     """The compiled program of series name ("bch", "exp_ad" or "phi")
     through ring's class, built on first use in ring.orbit_cache."""
     prog = ring.orbit_cache.get(name)
     if prog is None:
         series = {"bch": bch, "exp_ad": exp_ad, "phi": phi_series}[name]
-        prog = ring.orbit_cache[name] = _Program(series(ring.cls), ring.pk)
+        prog = ring.orbit_cache[name] = _Program(series(ring.cls), ring)
     return prog
 
 
 def exp_mul(ring, x, y):
     """Product Exp(x) Exp(y) in exponential coordinates."""
-    return series_program(ring, "bch").scalar(ring, _vec(ring, x),
-                                               _vec(ring, y))
+    return series_program(ring, "bch").scalar(x, y)
 
 
 def exp_inv(ring, x):
@@ -318,7 +370,7 @@ def conjugate(ring, g, x):
     """
     g, x = _vec(ring, g), _vec(ring, x)
     via_mul = exp_mul(ring, exp_mul(ring, g, x), ring.neg(g))
-    via_ad = series_program(ring, "exp_ad").scalar(ring, g, x)
+    via_ad = series_program(ring, "exp_ad").scalar(g, x)
     if via_mul != via_ad:
         raise CrossCheckError(
             "conjugation", f"conjugation routes disagree at g={g}, x={x}: "
@@ -412,6 +464,7 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
     pointwise: exhaustively when the group is small, otherwise on samples
     pairs drawn from seed, which the report names.  The recovered side is
     one batch_exp_mul; mul is called pair by pair up to the first mismatch.
+    The graded parts take 3c - 2 calls of mul per pair: x^m = x^(m-1) x.
     """
     mod = Modulus(p, k)
     pk = mod.pk
@@ -419,16 +472,6 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
     if c < 1:
         raise LazardError("no admissible class below p")
     zero = (0,) * rank
-
-    def power(x, m):
-        acc, base = zero, x
-        while m:
-            if m & 1:
-                acc = mul(acc, base)
-            base = mul(base, base)
-            m >>= 1
-        return acc
-
     if mul(zero, zero) != zero:
         raise LazardError("the zero tuple is not the group identity")
 
@@ -436,8 +479,15 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
                            for m in range(1, c + 1)])
     vinv = mat_inverse(vand)
 
+    def powers(x):
+        """x^1 .. x^c, each one mul from the last."""
+        out = [x]
+        for _ in range(c - 1):
+            out.append(mul(out[-1], x))
+        return out
+
     def graded_parts(x, y):
-        rows = [mul(power(x, m), power(y, m)) for m in range(1, c + 1)]
+        rows = [mul(a, b) for a, b in zip(powers(x), powers(y))]
         return [tuple(sum(vinv.rows[d][m] * rows[m][l] for m in range(c)) % pk
                       for l in range(rank))
                 for d in range(c)]
@@ -480,13 +530,17 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
         XY = rng.integers(0, pk, size=(samples, 2, rank))
         X, Y = XY[:, 0], XY[:, 1]
         exhaustive = False
-    for x, y, got in zip(X, Y, batch_exp_mul(ring, X, Y)):
-        x, y, got = (tuple(v.tolist()) for v in (x, y, got))
-        want = mul(x, y)
-        if got != want:
-            raise LazardError(
-                f"Exp of the recovered ring disagrees with the law at "
-                f"x={x}, y={y}: {got} vs {want}")
+    got_all = batch_exp_mul(ring, X, Y)
+    # one tolist per chunk of rows: fast, without a list of the whole array
+    for start in range(0, len(X), 4096):
+        chunk = (map(tuple, A[start:start + 4096].tolist())
+                 for A in (X, Y, got_all))
+        for x, y, got in zip(*chunk):
+            want = mul(x, y)
+            if got != want:
+                raise LazardError(
+                    f"Exp of the recovered ring disagrees with the law at "
+                    f"x={x}, y={y}: {got} vs {want}")
     report = {"class": ring.cls, "pairs_checked": len(X),
               "exhaustive": exhaustive, "seed": seed}
     return ring, report

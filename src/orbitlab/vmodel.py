@@ -85,7 +85,7 @@ class VModelData:
 
     def _phi_b(self, x, y):
         """Phi(x, y) in b, from b's compiled series program."""
-        return series_program(self.b, "phi").scalar(self.b, x, y)
+        return series_program(self.b, "phi").scalar(x, y)
 
     def __repr__(self):
         return (f"VModelData({self.name}, |p|={self.ring.size()}, "

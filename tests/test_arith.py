@@ -185,12 +185,20 @@ def test_span_size_counts_row_orders():
     assert span_size(h, mod) == 9 * 3
 
 
+def mat_mul(a, b):
+    """The product of two ModMatrix over one modulus (the oracle for
+    mat_inverse)."""
+    assert a.modulus == b.modulus and a.ncols == b.nrows
+    return ModMatrix(a.modulus, [[sum(x * y for x, y in zip(row, col))
+                                  for col in zip(*b.rows)] for row in a.rows])
+
+
 def test_mat_inverse_round_trip():
     mod = Modulus(5, 2)
     m = ModMatrix(mod, [[1, 2], [3, 4]])  # det = -2, a unit mod 25
     inv = mat_inverse(m)
-    assert m.mul(inv) == ModMatrix.identity(mod, 2)
-    assert inv.mul(m) == ModMatrix.identity(mod, 2)
+    assert mat_mul(m, inv) == ModMatrix.identity(mod, 2)
+    assert mat_mul(inv, m) == ModMatrix.identity(mod, 2)
     with pytest.raises(Exception):
         mat_inverse(ModMatrix(mod, [[5, 0], [0, 1]]))
 
@@ -215,25 +223,6 @@ def _gauss_jordan_inverse(m):
     return ModMatrix(m.modulus, [r[n:] for r in a])
 
 
-def _invertible_mod_p(m):
-    """Elimination mod p (the oracle for ModMatrix.is_invertible)."""
-    if m.nrows != m.ncols:
-        return False
-    p, n = m.modulus.p, m.nrows
-    a = [[x % p for x in r] for r in m.rows]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] % p), None)
-        if piv is None:
-            return False
-        a[c], a[piv] = a[piv], a[c]
-        ic = inv_mod(a[c][c], p)
-        for i in range(c + 1, n):
-            f = a[i][c] * ic % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
-    return True
-
-
 @st.composite
 def _small_matrix(draw):
     """A matrix over Z/p^k, p^k <= 25, of up to 4 x 4; a third of the
@@ -254,13 +243,11 @@ def _small_matrix(draw):
 @settings(max_examples=200, deadline=None)
 @given(_small_matrix())
 def test_howell_inverse_matches_gauss_jordan(m):
-    assert m.is_invertible() == _invertible_mod_p(m)
     if m.nrows != m.ncols:
         with pytest.raises(ValueError):
             mat_inverse(m)
         return
     want = _gauss_jordan_inverse(m)
-    assert m.is_invertible() == (want is not None)
     if want is None:
         with pytest.raises(ValueError):
             mat_inverse(m)
