@@ -267,9 +267,11 @@ def _cached(ring, key, build):
 
 
 def _group(ring, cap):
-    """(elems, tensor): every group element, lexicographic, and the
-    (|G|, n, n) array whose g-th entry is the matrix of g acting on
-    covectors.  The cap is checked on every call, cached or not."""
+    """(elems, disp, live): every group element, lexicographic; the
+    (n, n, |G|) array whose [j, i, g] entry is (M_g - I)[j, i] mod p^k,
+    M_g the matrix of g acting on covectors; and the (j, i) entries of
+    disp that are not zero for every g.  The cap is checked on every
+    call, cached or not."""
     if ring.size() > cap:
         raise CapError(
             f"|G| = {ring.size()} exceeds the exhaustive-scan cap {cap}")
@@ -277,15 +279,20 @@ def _group(ring, cap):
 
 
 def _build_group(ring):
+    """Row j of M_g is conjugate(-g, e_j), batched over g; a central e_j
+    is fixed by every g, so its row of disp is zero and not computed."""
     elems = all_elements(ring)
     neg = (-elems) % ring.pk
-    tensor = np.empty((len(elems), ring.rank, ring.rank),
-                      dtype=ring.modulus.dtype)
+    disp = np.zeros((ring.rank, ring.rank, len(elems)),
+                    dtype=ring.modulus.dtype)
     for j in range(ring.rank):
-        ej = np.zeros_like(elems)
-        ej[:, j] = 1
-        tensor[:, j] = batch_conjugate(ring, neg, ej)
-    return elems, tensor
+        if any(any(row[j]) for row in ring.table):
+            ej = np.zeros_like(elems)
+            ej[:, j] = 1
+            disp[j] = ((batch_conjugate(ring, neg, ej) - ej) % ring.pk).T
+    live = [(j, i) for j in range(ring.rank) for i in range(ring.rank)
+            if disp[j, i].any()]
+    return elems, disp, live
 
 
 def _basis_matrices(ring):
@@ -332,40 +339,50 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
     """{g : g.chi = chi} by exhaustive scan over the group.
 
     Deliberately independent of the radical computation.  Once per ring
-    (_group): every group element and its coadjoint matrix.  Per
-    character: one (|G|, n, n) x (n,) product gives the fixed points;
-    then, repeatedly, one batched membership test over the fixed points
-    not yet known to lie in the span (in blocks that double while they
-    hold none outside) finds the first one outside it, which is adjoined.
-    That adjoins the same generators, in the same order, as scanning the
-    fixed points one by one, in at most rank * k rounds.  The fixed set is
-    a subgroup of Exp(g); the scan also confirms it is closed under
+    (_group): every group element and the displacement M_g - I of its
+    coadjoint matrix.  Per character, the fixed points are g with
+    sum_i disp[j, i, g] chi_i = 0 for every row j, tested one row at a
+    time on the elements that passed the rows before.  Then the first
+    fixed point outside the span of those adjoined so far is adjoined,
+    with the span kept as a mask over the group, until none is left
+    outside: the same generators, in the same order, as scanning the
+    fixed points one by one, in at most rank * k rounds.  The fixed set
+    is a subgroup of Exp(g); the scan also confirms it is closed under
     addition before packaging it as a Subring, so the return value
     represents the set faithfully.
     """
     ring = chi.ring
-    elems, tensor = _group(ring, cap)
-    a = np.array(chi.nums, dtype=tensor.dtype)
-    # n products of residues per entry; for n >= 2, |G| >= (p^k)^2, so any
-    # group small enough to scan keeps these sums far inside int64
-    fixed = np.all((tensor @ a) % ring.pk == a, axis=1)
-    members = elems[fixed]
+    pk = ring.pk
+    elems, disp, live = _group(ring, cap)
+    fixed = np.arange(len(elems))
+    for j in range(ring.rank):
+        terms = [i for r, i in live if r == j and chi.nums[i]]
+        if terms:
+            # at most n products of two residues, each below p^k: for
+            # n >= 2, |G| >= (p^k)^2, so any group small enough to scan
+            # keeps these sums far inside int64
+            moved = sum(disp[j, i, fixed] * chi.nums[i] for i in terms)
+            fixed = fixed[moved % pk == 0]
+    inside = np.zeros(len(elems), dtype=bool)
     gens = []
     sub = Subring(ring, gens)
-    start, block = 0, 64
-    while start < len(members):
-        outside = np.flatnonzero(~sub.contains_rows(members[start:][:block]))
-        if not outside.size:  # spans only grow: these stay inside
-            start, block = start + block, 2 * block
-            continue
-        start += int(outside[0])
-        gens.append(tuple(members[start].tolist()))
+    while True:
+        # the members of the span, each once: sums of c * row with c below
+        # the order of each Howell row (Subring.elements)
+        span = np.zeros((1, ring.rank), dtype=np.int64)
+        for row, (_, v) in zip(sub.rows, sub.pivots):
+            c = np.arange(pk // ring.p ** v)[:, None]
+            span = ((span[:, None] + c * row) % pk).reshape(-1, ring.rank)
+        inside[element_index(ring, span)] = True
+        outside = fixed[~inside[fixed]]
+        if not outside.size:
+            break
+        gens.append(tuple(elems[outside[0]].tolist()))
         sub = Subring(ring, gens)
-        start += 1
-    if sub.size() != len(members):
+    if sub.size() != len(fixed):
         raise OrbitError(
             f"stabilizer of {chi} is not additively closed: "
-            f"{len(members)} fixed points, span of size {sub.size()}")
+            f"{len(fixed)} fixed points, span of size {sub.size()}")
     return sub
 
 
@@ -429,7 +446,7 @@ def kernel_lemma_all(ring, cap=DUAL_CAP):
     (those rows generate Exp(rad), rad being a Lie subring, so with equal
     orders it is the stabilizer), and the perpendicularity cases over the
     basis.  stabilizer_oracle runs on each orbit representative."""
-    _, tensor = _group(ring, cap)
+    _, disp, _ = _group(ring, cap)
     lab = _labels(ring, cap)
     chis = all_elements(ring)
     gens, sizes = _radicals(ring, chis)
@@ -439,8 +456,8 @@ def kernel_lemma_all(ring, cap=DUAL_CAP):
             f"radical of chi = {Character(ring, chis[c])} has {sizes[c]} "
             f"elements, its orbit {orbit[c]} of |G| = {ring.size()}")
     for s in range(ring.rank):
-        moved = np.einsum("cij,cj->ci", tensor[element_index(
-            ring, gens[:, s])], chis) % ring.pk
+        moved = (chis + np.einsum("jic,ci->cj", disp[:, :, element_index(
+            ring, gens[:, s])], chis)) % ring.pk
         for c in np.flatnonzero((moved != chis).any(axis=1))[:1]:
             raise OrbitError(
                 f"radical row {tuple(gens[c, s].tolist())} does not fix "

@@ -8,8 +8,8 @@ import pytest
 
 from orbitlab.arith import Modulus, ModMatrix, QpModZp, howell, kernel
 from orbitlab import cli, orbits
-from orbitlab.lazard import (LieRing, Subring, all_elements, element_index,
-                             exp_mul, serialize_ring)
+from orbitlab.lazard import (LieRing, Subring, all_elements, batch_conjugate,
+                             element_index, exp_mul, serialize_ring)
 from orbitlab.lazard import catalog as lazard_catalog
 from orbitlab.orbits import (
     CapError,
@@ -19,6 +19,7 @@ from orbitlab.orbits import (
     SkewForm,
     all_characters,
     coadjoint_act,
+    coadjoint_matrix,
     dual_size,
     enumerate_orbits,
     generic_character,
@@ -397,3 +398,70 @@ def test_corrupted_radical_is_a_witness(monkeypatch, corrupt, witness):
 def test_all_mode_cap_is_checked_first(rings):
     with pytest.raises(CapError, match="exhaustive-scan cap 10"):
         kernel_lemma_all(rings["h3_p3"], cap=10)
+
+
+# -- the exhaustive stabilizer scan --------------------------------------------
+
+@pytest.mark.parametrize("name, count", [
+    ("h3_p3", None), ("h3xa1_p3", None), ("h3_z9", None), ("u4_p5", 200)])
+def test_stabilizer_oracle_matches_dense_scan(rings, name, count):
+    # every coadjoint matrix in full, from the scalar conjugate; the fixed
+    # points of chi are the g with M_g chi = chi
+    ring = rings[name]
+    matrices = np.array([coadjoint_matrix(ring, g) for g in ring.elements()])
+    chis = (all_characters(ring) if count is None
+            else sample_characters(ring, count, random.Random(5)))
+    for chi in chis:
+        a = np.array(chi.nums)
+        fixed = all_elements(ring)[(matrices @ a % ring.pk == a).all(axis=1)]
+        stab = stabilizer_oracle(chi)
+        assert stab.size() == len(fixed)
+        assert stab.rows == Subring(ring, fixed.tolist()).rows
+
+
+@pytest.mark.parametrize("name", ["abelian3_p3", "h3_p3", "h3xa1_p3", "h3_z9"])
+def test_cached_displacement(monkeypatch, name):
+    ring = lazard_catalog()[name]
+    calls = []
+    monkeypatch.setattr(orbits, "batch_conjugate",
+                        lambda *args: calls.append(1) or batch_conjugate(*args))
+    elems, disp, live = orbits._group(ring, orbits.DUAL_CAP)
+    # a central e_j is fixed by every g and costs no batch_conjugate call
+    assert len(calls) == sum(
+        any(any(ring.bracket(ring.basis(t), ring.basis(j)))
+            for t in range(ring.rank)) for j in range(ring.rank))
+    for j in range(ring.rank):
+        ej = np.zeros_like(elems)
+        ej[:, j] = 1
+        assert np.array_equal(
+            disp[j].T, (batch_conjugate(ring, -elems, ej) - ej) % ring.pk)
+    assert live == [tuple(e) for e in np.argwhere(disp.any(axis=2)).tolist()]
+
+
+@pytest.mark.parametrize("g, entry, witness", [
+    # Exp(e0) moves the generic character; a zero displacement makes it
+    # read as fixed, and it spans e0 with the five true fixed points
+    ((1, 0, 0), None, "6 fixed points, span of size 25"),
+    # 2 e2 is central and fixes every character; a displacement in row 0,
+    # column 2 makes it read as moved, yet e2 still spans it
+    ((0, 0, 2), (0, 2), "4 fixed points, span of size 5"),
+], ids=["moved-reads-fixed", "fixed-reads-moved"])
+def test_stabilizer_not_additively_closed(monkeypatch, g, entry, witness):
+    ring = lazard_catalog()["h3_p5"]
+    elems, disp, live = orbits._group(ring, orbits.DUAL_CAP)
+    disp = disp.copy()
+    c = int(element_index(ring, [g])[0])
+    if entry is None:
+        disp[:, :, c] = 0
+    else:
+        disp[entry + (c,)] = 1
+    monkeypatch.setitem(ring.orbit_cache, "group", (elems, disp, live))
+    chi = generic_character(ring)
+    message = ("stabilizer of Character(0/1, 0/1, 1/5) is not additively "
+               "closed: " + witness)
+    for check in (lambda: stabilizer_oracle(chi),
+                  lambda: kernel_lemma_check(ring, chi),
+                  lambda: kernel_lemma_all(ring)):
+        with pytest.raises(OrbitError) as err:
+            check()
+        assert str(err.value) == message
