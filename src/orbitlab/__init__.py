@@ -4,7 +4,7 @@ Everything here computes over Z/p^k, Q_p/Z_p, or a cyclotomic field with
 exact rational coefficients; no floating point enters any verification path.
 """
 
-from orbitlab.arith import Modulus, ModMatrix, QpModZp, kernel
+from orbitlab.arith import Modulus, QpModZp, kernel
 from orbitlab.cyclotomic import CycNumber
 from orbitlab.freelie import hall_basis, bch, exp_ad, phi_series, lambda_series, certify
 from orbitlab.lazard import LieRing, Subring, exp_mul, log_group, conjugate, catalog
@@ -30,7 +30,7 @@ from orbitlab.metric import (
 from orbitlab.vmodel import VModelData, validate_data, verify_ribbon
 
 __all__ = [
-    "Modulus", "ModMatrix", "QpModZp", "kernel", "CycNumber",
+    "Modulus", "QpModZp", "kernel", "CycNumber",
     "hall_basis", "bch", "exp_ad", "phi_series", "lambda_series", "certify",
     "LieRing", "Subring", "exp_mul", "log_group", "conjugate", "catalog",
     "Character", "SkewForm", "coadjoint_act", "enumerate_orbits", "radical",

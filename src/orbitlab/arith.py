@@ -1,16 +1,18 @@
 """Exact arithmetic substrate: Z/p^k residues, Q_p/Z_p values, and Howell-form
 linear algebra over Z/p^k.
 
-All verification-grade computations reduce to integer arithmetic here; the
-Howell normal form is the canonical representative of a row span, so subgroup
-equality, membership, kernels, inverses and ranks (over F_l when k = 1) are
-all read off one elimination, howell.
+All verification-grade computations reduce to integer arithmetic here.  A
+matrix is its sequence of integer rows, and a subgroup of (Z/p^k)^n is the
+tuple of Howell rows of its span (Howell, "Spans in the module (Z_m)^s",
+1986), its canonical representative: subgroup equality, membership,
+kernels, inverses and ranks (over F_l when k = 1) are all read off one
+elimination, howell.  kernel and mat_inverse take rows and return them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +22,6 @@ __all__ = [
     "valuation",
     "Modulus",
     "QpModZp",
-    "ModMatrix",
     "howell",
     "howell_pivots",
     "kernel",
@@ -177,43 +178,6 @@ class QpModZp:
         return cls.from_fraction(p, Fraction(int(num), den))
 
 
-class ModMatrix:
-    """Immutable integer matrix with all entries sharing one modulus p^k."""
-
-    __slots__ = ("modulus", "rows")
-
-    def __init__(self, modulus: Modulus, rows: Iterable[Sequence[int]]):
-        pk = modulus.pk
-        self.modulus = modulus
-        self.rows = tuple(tuple(x % pk for x in r) for r in rows)
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged matrix")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def identity(cls, modulus: Modulus, n: int) -> "ModMatrix":
-        return cls(modulus, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return (isinstance(other, ModMatrix)
-                and self.modulus == other.modulus and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.modulus, self.rows))
-
-    def __repr__(self):
-        return f"ModMatrix({self.modulus!r}, {list(map(list, self.rows))})"
-
-
 def howell(rows: Sequence[Sequence[int]], modulus: Modulus):
     """Canonical Howell rows (nonzero only) of the span of `rows`.
 
@@ -278,8 +242,7 @@ def howell_pivots(hrows, p):
     return out
 
 
-def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus,
-                    coeffs: bool = False, pivots=None):
+def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus, pivots=None):
     """Reduce x against Howell rows; residue is zero iff x is in the span.
 
     pivots, when given, is howell_pivots(hrows, p), computed once by the
@@ -287,15 +250,13 @@ def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus,
     """
     pk, p = modulus.pk, modulus.p
     x = [v % pk for v in x]
-    cs = []
     if pivots is None:
         pivots = howell_pivots(hrows, p)
     for row, (c, v) in zip(hrows, pivots):
         q = x[c] // p**v
         if q:
             x = [(a - q * b) % pk for a, b in zip(x, row)]
-        cs.append(q)
-    return (x, cs) if coeffs else x
+    return x
 
 
 def member(x: Sequence[int], hrows, modulus: Modulus, pivots=None) -> bool:
@@ -327,30 +288,32 @@ def span_size(hrows, modulus: Modulus) -> int:
     return n
 
 
-def _augmented_howell(m: ModMatrix):
-    """Howell rows of [m | I]: their span is {(x m, x)}."""
-    n = m.nrows
+def _augmented_howell(rows: Sequence[Sequence[int]], modulus: Modulus):
+    """Howell rows of [m | I], m given by its rows: their span is {(x m, x)}."""
+    n = len(rows)
     return howell([list(r) + [int(i == j) for j in range(n)]
-                   for i, r in enumerate(m.rows)], m.modulus)
+                   for i, r in enumerate(rows)], modulus)
 
 
-def mat_inverse(m: ModMatrix) -> ModMatrix:
-    """Inverse of a square matrix over Z/p^k.  m is invertible exactly
-    when the Howell rows of [m | I] begin with [I | m^-1]: the span then
-    holds (e_i, y_i) with y_i m = e_i, and an invertible m puts every
-    (e_i, e_i m^-1) in it, whose Howell rows are these n and no more."""
-    n = m.nrows
-    if n != m.ncols:
+def mat_inverse(rows: Sequence[Sequence[int]], modulus: Modulus):
+    """Rows of the inverse of the square matrix m with these rows, over
+    Z/p^k.  m is invertible exactly when the Howell rows of [m | I] begin
+    with [I | m^-1]: the span then holds (e_i, y_i) with y_i m = e_i, and
+    an invertible m puts every (e_i, e_i m^-1) in it, whose Howell rows
+    are these n and no more."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("not square")
-    h = _augmented_howell(m)
-    if tuple(r[:n] for r in h[:n]) != ModMatrix.identity(m.modulus, n).rows:
+    h = _augmented_howell(rows, modulus)
+    if [r[:n] for r in h[:n]] != [tuple(int(i == j) for j in range(n))
+                                  for i in range(n)]:
         raise ValueError("matrix not invertible over Z/p^k")
-    return ModMatrix(m.modulus, [r[n:] for r in h[:n]])
+    return tuple(r[n:] for r in h[:n])
 
 
-def kernel(m: ModMatrix) -> ModMatrix:
-    """Generators of {x : x*m = 0}, canonical: the Howell rows of [m | I]
-    whose left block vanishes."""
-    left = m.ncols
-    return ModMatrix(m.modulus, [r[left:] for r in _augmented_howell(m)
-                                 if not any(r[:left])])
+def kernel(rows: Sequence[Sequence[int]], modulus: Modulus):
+    """Generators of {x : x*m = 0}, m given by its rows, canonical: the
+    Howell rows of [m | I] whose left block vanishes."""
+    left = len(rows[0]) if rows else 0
+    return tuple(r[left:] for r in _augmented_howell(rows, modulus)
+                 if not any(r[:left]))

@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .arith import (Modulus, ModMatrix, howell, howell_pivots, inv_mod,
-                    kernel, mat_inverse, member, reduce_mod_span, reduce_rows,
+from .arith import (Modulus, howell, howell_pivots, inv_mod, kernel,
+                    mat_inverse, member, reduce_mod_span, reduce_rows,
                     span_size)
 from .freelie import bch, exp_ad, phi_series
 
@@ -71,7 +71,7 @@ class LieRing:
     series programs, the orbits layer's tables, metric's unit inverses).
     """
 
-    def __init__(self, p, k, rank, brackets, name="unnamed", check=True):
+    def __init__(self, p, k, rank, brackets, name="unnamed"):
         if not 1 <= rank <= MAX_RANK:
             raise ValueError(f"rank {rank} is outside 1..{MAX_RANK}")
         # p >= 2 makes p^k >= 2^k, so k > 63 is refused before p^k is formed
@@ -99,8 +99,7 @@ class LieRing:
                 structure.append((i, j, nonzero))
         self.table = tuple(tuple(row) for row in table)
         self.structure = tuple(structure)
-        if check:
-            self._check_jacobi()
+        self._check_jacobi()
         self.lcs = self._lower_central_series()
         self.cls = len(self.lcs)
         if self.cls >= p:
@@ -425,14 +424,14 @@ def element_index(ring, X):
     return (np.asarray(X, dtype=np.int64) % ring.pk) @ weights
 
 
-def check_exp_associative(ring, samples=10000, seed=0, exhaustive_limit=32768):
-    """Compare (x*y)*z with x*(y*z); exhaustive when |G|^3 is small.
+def check_exp_associative(ring, samples=10000, seed=0):
+    """Compare (x*y)*z with x*(y*z); exhaustive when |G|^3 <= 2^15.
 
     Returns (number of triples checked, exhaustive flag); raises with a
     witness triple on any defect.
     """
     n = ring.size()
-    if n ** 3 <= exhaustive_limit:
+    if n ** 3 <= 2**15:
         elems = all_elements(ring)
         idx = np.indices((n, n, n)).reshape(3, -1)
         X, Y, Z = elems[idx[0]], elems[idx[1]], elems[idx[2]]
@@ -453,7 +452,7 @@ def check_exp_associative(ring, samples=10000, seed=0, exhaustive_limit=32768):
 
 # recovery of the ring from a black-box group law
 
-def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
+def log_group(mul, p, k, rank, samples=2000, seed=0):
     """Recover (+, [,]) from a multiplication law on (Z/p^k)^rank tuples.
 
     Writes the law as mul(x^m, y^m) = sum_d m^d T_d(x, y) and peels the
@@ -468,16 +467,15 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
     """
     mod = Modulus(p, k)
     pk = mod.pk
-    c = min(p - 1, MAX_CLASS if class_bound is None else class_bound)
+    c = min(p - 1, MAX_CLASS)
     if c < 1:
         raise LazardError("no admissible class below p")
     zero = (0,) * rank
     if mul(zero, zero) != zero:
         raise LazardError("the zero tuple is not the group identity")
 
-    vand = ModMatrix(mod, [[pow(m, d, pk) for d in range(1, c + 1)]
-                           for m in range(1, c + 1)])
-    vinv = mat_inverse(vand)
+    vinv = mat_inverse([[pow(m, d, pk) for d in range(1, c + 1)]
+                        for m in range(1, c + 1)], mod)
 
     def powers(x):
         """x^1 .. x^c, each one mul from the last."""
@@ -488,7 +486,7 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
 
     def graded_parts(x, y):
         rows = [mul(a, b) for a, b in zip(powers(x), powers(y))]
-        return [tuple(sum(vinv.rows[d][m] * rows[m][l] for m in range(c)) % pk
+        return [tuple(sum(vinv[d][m] * rows[m][l] for m in range(c)) % pk
                       for l in range(rank))
                 for d in range(c)]
 
@@ -549,7 +547,9 @@ def log_group(mul, p, k, rank, class_bound=None, samples=2000, seed=0):
 # subrings and quotients
 
 class Subring:
-    """Submodule of a ring in Howell form, with bracket-closure queries."""
+    """Submodule of a ring, held as the Howell rows of its span (the one
+    subgroup format), with membership, listing and bracket-closure
+    queries."""
 
     def __init__(self, ring, generators):
         self.ring = ring
@@ -589,19 +589,24 @@ class Subring:
     def sum_with(self, other):
         return Subring(self.ring, list(self.generators()) + list(other.generators()))
 
+    def members(self):
+        """Every member once, as a (size, rank) array of modulus.dtype in
+        no set order.  A Howell row with pivot valuation v has order
+        p^(k - v) modulo the rows below it, so the sums of c * row with
+        0 <= c < p^(k - v) list each member exactly once."""
+        ring, dtype = self.ring, self.ring.modulus.dtype
+        out = np.zeros((1, ring.rank), dtype=dtype)
+        for row, (_, v) in zip(self.rows, self.pivots):
+            c = np.arange(ring.pk // ring.p**v, dtype=dtype)[:, None]
+            step = c * np.array(row, dtype=dtype) % ring.pk
+            out = (out[:, None] + step).reshape(-1, ring.rank)
+            # a sum of two residues is below 2 p^k
+            out[out >= ring.pk] -= ring.pk
+        return out
+
     def elements(self):
-        """All members, sorted.  A Howell row with pivot valuation v has
-        order p^(k - v) modulo the rows below it, so the sums of c * row
-        with 0 <= c < p^(k - v) list each member exactly once."""
-        ring = self.ring
-        orders = [range(ring.pk // ring.p**v) for _, v in self.pivots]
-        out = []
-        for coeffs in itertools.product(*orders):
-            v = ring.zero()
-            for c, row in zip(coeffs, self.rows):
-                v = ring.add(v, ring.scale(c, row))
-            out.append(v)
-        return sorted(out)
+        """All members as tuples, sorted."""
+        return sorted(map(tuple, self.members().tolist()))
 
     def is_lie_subring(self):
         gens = self.generators()
@@ -638,7 +643,7 @@ def orthogonal(ring, gram, gens):
         return Subring.full(ring)
     cols = [[sum(b * c for b, c in zip(row, g)) for g in gens]
             for row in gram]
-    return Subring(ring, kernel(ModMatrix(ring.modulus, cols)).rows)
+    return Subring(ring, kernel(cols, ring.modulus))
 
 
 def quotient_ring(ring, ideal, name=None):

@@ -24,8 +24,8 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import (Modulus, ModMatrix, QpModZp, is_prime, kernel,
-                    reduce_rows, span_size)
+from .arith import (Modulus, QpModZp, is_prime, kernel, reduce_rows,
+                    span_size)
 from .cyclotomic import (CycNumber, cyclic_matmul, from_rows, same_values,
                          to_rows)
 from .lazard import CrossCheckError, LieRing, Subring
@@ -102,7 +102,7 @@ class MetricGroup:
                 raise MetricError(
                     f"Gram diagonal at {i} is not 2 q(g_{i})")
         mod = Modulus(p, self.level)
-        rad = kernel(ModMatrix(mod, self._b)).rows
+        rad = kernel(self._b, mod)
         self.nondegenerate = (span_size(rad, mod)
                               == p ** (self.level * self.rank - s))
 
@@ -338,8 +338,7 @@ def isotropic_subgroups(m, max_size=None):
         return X[~(XB @ rows.T % m.modulus).any(axis=1)] * w
 
     spans = _grow(Subring.zero(ring), candidates, max_size or m.size())
-    subs = [frozenset(map(tuple, (np.array(s.elements()) // w).tolist()))
-            for s in spans]
+    subs = [frozenset(map(tuple, (s.members() // w).tolist())) for s in spans]
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 

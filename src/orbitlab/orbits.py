@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import ModMatrix, QpModZp, kernel
+from .arith import QpModZp, kernel
 from .lazard import (Subring, all_elements, batch_bracket, batch_conjugate,
                      conjugate, element_index)
 
@@ -127,8 +127,7 @@ def radical(form):
     if form._radical is not None:
         return form._radical
     ring = form.ring
-    ker = kernel(ModMatrix(ring.modulus, [list(r) for r in form.nums]))
-    sub = Subring(ring, [tuple(r) for r in ker.rows])
+    sub = Subring(ring, kernel(form.nums, ring.modulus))
     if not sub.is_lie_subring():
         raise OrbitError(
             f"radical of chi = {form.chi} is not closed under bracket")
@@ -302,29 +301,35 @@ def _basis_matrices(ring):
         coadjoint_matrix(ring, ring.basis(t)) for t in range(ring.rank)])
 
 
+def _supports(ring, b):
+    """Bit mask of the nonzero coordinates of [b, e_i], for each i.
+
+    The Howell rows of a coordinate span are its basis vectors, so x lies
+    in it exactly when x vanishes off its coordinates: closure tests on a
+    coordinate span read these supports."""
+    return [sum(1 << j for j, c in enumerate(ring.bracket(b, ring.basis(i)))
+                if c) for i in range(ring.rank)]
+
+
 def _coordinate_subalgebras(ring):
     """Basis-coordinate spans closed under bracket, as (index subset,
-    bit mask of the subset)."""
+    bit mask of the subset): [e_i, e_j] vanishes off the subset for every
+    i, j in it."""
     def build(ring):
+        support = [_supports(ring, ring.basis(i)) for i in range(ring.rank)]
         out = []
         for bits in range(1, 2 ** ring.rank):
             subset = tuple(i for i in range(ring.rank) if bits >> i & 1)
-            if Subring(ring, [ring.basis(i) for i in subset]).is_lie_subring():
+            if all(support[i][j] & ~bits == 0 for i in subset for j in subset):
                 out.append((subset, bits))
         return out
     return _cached(ring, "subalgebras", build)
 
 
 def _stable_subalgebras(ring, b):
-    """Index subsets of the coordinate subalgebras a with [b, a] <= a.
-
-    The Howell rows of a coordinate span are its basis vectors, so x lies
-    in it exactly when x vanishes off its coordinates: the test is on the
-    support of each [b, e_i]."""
-    support = []
-    for i in range(ring.rank):
-        v = ring.bracket(b, ring.basis(i))
-        support.append(sum(1 << j for j, c in enumerate(v) if c))
+    """Index subsets of the coordinate subalgebras a with [b, a] <= a:
+    each [b, e_i], i in a, vanishes off a."""
+    support = _supports(ring, b)
     return [subset for subset, bits in _coordinate_subalgebras(ring)
             if all(support[i] & ~bits == 0 for i in subset)]
 
@@ -342,20 +347,20 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
     (_group): every group element and the displacement M_g - I of its
     coadjoint matrix.  Per character, the fixed points are g with
     sum_i disp[j, i, g] chi_i = 0 for every row j, tested one row at a
-    time on the elements that passed the rows before.  Then the first
-    fixed point outside the span of those adjoined so far is adjoined,
-    with the span kept as a mask over the group, until none is left
-    outside: the same generators, in the same order, as scanning the
-    fixed points one by one, in at most rank * k rounds.  The fixed set
-    is a subgroup of Exp(g); the scan also confirms it is closed under
-    addition before packaging it as a Subring, so the return value
-    represents the set faithfully.
+    time on the elements that passed the rows before.  A subgroup is
+    spanned by one generator per column j: among its members whose first
+    j coordinates vanish (a prefix of the lexicographic order), one with
+    the least valuation at j, such as the first with x_j != 0.  Those of
+    the fixed points give one Howell form, and one listing of its span
+    (Subring.members) confirms that the span is the fixed set, so the
+    return value represents the set faithfully; a fixed set not closed
+    under addition raises.
     """
     ring = chi.ring
-    pk = ring.pk
+    pk, n = ring.pk, ring.rank
     elems, disp, live = _group(ring, cap)
     fixed = np.arange(len(elems))
-    for j in range(ring.rank):
+    for j in range(n):
         terms = [i for r, i in live if r == j and chi.nums[i]]
         if terms:
             # at most n products of two residues, each below p^k: for
@@ -363,23 +368,19 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
             # keeps these sums far inside int64
             moved = sum(disp[j, i, fixed] * chi.nums[i] for i in terms)
             fixed = fixed[moved % pk == 0]
-    inside = np.zeros(len(elems), dtype=bool)
     gens = []
+    for j in range(n):
+        # the elements with x_0 = ... = x_(j-1) = 0 and x_j != 0 are those
+        # from pk^(n-j-1) to pk^(n-j) - 1; the first fixed one has the
+        # least x_j, which in a subgroup is p^v, v the least valuation
+        i = np.searchsorted(fixed, pk ** (n - j - 1))
+        if i < len(fixed) and fixed[i] < pk ** (n - j):
+            gens.append(elems[fixed[i]].tolist())
     sub = Subring(ring, gens)
-    while True:
-        # the members of the span, each once: sums of c * row with c below
-        # the order of each Howell row (Subring.elements)
-        span = np.zeros((1, ring.rank), dtype=np.int64)
-        for row, (_, v) in zip(sub.rows, sub.pivots):
-            c = np.arange(pk // ring.p ** v)[:, None]
-            span = ((span[:, None] + c * row) % pk).reshape(-1, ring.rank)
-        inside[element_index(ring, span)] = True
-        outside = fixed[~inside[fixed]]
-        if not outside.size:
-            break
-        gens.append(tuple(elems[outside[0]].tolist()))
-        sub = Subring(ring, gens)
-    if sub.size() != len(fixed):
+    inside = np.zeros(len(elems), dtype=bool)
+    inside[fixed] = True
+    if (sub.size() != len(fixed)
+            or not inside[element_index(ring, sub.members())].all()):
         raise OrbitError(
             f"stabilizer of {chi} is not additively closed: "
             f"{len(fixed)} fixed points, span of size {sub.size()}")

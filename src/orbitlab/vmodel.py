@@ -371,7 +371,7 @@ def verify_ribbon(d, eta_override=None):
     # h_{beta0} u = sum over g = s(beta0) + x, x in a, of
     # zeta^(q(s(beta0)) - q(g)) gamma(g) u, one slab per beta0
     lifts = np.array([d.s[b] for b in d.b_elements], dtype=np.int64)
-    A = np.array(d.a.elements(), dtype=np.int64)
+    A = d.a.members()
     G = ((lifts[:, None] + A) % ring.pk).reshape(-1, ring.rank)
     owner = np.repeat(np.arange(nb), len(A))  # the beta0 of each g
     q = np.array([m.q_num(x) for x in lifts.tolist() + G.tolist()])

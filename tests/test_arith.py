@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from orbitlab.arith import (
     Modulus,
-    ModMatrix,
     QpModZp,
     howell,
     inv_mod,
@@ -185,30 +184,36 @@ def test_span_size_counts_row_orders():
     assert span_size(h, mod) == 9 * 3
 
 
-def mat_mul(a, b):
-    """The product of two ModMatrix over one modulus (the oracle for
-    mat_inverse)."""
-    assert a.modulus == b.modulus and a.ncols == b.nrows
-    return ModMatrix(a.modulus, [[sum(x * y for x, y in zip(row, col))
-                                  for col in zip(*b.rows)] for row in a.rows])
+def mat_mul(a, b, mod):
+    """The product of two matrices given by rows, mod p^k, as a tuple of
+    rows (the oracle for mat_inverse)."""
+    assert len(a[0]) == len(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % mod.pk
+                       for col in zip(*b)) for row in a)
 
 
 def test_mat_inverse_round_trip():
     mod = Modulus(5, 2)
-    m = ModMatrix(mod, [[1, 2], [3, 4]])  # det = -2, a unit mod 25
-    inv = mat_inverse(m)
-    assert mat_mul(m, inv) == ModMatrix.identity(mod, 2)
-    assert mat_mul(inv, m) == ModMatrix.identity(mod, 2)
-    with pytest.raises(Exception):
-        mat_inverse(ModMatrix(mod, [[5, 0], [0, 1]]))
+    m = ((1, 2), (3, 4))  # det = -2, a unit mod 25
+    inv = mat_inverse(m, mod)
+    assert isinstance(inv, tuple) and all(isinstance(r, tuple) for r in inv)
+    assert mat_mul(m, inv, mod) == ((1, 0), (0, 1))
+    assert mat_mul(inv, m, mod) == ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="not invertible"):
+        mat_inverse([[5, 0], [0, 1]], mod)
+    with pytest.raises(ValueError, match="not square"):
+        mat_inverse([[1, 2]], mod)
+    with pytest.raises(ValueError, match="not square"):
+        mat_inverse([[1, 2], [3]], mod)
 
 
-def _gauss_jordan_inverse(m):
-    """Unit-pivot Gauss-Jordan over Z/p^k: the inverse, or None when some
-    column has no unit below the diagonal (the oracle for mat_inverse)."""
-    n, p, pk = m.nrows, m.modulus.p, m.modulus.pk
-    a = [list(r) + [int(i == j) for j in range(n)]
-         for i, r in enumerate(m.rows)]
+def _gauss_jordan_inverse(m, mod):
+    """Unit-pivot Gauss-Jordan over Z/p^k: the inverse rows, or None when
+    some column has no unit below the diagonal (the oracle for
+    mat_inverse)."""
+    n, p, pk = len(m), mod.p, mod.pk
+    a = [[x % pk for x in r] + [int(i == j) for j in range(n)]
+         for i, r in enumerate(m)]
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c] % p), None)
         if piv is None:
@@ -220,13 +225,13 @@ def _gauss_jordan_inverse(m):
             if i != c and a[i][c]:
                 f = a[i][c]
                 a[i] = [(x - f * y) % pk for x, y in zip(a[i], a[c])]
-    return ModMatrix(m.modulus, [r[n:] for r in a])
+    return tuple(tuple(r[n:]) for r in a)
 
 
 @st.composite
 def _small_matrix(draw):
-    """A matrix over Z/p^k, p^k <= 25, of up to 4 x 4; a third of the
-    square ones get a row made dependent mod p."""
+    """(rows, modulus): a matrix over Z/p^k, p^k <= 25, of up to 4 x 4; a
+    third of the square ones get a row made dependent mod p."""
     p, k = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1),
                                  (5, 2)]))
     mod = Modulus(p, k)
@@ -237,32 +242,36 @@ def _small_matrix(draw):
     if n == ncols and n > 1 and draw(st.integers(0, 2)) == 0:
         c, noise = draw(st.integers(0, mod.pk - 1)), draw(st.integers(0, 1))
         rows[0] = [(c * y + noise * p * x) for x, y in zip(rows[0], rows[1])]
-    return ModMatrix(mod, rows)
+    return rows, mod
 
 
 @settings(max_examples=200, deadline=None)
 @given(_small_matrix())
-def test_howell_inverse_matches_gauss_jordan(m):
-    if m.nrows != m.ncols:
-        with pytest.raises(ValueError):
-            mat_inverse(m)
+def test_howell_inverse_matches_gauss_jordan(case):
+    m, mod = case
+    if len(m) != len(m[0]):
+        with pytest.raises(ValueError, match="not square"):
+            mat_inverse(m, mod)
         return
-    want = _gauss_jordan_inverse(m)
+    want = _gauss_jordan_inverse(m, mod)
     if want is None:
-        with pytest.raises(ValueError):
-            mat_inverse(m)
+        with pytest.raises(ValueError, match="not invertible"):
+            mat_inverse(m, mod)
     else:
-        assert mat_inverse(m) == want
+        assert mat_inverse(m, mod) == want
 
 
 def test_kernel_is_left_annihilator():
     mod = Modulus(3, 2)
-    m = ModMatrix(mod, [[3, 0], [0, 1]])
-    k = kernel(m)
+    m = ((3, 0), (0, 1))
+    k = kernel(m, mod)
+    assert isinstance(k, tuple) and all(isinstance(r, tuple) for r in k)
     zero = (0, 0)
-    for row in k.rows:
-        v = tuple(sum(row[i] * m.rows[i][j] for i in range(2)) % 9
+    for row in k:
+        v = tuple(sum(row[i] * m[i][j] for i in range(2)) % 9
                   for j in range(2))
         assert v == zero
     # x*m = 0 forces 3*x0 = 0 and x1 = 0: kernel has 3 elements
-    assert span_size(k.rows, mod) == 3
+    assert span_size(k, mod) == 3
+    # unreduced entries give the same canonical rows
+    assert kernel(((12, -9), (9, 10)), mod) == k

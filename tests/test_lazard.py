@@ -33,6 +33,8 @@ from orbitlab.lazard import (
     series_program,
     validate,
 )
+from orbitlab.orbits import (SkewForm, all_characters, radical,
+                             sample_characters)
 from orbitlab.vmodel import VModelData
 
 
@@ -185,8 +187,9 @@ def test_exp_associative_exhaustive_small():
 @pytest.mark.parametrize("samples", [None, 50])
 def test_associativity_witness_prints_plain_ints(monkeypatch, samples):
     # perturb one row of the outer left product: the defect message must
-    # show the triple as Python ints, in the exhaustive and sampled modes
-    ring = heis(3)
+    # show the triple as Python ints, in the exhaustive mode (27^3 triples)
+    # and the sampled one (125^3 > 2^15)
+    ring = heis(3 if samples is None else 5)
     batch = lazard.batch_exp_mul
     calls = []
 
@@ -198,10 +201,8 @@ def test_associativity_witness_prints_plain_ints(monkeypatch, samples):
         return out
 
     monkeypatch.setattr(lazard, "batch_exp_mul", perturbed)
-    limit = 32768 if samples is None else 0
     with pytest.raises(LazardError) as err:
-        check_exp_associative(ring, samples=samples or 10,
-                              exhaustive_limit=limit)
+        check_exp_associative(ring, samples=samples or 10)
     message = str(err.value)
     assert message.startswith("associativity defect at x=(")
     assert "np." not in message and "int64" not in message
@@ -393,7 +394,7 @@ def test_hostile_shapes_refused_before_allocation():
         LieRing(3, 10**9, 3, {})
     with pytest.raises(ValueError, match="not below 2\\^63"):
         LieRing(BIG_PRIME, 3, 3, {})
-    assert LieRing(3, 1, lazard.MAX_RANK, {}, check=False).cls == 1
+    assert LieRing(3, 1, lazard.MAX_RANK, {}).cls == 1
 
 
 def test_exp_associative_over_large_prime():
@@ -547,15 +548,25 @@ class TestSubring:
                     assert mask.tolist() == [x in brute
                                              for x in ring.elements()]
 
-    def test_elements_walks_each_row_by_its_order(self, monkeypatch):
-        ring = LieRing(3, 2, 3, {})
-        sub = Subring(ring, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
-        calls = []
-        add = ring.add
-        monkeypatch.setattr(ring, "add",
-                            lambda x, y: calls.append(None) or add(x, y))
-        assert len(sub.elements()) == 27
-        assert len(calls) == 27 * 3
+    def test_members_list_each_member_once(self, rings):
+        # radicals of B_chi on every catalog ring: all 729 characters of
+        # h3_z9, whose radicals have rows with non-unit pivots, and 20
+        # seeded characters elsewhere
+        valuations = set()
+        for name, ring in rings.items():
+            chis = (all_characters(ring) if name == "h3_z9"
+                    else sample_characters(ring, 20, random.Random(name)))
+            for chi in chis:
+                sub = radical(SkewForm(chi))
+                members = sub.members()
+                assert members.shape == (sub.size(), ring.rank)
+                assert len(np.unique(members, axis=0)) == len(members)
+                assert sub.contains_rows(members).all()
+                assert set(map(tuple, members.tolist())) == set(sub.elements())
+                assert sub.elements() == sorted(sub.elements())
+                if name == "h3_z9":
+                    valuations.update(v for _, v in sub.pivots)
+        assert valuations == {0, 1}
 
     def test_howell_rows_canonical(self):
         ring = heis(3, k=2)

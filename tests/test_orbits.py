@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitlab.arith import Modulus, ModMatrix, QpModZp, howell, kernel
-from orbitlab import cli, orbits
+from orbitlab.arith import Modulus, QpModZp, howell, kernel
+from orbitlab import cli, lazard, orbits
 from orbitlab.lazard import (LieRing, Subring, all_elements, batch_conjugate,
                              element_index, exp_mul, serialize_ring)
 from orbitlab.lazard import catalog as lazard_catalog
@@ -328,7 +328,7 @@ def test_left_kernels_match_howell_kernel():
         mod = Modulus(p, 1)
         for a, v in zip(A, V):
             assert not (v @ a % p).any()
-            rows = kernel(ModMatrix(mod, a.tolist())).rows
+            rows = kernel(a.tolist(), mod)
             assert Subring(LieRing(p, 1, n, {}), v.tolist()).rows == howell(
                 rows, mod)
 
@@ -419,6 +419,21 @@ def test_stabilizer_oracle_matches_dense_scan(rings, name, count):
         assert stab.rows == Subring(ring, fixed.tolist()).rows
 
 
+@pytest.mark.parametrize("name, count", [("h3_z9", None), ("u4_p5", 200)])
+def test_stabilizer_oracle_one_howell_form_per_character(monkeypatch, name,
+                                                        count):
+    ring = lazard_catalog()[name]
+    calls = []
+    monkeypatch.setattr(lazard, "howell",
+                        lambda *args: calls.append(1) or howell(*args))
+    chis = (all_characters(ring) if count is None
+            else sample_characters(ring, count, random.Random(5)))
+    for chi in chis:
+        before = len(calls)
+        stabilizer_oracle(chi)
+        assert len(calls) == before + 1, chi
+
+
 @pytest.mark.parametrize("name", ["abelian3_p3", "h3_p3", "h3xa1_p3", "h3_z9"])
 def test_cached_displacement(monkeypatch, name):
     ring = lazard_catalog()[name]
@@ -465,3 +480,25 @@ def test_stabilizer_not_additively_closed(monkeypatch, g, entry, witness):
         with pytest.raises(OrbitError) as err:
             check()
         assert str(err.value) == message
+
+
+def test_stabilizer_span_of_the_right_size_is_still_checked(monkeypatch):
+    # read as fixed: e0, e0 + e1, 2 e0 and 3 e0; read as moved: every
+    # nonzero central element.  Five fixed points, and the one generator
+    # e0 spans five elements too, yet 4 e0 is not fixed: only the listing
+    # tells the two sets apart
+    ring = lazard_catalog()["h3_p5"]
+    elems, disp, live = orbits._group(ring, orbits.DUAL_CAP)
+    disp = disp.copy()
+    fixed = element_index(ring, [(1, 0, 0), (1, 1, 0), (2, 0, 0), (3, 0, 0)])
+    disp[:, :, fixed] = 0
+    disp[0, 2, element_index(ring, [(0, 0, c) for c in range(1, 5)])] = 1
+    monkeypatch.setitem(ring.orbit_cache, "group", (elems, disp, live))
+    chi = generic_character(ring)
+    for check in (lambda: stabilizer_oracle(chi),
+                  lambda: kernel_lemma_check(ring, chi)):
+        with pytest.raises(OrbitError) as err:
+            check()
+        assert str(err.value) == (
+            "stabilizer of Character(0/1, 0/1, 1/5) is not additively "
+            "closed: 5 fixed points, span of size 5")
