@@ -68,7 +68,7 @@ class LieRing:
     structure lists the nonzero brackets, one (i, j, ((l, c), ...)) per
     given pair i < j with c coordinate l of [e_i, e_j]; the bracket and
     the batch kernels walk it.  orbit_cache is the one per-ring cache (the
-    series programs, the orbits layer's tables, metric's unit inverses).
+    series programs, the orbits layer's tables, the unit inverses).
     """
 
     def __init__(self, p, k, rank, brackets, name="unnamed"):
@@ -343,6 +343,15 @@ def series_program(ring, name):
         series = {"bch": bch, "exp_ad": exp_ad, "phi": phi_series}[name]
         prog = ring.orbit_cache[name] = _Program(series(ring.cls), ring)
     return prog
+
+
+def unit_inverses(ring):
+    """unit[v]: the inverse mod p^k of v / gcd(v, p^k), and unit[0] = 0."""
+    cache, pk = ring.orbit_cache, ring.pk
+    if "unit_inverses" not in cache:
+        cache["unit_inverses"] = np.array(
+            [0] + [pow(v // math.gcd(v, pk), -1, pk) for v in range(1, pk)])
+    return cache["unit_inverses"]
 
 
 def exp_mul(ring, x, y):

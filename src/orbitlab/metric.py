@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .arith import (Modulus, QpModZp, is_prime, kernel, reduce_rows,
                     span_size)
 from .cyclotomic import (CycNumber, cyclic_matmul, from_rows, same_values,
                          to_rows)
-from .lazard import CrossCheckError, LieRing, Subring
+from .lazard import CrossCheckError, LieRing, Subring, unit_inverses
 
 ORDER_CAP = 4096
 
@@ -300,11 +300,6 @@ def _grow(start, candidates, cap):
     one coset of sub, or unit multiples of each other, give one span, so
     each is tried once: reduced against sub, scaled to a leading p^v."""
     ring, pk = start.ring, start.ring.pk
-    # unit[v]: the inverse of v's unit part v / gcd(v, p^k), once per ring
-    unit = ring.orbit_cache.get("unit_inverses")
-    if unit is None:
-        unit = ring.orbit_cache["unit_inverses"] = np.array(
-            [0] + [pow(v // gcd(v, pk), -1, pk) for v in range(1, pk)])
     seen = {start.rows: start}
     frontier = [start]
     while frontier:
@@ -315,8 +310,8 @@ def _grow(start, candidates, cap):
             R = reduce_rows(candidates(sub), sub.rows, ring.modulus,
                             sub.pivots)
             R = R[R.any(axis=1)]
-            lead = unit[R[np.arange(len(R)), (R != 0).argmax(axis=1)]]
-            scaled = (R * lead[:, None] % pk).tolist()
+            lead = R[np.arange(len(R)), (R != 0).argmax(axis=1)]
+            scaled = (R * unit_inverses(ring)[lead][:, None] % pk).tolist()
             for y in sorted(set(map(tuple, scaled))):
                 new = Subring(ring, sub.rows + (y,))
                 if new.rows not in seen:

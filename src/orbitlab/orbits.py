@@ -16,9 +16,9 @@ import numpy as np
 
 from .arith import QpModZp, kernel
 from .lazard import (Subring, all_elements, batch_bracket, batch_conjugate,
-                     conjugate, element_index)
+                     conjugate, element_index, unit_inverses)
 
-DUAL_CAP = 5 ** 7
+DUAL_CAP = 7 ** 6
 
 
 class OrbitError(ValueError):
@@ -189,44 +189,43 @@ def _forms(ring, chis):
     return np.einsum("ijl,cl->cij", table, chis) % ring.pk
 
 
-def _left_kernels(A, p):
-    """Left kernels over F_p of a stack A (m, n, n), from eliminating every
-    [A | I] at once.  Each pivot row clears its column from all rows, its
-    own included, so the rows left nonzero span each kernel, a basis."""
+def _left_kernels(A, ring):
+    """Left kernels over Z/p^k of a stack A (m, n, n), and their sizes,
+    from eliminating every [A | I] at once by least valuation (Howell 1986;
+    Storjohann-Mulders 1998).  In column j the first entry of least
+    valuation, d = gcd(entry, p^k), clears the column from every row, its
+    own included; that row then becomes p^k / d times the pivot row.  The
+    rows left span each kernel, of size the product of the d (p^k for a
+    zero column).  For k = 1 pivot rows become zero, the rest a basis."""
     m, n, _ = A.shape
-    A = np.concatenate([A % p, np.tile(np.eye(n, dtype=A.dtype), (m, 1, 1))],
+    pk, unit, c = ring.pk, unit_inverses(ring), np.arange(m)
+    A = np.concatenate([A % pk, np.tile(np.eye(n, dtype=A.dtype), (m, 1, 1))],
                        axis=2)
-    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
-    row = np.zeros(m, dtype=np.int64)
+    sizes = np.ones(m, dtype=np.int64)
     for j in range(n):
-        cand = (A[:, :, j] != 0) & (np.arange(n) >= row[:, None])
-        c = np.flatnonzero(cand.any(axis=1))
-        r, top = cand[c].argmax(axis=1), row[c]
-        A[c, r], A[c, top] = A[c, top], A[c, r]
-        f = A[c, :, j] * inv[A[c, top, j]][:, None] % p
-        A[c] = (A[c] - f[:, :, None] * A[c, top][:, None, :]) % p
-        row[c] += 1
-    return A[:, :, n:]
+        g = np.gcd(A[:, :, j], pk)
+        r = g.argmin(axis=1)
+        d, top = g[c, r], A[c, r]
+        f = A[:, :, j] // d[:, None] * unit[top[:, j]][:, None] % pk
+        f[c, r] = 1 - pk // d  # the pivot row keeps p^k / d times itself
+        A -= f[:, :, None] * top[:, None, :]
+        A %= pk
+        sizes *= d
+    return A[:, :, n:], sizes
 
 
 def _radicals(ring, chis):
-    """Rows spanning rad(B_chi), zero-padded to (m, n, n), and |rad(B_chi)|
-    for the rows chi of chis: batched with bracket closure checked in bulk
-    for k = 1, radical(SkewForm(chi)) one by one for k > 1."""
-    if ring.k > 1:
-        gens = np.zeros((len(chis),) + (ring.rank,) * 2, dtype=np.int64)
-        subs = [radical(SkewForm(Character(ring, chi))) for chi in chis]
-        for c, sub in enumerate(subs):
-            gens[c, :len(sub.rows)] = sub.rows
-        return gens, np.array([sub.size() for sub in subs], dtype=np.int64)
+    """Rows spanning rad(B_chi), (m, n, n), and |rad(B_chi)| for the rows
+    chi of chis, by _left_kernels; bracket closure is checked in bulk."""
     B = _forms(ring, chis)
-    gens = _left_kernels(B, ring.p)
+    gens, sizes = _left_kernels(B, ring)
     for a, b in itertools.combinations(range(ring.rank), 2):
         br = batch_bracket(ring, gens[:, a], gens[:, b])
-        for c in np.flatnonzero(np.einsum("ci,cij->cj", br, B) % ring.p)[:1]:
+        outside = (np.einsum("ci,cij->cj", br, B) % ring.pk).any(axis=1)
+        for c in np.flatnonzero(outside)[:1]:
             raise OrbitError(f"radical of chi = {Character(ring, chis[c])} "
                              f"is not closed under bracket")
-    return gens, ring.p ** gens.any(axis=2).sum(axis=1)
+    return gens, sizes
 
 
 def enumerate_orbits(ring, cap=DUAL_CAP):
@@ -351,10 +350,10 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
     spanned by one generator per column j: among its members whose first
     j coordinates vanish (a prefix of the lexicographic order), one with
     the least valuation at j, such as the first with x_j != 0.  Those of
-    the fixed points give one Howell form, and one listing of its span
-    (Subring.members) confirms that the span is the fixed set, so the
-    return value represents the set faithfully; a fixed set not closed
-    under addition raises.
+    the fixed points give one Howell form.  One listing of its span
+    (Subring.members; none if both are G) confirms that it is the fixed
+    set, so the return value represents the set faithfully.  Otherwise
+    this raises, naming when it can a member of the span that is not fixed.
     """
     ring = chi.ring
     pk, n = ring.pk, ring.rank
@@ -377,13 +376,18 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
         if i < len(fixed) and fixed[i] < pk ** (n - j):
             gens.append(elems[fixed[i]].tolist())
     sub = Subring(ring, gens)
-    inside = np.zeros(len(elems), dtype=bool)
-    inside[fixed] = True
-    if (sub.size() != len(fixed)
-            or not inside[element_index(ring, sub.members())].all()):
+    stray = ""
+    # a span of |G| elements is G itself, so G is then the fixed set
+    if sub.size() == len(fixed) < len(elems):
+        inside = np.zeros(len(elems), dtype=bool)
+        inside[fixed] = True
+        members = sub.members()
+        for x in members[~inside[element_index(ring, members)]][:1]:
+            stray = f", and it holds {tuple(x.tolist())}, which is not fixed"
+    if sub.size() != len(fixed) or stray:
         raise OrbitError(
             f"stabilizer of {chi} is not additively closed: "
-            f"{len(fixed)} fixed points, span of size {sub.size()}")
+            f"{len(fixed)} fixed points, span of size {sub.size()}{stray}")
     return sub
 
 

@@ -243,6 +243,26 @@ def test_cap_hint_names_the_flag(capsys, h3p5_file):
     assert "sampled" not in err and "ORBITLAB_CAP" not in err
 
 
+def test_default_cap_reaches_every_catalog_ring(capsys, tmp_path):
+    # u4_p7 has the largest dual space of the catalog, 7^6 characters
+    path = tmp_path / "u4_p7.ring"
+    path.write_text(serialize_ring(catalog()["u4_p7"]))
+    code, out = run(capsys, "orbits", str(path), "--format", "records")
+    assert code == 0
+    assert out.splitlines()[0] == "census ring=u4_p7 orbits=721 dual=117649"
+
+
+def test_default_cap_refuses_a_larger_dual(capsys, tmp_path):
+    path = tmp_path / "abelian7_p7.ring"
+    path.write_text(serialize_ring(lazard.LieRing(7, 1, 7, {},
+                                                  name="abelian7_p7")))
+    code = cli.main(["orbits", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("cap exceeded: dual space has 823543 characters, "
+                            "above the cap 117649; raise --cap\n")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_kernel_check_needs_a_sample(capsys, h3p5_file, samples):
     # a verdict on no characters is no verdict

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitlab.arith import Modulus, QpModZp, howell, kernel
-from orbitlab import cli, lazard, orbits
+from orbitlab.arith import Modulus, QpModZp, howell, kernel, span_size
+from orbitlab import arith, cli, lazard, orbits
 from orbitlab.lazard import (LieRing, Subring, all_elements, batch_conjugate,
                              element_index, exp_mul, serialize_ring)
 from orbitlab.lazard import catalog as lazard_catalog
@@ -264,6 +264,12 @@ CLASS2_SHAPES = [("c2_h5_p5", 5, 4, 1), ("c2_v3z2_p7", 7, 3, 2),
                  ("c2_v3z1_p5", 5, 3, 1)]
 
 
+def h3_z25():
+    """h3 over Z/25: 15,625 characters, radicals with pivots of valuation
+    0 and 1."""
+    return LieRing(5, 2, 3, {(0, 1): (0, 0, 1)}, name="h3_z25")
+
+
 def bfs_census(ring):
     """(representative, size) per orbit by breadth-first closure
     from seeds in lexicographic order, under the generator matrices of
@@ -290,11 +296,13 @@ def bfs_census(ring):
     return out
 
 
-@pytest.mark.parametrize("source", CENSUS_RINGS + CLASS2_SHAPES,
+@pytest.mark.parametrize("source", CENSUS_RINGS + CLASS2_SHAPES
+                         + [pytest.param(h3_z25, id="h3_z25")],
                          ids=lambda s: s if isinstance(s, str) else s[0])
 def test_census_matches_bfs_and_radicals(source):
     # fresh rings: the census fills the per-ring cache
     ring = (lazard_catalog()[source] if isinstance(source, str)
+            else source() if callable(source)
             else class2_ring(*source, seed=11))
     found = enumerate_orbits(ring)
     assert [(o.rep.nums, o.size) for o in found] == bfs_census(ring)
@@ -320,17 +328,61 @@ def test_swapped_generator_entry_names_the_representative():
 
 def test_left_kernels_match_howell_kernel():
     rng = np.random.default_rng(3)
-    for p, n in ((3, 4), (5, 6), (7, 3)):
-        A = rng.integers(0, p, size=(200, n, n))
+    for p, k, n in ((3, 1, 4), (5, 1, 6), (7, 1, 3), (3, 2, 4), (5, 2, 3),
+                    (3, 3, 3), (2, 3, 4)):
+        pk = p ** k
+        A = rng.integers(0, pk, size=(200, n, n))
+        # entries of every valuation 0..k, so that for k > 1 pivots that
+        # are not units occur
+        A[1::2] = A[1::2] * p ** rng.integers(0, k + 1, A[1::2].shape) % pk
         A[::3, 0] = 0   # rank drops
         A[::5] = 0
-        V = orbits._left_kernels(A, p)
-        mod = Modulus(p, 1)
-        for a, v in zip(A, V):
-            assert not (v @ a % p).any()
+        V, sizes = orbits._left_kernels(A, LieRing(p, k, n, {}))
+        mod = Modulus(p, k)
+        for a, v, size in zip(A, V, sizes.tolist()):
+            assert not (v @ a % pk).any()
             rows = kernel(a.tolist(), mod)
-            assert Subring(LieRing(p, 1, n, {}), v.tolist()).rows == howell(
+            assert Subring(LieRing(p, k, n, {}), v.tolist()).rows == howell(
                 rows, mod)
+            assert size == span_size(rows, mod)
+        # a kernel whose size is not a power of p^k took a pivot of
+        # valuation strictly between 0 and k
+        powers = {pk ** e for e in range(n + 1)}
+        assert (set(sizes.tolist()) <= powers) == (k == 1), (p, k, n)
+
+
+@pytest.mark.parametrize("make", [lambda: lazard_catalog()["h3_z9"], h3_z25],
+                         ids=["h3_z9", "h3_z25"])
+def test_radicals_take_one_batched_path_for_every_k(monkeypatch, make):
+    # for k > 1 no radical comes from a skew form and a Howell form of its
+    # own: the per-character route would raise here
+    ring = make()
+
+    def refuse(*args):
+        raise AssertionError("per-character radical")
+    for module, name in ((orbits, "radical"), (orbits, "SkewForm"),
+                         (arith, "howell")):
+        monkeypatch.setattr(module, name, refuse)
+    assert len(enumerate_orbits(ring)) == {9: 105, 25: 745}[ring.pk]
+    assert kernel_lemma_all(ring)["characters"] == dual_size(ring)
+
+
+def test_batched_bracket_closure_names_its_character(monkeypatch):
+    # [g_a, g_b] replaced by e0 for the generic character of h3 over F_5,
+    # whose radical is spanned by e2 alone: e0 pairs with e1 to 1/5
+    ring = lazard_catalog()["h3_p5"]
+    c = int(element_index(ring, [generic_character(ring).nums])[0])
+    bracket = orbits.batch_bracket
+
+    def corrupted(ring, X, Y):
+        out = bracket(ring, X, Y)
+        out[c] = ring.basis(0)
+        return out
+    monkeypatch.setattr(orbits, "batch_bracket", corrupted)
+    with pytest.raises(OrbitError) as err:
+        kernel_lemma_all(ring)
+    assert str(err.value) == ("radical of chi = Character(0/1, 0/1, 1/5) "
+                              "is not closed under bracket")
 
 
 # -- kernel = stabilizer for every character ----------------------------------
@@ -501,4 +553,5 @@ def test_stabilizer_span_of_the_right_size_is_still_checked(monkeypatch):
             check()
         assert str(err.value) == (
             "stabilizer of Character(0/1, 0/1, 1/5) is not additively "
-            "closed: 5 fixed points, span of size 5")
+            "closed: 5 fixed points, span of size 5, and it holds "
+            "(4, 0, 0), which is not fixed")
