@@ -22,12 +22,11 @@ vanish: the kernel of h -> sum_e h[e] zeta^e is spanned by the multiples
 of Phi, which are the vectors constant on each residue class mod
 p^(M-1), and fold subtracts that class's top entry from each class.
 to_rows and from_rows convert between CycNumbers and this format,
-same_values compares two such arrays exactly, cyclic_matmul multiplies
-matrices whose entries are in it, and rank decides the rank over Q(zeta)
-of such a matrix from Howell forms over primes l = 1 (mod n), with no
-inverse in Q(zeta).  The arrays are int64 while a bound computed from the
-inputs stays below 2^62, and Python ints otherwise, so no sum overflows
-silently.
+same_values compares two such arrays exactly, and rank decides the rank
+over Q(zeta) of a matrix whose entries are in it from Howell forms over
+primes l = 1 (mod n), with no inverse in Q(zeta).  The arrays are int64
+while a bound computed from the inputs stays below 2^62, and Python ints
+otherwise, so no sum overflows silently.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ import numpy as np
 
 from orbitlab.arith import Modulus, howell, is_prime
 
-__all__ = ["CycNumber", "to_rows", "from_rows", "same_values",
-           "cyclic_matmul", "rank"]
+__all__ = ["CycNumber", "to_rows", "from_rows", "same_values", "rank"]
 
 # int64 holds every intermediate while the computed bound stays below this
 _INT64_BOUND = 2**62
@@ -346,22 +344,6 @@ def same_values(h1, den1: int, h2, den2: int, p: int, m: int):
         h1, h2 = h1.astype(object), h2.astype(object)
     diff = h1 * den2 - h2 * den1
     return ~_conductor(p, m).fold(diff).any(axis=-1)
-
-
-def cyclic_matmul(a, b):
-    """Matrix product of (r, l, n) and (l, c, n) arrays in the exponent
-    format, as N = n integer matmuls: c[i, j] = sum_k a[i, k] b[k, j] with
-    entries multiplied in Z[x]/(x^n - 1).  The result shares the two
-    denominators' product."""
-    n = a.shape[-1]
-    if _absmax(a) * _absmax(b) * a.shape[1] * n >= _INT64_BOUND:
-        a, b = a.astype(object), b.astype(object)
-    flat = b.reshape(b.shape[0], -1)
-    out = np.zeros((a.shape[0], b.shape[1], n), dtype=np.result_type(a, b))
-    for s in range(n):
-        # exponent s of a shifts every exponent of b up by s
-        out += np.roll((a[:, :, s] @ flat).reshape(out.shape), s, axis=-1)
-    return out
 
 
 def rank(h, p: int, m: int) -> int:

@@ -26,8 +26,7 @@ import numpy as np
 
 from .arith import (Modulus, QpModZp, is_prime, kernel, reduce_rows,
                     span_size)
-from .cyclotomic import (CycNumber, cyclic_matmul, from_rows, same_values,
-                         to_rows)
+from .cyclotomic import CycNumber, from_rows, same_values, to_rows
 from .lazard import CrossCheckError, LieRing, Subring, unit_inverses
 
 ORDER_CAP = 4096
@@ -175,19 +174,16 @@ def gauss_sum(m):
     return total
 
 
-def _transform(m, values, sign, scale):
-    """{b: sum over a of values[a] zeta^(sign chi_b(a)) / scale}, one axis
-    at a time: |G| N sum_i p^k_i integer adds on exponent rows (row-column
-    transform; Good 1958, Clausen-Baum 1993), chi_b(a) = sum_i a_i b_i
-    p^(level - k_i) the standard duality."""
-    n, N = m.size(), m.modulus
-    pos = {x: i for i, x in enumerate(m.elements())}
-    h, den = to_rows(list(values.values()), m.p, m.level, terms=n * N)
-    H = np.zeros((n, N), dtype=h.dtype)
-    H[[pos[a] for a in values]] = h
-    H = H.reshape(m.orders + (N,))
+def _transform(m, H, sign):
+    """Exponent rows H, shape (..., |G|, N) with G in elements() order, to
+    sum over a of H[..., a, :] zeta^(sign chi_b(a)) at each b, same shape:
+    |G| N sum_i p^k_i integer adds per leading index, one axis at a time
+    (row-column transform; Good 1958, Clausen-Baum 1993), chi_b(a) =
+    sum_i a_i b_i p^(level - k_i) the standard duality."""
+    shape, N = H.shape, m.modulus
+    H = H.reshape(shape[:-2] + m.orders + (N,))
     e = np.arange(N)
-    for axis, k in enumerate(m.exponents):
+    for axis, k in enumerate(m.exponents, len(shape) - 2):
         X = np.moveaxis(H, axis, 0)
         Y = np.zeros_like(X)
         wb = m.p ** (m.level - k) * np.arange(X.shape[0])[:, None]
@@ -195,20 +191,47 @@ def _transform(m, values, sign, scale):
             # zeta^j of X[a] lands on zeta^(j + sign a b p^(level - k))
             Y += np.moveaxis(X[a][..., (e - sign * a * wb) % N], -2, 0)
         H = np.moveaxis(Y, 0, axis)
-    return dict(zip(m.elements(), from_rows(H.reshape(n, N), den * scale,
-                                            m.p, m.level)))
+    return H.reshape(shape)
+
+
+def _transform_dict(m, values, sign, scale):
+    """_transform on {element: CycNumber}, missing elements zero, divided
+    by scale; returns {b: CycNumber} over every b."""
+    zero = CycNumber.zero(m.p, m.level)
+    h, den = to_rows([values.get(x, zero) for x in m.elements()], m.p,
+                     m.level, terms=m.size() * m.modulus)
+    return dict(zip(m.elements(), from_rows(_transform(m, h, sign),
+                                            den * scale, m.p, m.level)))
 
 
 def fourier(m, e):
     """Group-algebra element to function on the dual: phi |-> sum of
     coefficient(a) phi(a)^{-1}."""
-    return _transform(m, e, -1, 1)
+    return _transform_dict(m, e, -1, 1)
 
 
 def fourier_inverse(m, h):
     """Function on the dual back to the group algebra:
     coefficient(a) = 1/|p| sum over phi of h(phi) phi(a)."""
-    return _transform(m, h, 1, m.size())
+    return _transform_dict(m, h, 1, m.size())
+
+
+def _b_characters(m):
+    """The B-isomorphism of G onto its dual: for each a in elements() order,
+    the index in elements() of the b with chi_b = B(., a), whose coordinates
+    are those of a B over p^(level - k_i); |G| <= ORDER_CAP bounds a B."""
+    n = m.size()
+    X = np.array(list(m.elements()), dtype=np.int64).reshape(n, m.rank)
+    XB = X @ np.array(m._b, dtype=np.int64).reshape(m.rank, m.rank) % m.modulus
+    w = np.array([m.p ** (m.level - k) for k in m.exponents], dtype=np.int64)
+    bad = np.flatnonzero((XB % w).any(axis=1))
+    if bad.size:
+        raise MetricError(f"B(., {tuple(X[bad[0]].tolist())}) is not a "
+                          "character of the group")
+    chars = XB // w @ (n // np.cumprod(m.orders, dtype=np.int64))
+    if not np.bincount(chars, minlength=n).all():
+        raise MetricError("B-isomorphism is not onto the dual")
+    return chars
 
 
 def ribbon_qhat(m):
@@ -223,22 +246,11 @@ def ribbon_qhat(m):
         raise MetricError("q-hat needs a nondegenerate form")
     g = gauss_sum(m)
     n = m.size()
+    elems = list(m.elements())
     closed = {a: g.mul_root(-m.q_num(a)).scale(Fraction(1, n))
-              for a in m.elements()}
-
-    # b-coordinates of every character B(., a); |G| <= ORDER_CAP bounds x B
-    X = np.array(list(m.elements()), dtype=np.int64).reshape(n, m.rank)
-    XB = X @ np.array(m._b, dtype=np.int64).reshape(m.rank, m.rank) % m.modulus
-    w = np.array([m.p ** (m.level - k) for k in m.exponents], dtype=np.int64)
-    bad = np.flatnonzero((XB % w).any(axis=1))
-    if bad.size:
-        raise MetricError(f"B(., {tuple(X[bad[0]].tolist())}) is not a "
-                          "character of the group")
-    iso = dict(zip(map(tuple, (XB // w).tolist()), m.elements()))
-    if len(iso) != n:
-        raise MetricError("B-isomorphism is not onto the dual")
-    transported = {b: m.qt(a) for b, a in iso.items()}
-    definitional = fourier_inverse(m, transported)
+              for a in elems}
+    definitional = fourier_inverse(
+        m, {elems[b]: m.qt(a) for a, b in zip(elems, _b_characters(m))})
 
     for a in closed:
         if closed[a] != definitional[a]:
@@ -255,9 +267,10 @@ def st_matrices(m):
     with T = diag(q̃): with B̃(a, b) itself, (ST)^3 collapses to a scalar
     times the identity rather than S^2.  Requires |p| to be a perfect
     square so the normalization is the integer Card = sqrt(|p|); verifies
-    S conj(S) = 1, S^2 = the a -> -a permutation, and
-    (ST)^3 = (G/Card) S^2 before returning, on Card S, Card conj(S) and Card ST
-    as one-hot exponent arrays, with G as the histogram of q's values.
+    S conj(S) = 1, S^2 = the a -> -a permutation, and (ST)^3 = (G/Card) S^2
+    before returning, G from the histogram of q's values, on the identity's
+    exponent rows: times Card S (Card conj(S)) is _transform with sign -1
+    (+1) read through _b_characters; times T rolls entry b's exponents by q(b).
     """
     n = m.size()
     card = isqrt(n)
@@ -268,29 +281,26 @@ def st_matrices(m):
     elems = list(m.elements())
     idx = {a: i for i, a in enumerate(elems)}
     p, level, N = m.p, m.level, m.modulus
+    chars = _b_characters(m)
     q = np.array([m.q_num(a) for a in elems], dtype=np.int64)
-    bm = np.array([[m.b_num(a, b) for b in elems] for a in elems],
-                  dtype=np.int64)
-    rows, cols = np.arange(n)[:, None], np.arange(n)
+    shift = (np.arange(N) - q[:, None]) % N
+    times_s = lambda R, sign=-1: _transform(m, R, sign)[..., chars, :]
+    times_t = lambda R: np.take_along_axis(R, shift[None], axis=-1)
+    one = np.zeros((n, n, N), dtype=np.int64)
+    one[np.arange(n), np.arange(n), 0] = 1
+    negs = [idx[m.neg(a)] for a in elems]
 
-    def hot(where, expo):
-        # row i holds zeta^expo[i, j] in column where[i, j]
-        out = np.zeros((n, n, N), dtype=np.int64)
-        out[rows, where, expo % N] = 1
-        return out
-
-    s, t, st = hot(cols, -bm), hot(rows, q[:, None]), hot(cols, q - bm)
-    s2 = cyclic_matmul(s, s)
+    s = times_s(one)
     same = lambda a, den, b: same_values(a, den, b, 1, p, level).all()
-    if not same(cyclic_matmul(s, hot(cols, bm)), n, hot(rows, 0)):
+    if not same(times_s(s, 1), n, one):
         raise MetricError("S conj(S) != identity")
-    if not same(s2, n, hot(np.array([[idx[m.neg(a)]] for a in elems]), 0)):
+    if not same(times_s(s), n, one[negs]):
         raise MetricError("S^2 is not the negation permutation")
-    hist = np.bincount(q, minlength=N).tolist()
-    want = sum(c * np.roll(s2, e, axis=-1) for e, c in enumerate(hist))
-    if not same(cyclic_matmul(cyclic_matmul(st, st), st), 1, want):
+    # G Card^2 S^2 is |p| G at the entries (a, -a) once S^2 is verified
+    want = n * np.bincount(q, minlength=N) * one[negs][..., :1]
+    if not same(times_t(times_s(times_t(times_s(times_t(s))))), 1, want):
         raise MetricError("(ST)^3 != (G/Card) S^2")
-    return from_rows(s, card, p, level), from_rows(t, 1, p, level)
+    return from_rows(s, card, p, level), from_rows(times_t(one), 1, p, level)
 
 
 def _grow(start, candidates, cap):

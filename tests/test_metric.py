@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import hyperbolic_metric, quadratic_metric
 from orbitlab import metric
 from orbitlab.arith import QpModZp
-from orbitlab.cyclotomic import CycNumber, cyclic_matmul, from_rows, to_rows
+from orbitlab.cyclotomic import CycNumber, to_rows
 from orbitlab.metric import (
     MetricError,
     MetricGroup,
@@ -326,20 +326,25 @@ def test_st_matrices_relations_and_shape():
                 assert t[i][j].is_zero()
 
 
-@pytest.mark.parametrize("big", [False, True], ids=["int64", "pyint"])
-def test_cyclic_matmul_matches_dense_product(big):
-    rng = random.Random(big)
-    top = 10**12 if big else 3
-    a = [[CycNumber(3, 2, [Fraction(rng.randint(-top, top), rng.choice([1, 4]))
-                           for _ in range(6)]) for _ in range(4)]
-         for _ in range(3)]
-    b = [[CycNumber(3, 2, [rng.randint(-top, top) for _ in range(6)])
-          for _ in range(2)] for _ in range(4)]
-    ha, da = to_rows([v for row in a for v in row], 3, 2)
-    hb, db = to_rows([v for row in b for v in row], 3, 2)
-    product = cyclic_matmul(ha.reshape(3, 4, 9), hb.reshape(4, 2, 9))
-    assert (product.dtype == object) == big
-    assert from_rows(product, da * db, 3, 2) == matmul_oracle(a, b)
+MIXED_ST = MetricGroup(3, (2, 1, 1), ["1/9", "0/1", "0/1"],
+                       [["2/9", "0/1", "0/1"], ["0/1", "0/1", "1/3"],
+                        ["0/1", "1/3", "0/1"]])
+
+
+@pytest.mark.parametrize("m", [
+    hyperbolic_metric(3, 1, 1), hyperbolic_metric(5, 1, 1),
+    hyperbolic_metric(3, 2, 1), hyperbolic_metric(3, 1, 2), MIXED_ST,
+], ids=["hyp311", "hyp511", "hyp321", "hyp312", "mixed"])
+def test_st_matrices_match_definition(m):
+    # st_matrices reads B through the Gram matrix; b_num is the definition
+    s, t = st_matrices(m)
+    elems = list(m.elements())
+    card = isqrt(m.size())
+    zero = CycNumber.zero(m.p, m.level)
+    for i, a in enumerate(elems):
+        assert s[i] == [CycNumber.root(m.p, m.level, -m.b_num(a, b))
+                        .scale(Fraction(1, card)) for b in elems]
+        assert t[i] == [m.qt(a) if j == i else zero for j in range(len(elems))]
 
 
 def test_st_matrices_relations_on_dense_oracle():
@@ -359,19 +364,47 @@ def test_st_matrices_relations_on_dense_oracle():
         [g * v for v in row] for row in matmul_oracle(s, s)]
 
 
-@pytest.mark.parametrize("where, relation", [
-    # B moved at one pair (and its mirror): S is no longer unitary
-    (lambda a, x, y: (x, y) in ((a, (0, 1)), ((0, 1), a)), "S conj"),
-    # B moved along a's row and column: S becomes D S D with D a diagonal
-    # unitary, still unitary, but S^2 leaves the negation permutation
-    (lambda a, x, y: (x == a) + (y == a), "S\\^2"),
-], ids=["b-pair", "b-row"])
-def test_st_matrices_catch_broken_pairing(monkeypatch, where, relation):
+def _gram_one_side(monkeypatch, m):
+    # B(g_1, g_0) moved, B(g_0, g_1) and so q kept: S is unitary but no
+    # longer symmetric, so S conj(S) is not S S*
+    m._b[1][0] = (m._b[1][0] + 1) % m.modulus
+
+
+def _sign_flipped(monkeypatch, m):
+    # S computed as conj(S): the first two relations survive conjugation,
+    # (ST)^3 does not, since T and G are not conjugated with it
+    transform = metric._transform
+    monkeypatch.setattr(metric, "_transform",
+                        lambda m, H, sign: transform(m, H, -sign))
+
+
+def _negation_moved(monkeypatch, m):
+    neg = m.neg
+    monkeypatch.setattr(m, "neg", lambda x: (0, 0) if x == (2, 1) else neg(x))
+
+
+@pytest.mark.parametrize("mutate, relation", [
+    (_gram_one_side, "S conj"),
+    (_sign_flipped, "\\(ST\\)\\^3"),
+    (_negation_moved, "S\\^2"),
+], ids=["gram-one-side", "sign", "negation"])
+def test_st_matrices_catch_broken_route(monkeypatch, mutate, relation):
     m = hyperbolic_metric(5, 1, 1)
-    b_num, a = m.b_num, (2, 1)
-    monkeypatch.setattr(m, "b_num", lambda x, y: (b_num(x, y) + where(a, x, y))
-                        % m.modulus)
+    mutate(monkeypatch, m)
     with pytest.raises(MetricError, match=relation):
+        st_matrices(m)
+
+
+def test_b_isomorphism_failures_are_named():
+    # only the lower Gram entries move, so q and the Gauss sum are kept
+    m = hyperbolic_metric(3, 1, 1)
+    m._b[1][0] = 0
+    with pytest.raises(MetricError, match="not onto the dual"):
+        ribbon_qhat(m)
+    m = MetricGroup(3, MIXED_ST.exponents, MIXED_ST.q_gens, MIXED_ST.gram)
+    m._b[2][1] = 1
+    with pytest.raises(MetricError,
+                       match=r"B\(\., \(0, 0, 1\)\) is not a character"):
         st_matrices(m)
 
 
