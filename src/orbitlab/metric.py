@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -52,7 +51,7 @@ class MetricGroup:
     Construction certifies q in O(rank^2) (Wall, "Quadratic forms on
     finite groups, and related topics", Topology 2, 1963).  Over the
     common denominator p^L, L = max k_i, q(x) = sum_i x_i^2 q_i +
-    sum_{i<j} x_i x_j B_ij (q_num).  _as_value caps q_i at level k_i and
+    sum_{i<j} x_i x_j B_ij (q_values).  _as_value caps q_i at level k_i and
     B_ij at level min(k_i, k_j), so x_i -> x_i + p^{k_i} moves q(x) and
     x B by multiples of p^L: q is well defined on G.  Being homogeneous
     quadratic, q(nx) = n^2 q(x); with B symmetric and B_ii = 2 q_i,
@@ -77,6 +76,8 @@ class MetricGroup:
             raise MetricError(f"order {p}^{s} exceeds the cap {ORDER_CAP}")
         self.rank = len(self.exponents)
         self.orders = tuple(p ** k for k in self.exponents)
+        self._strides = tuple(prod(self.orders[i + 1:])
+                              for i in range(self.rank))
         self.level = max(self.exponents, default=1)
         self.modulus = p ** self.level
         self.name = name
@@ -123,12 +124,27 @@ class MetricGroup:
     def scale(self, n, x):
         return tuple(n * a % o for a, o in zip(x, self.orders))
 
+    @cached_property
+    def _element_rows(self):
+        """elements() as one (|G|, rank) int64 array."""
+        grid = np.indices(self.orders, dtype=np.int64)
+        return np.ascontiguousarray(grid.reshape(self.rank, self.size()).T)
+
+    @cached_property
+    def q_values(self):
+        """q's numerators at the common level over elements(), int64: x_i,
+        q_i and B_ij are below p^L <= ORDER_CAP, so no sum nears 2^63."""
+        r = self.rank
+        upper = (np.triu(np.array(self._b, dtype=np.int64).reshape(r, r), 1)
+                 + np.diag(np.array(self._qd, dtype=np.int64)))
+        X = self._element_rows
+        return (X @ upper % self.modulus * X).sum(axis=1) % self.modulus
+
     def q_num(self, x):
-        """Numerator of q(x) at the common level."""
-        n = sum(a * a * d for a, d in zip(x, self._qd))
-        n += sum(x[i] * x[j] * self._b[i][j]
-                 for i in range(self.rank) for j in range(i + 1, self.rank))
-        return n % self.modulus
+        """Numerator of q(x) at the common level: q_values at x's index
+        sum_i x_i strides_i in elements()."""
+        return int(self.q_values[sum(
+            a % o * w for a, o, w in zip(x, self.orders, self._strides))])
 
     def b_num(self, x, y):
         return sum(x[i] * self._b[i][j] * y[j]
@@ -149,8 +165,7 @@ class MetricGroup:
         """For isotropic_subgroups: the ring (Z/p^L)^rank that G embeds in
         by x_i -> x_i w_i, the weights w, the q-null X in G, and X B."""
         w = self.p ** (self.level - np.array(self.exponents, dtype=np.int64))
-        X = np.array([x for x in self.elements() if self.q_num(x) == 0],
-                     dtype=np.int64).reshape(-1, self.rank)
+        X = self._element_rows[self.q_values == 0]
         return (LieRing(self.p, self.level, self.rank, {}), w, X,
                 X @ np.array(self._b, dtype=np.int64))
 
@@ -163,7 +178,7 @@ def gauss_sum(m):
     """Sum of q-tilde over the group, folded from the histogram of q's
     values; for nondegenerate q the modulus identity G conj(G) = |p| is a
     theorem and is enforced."""
-    hist = np.bincount([m.q_num(x) for x in m.elements()], minlength=m.modulus)
+    hist = np.bincount(m.q_values, minlength=m.modulus)
     total = from_rows(hist, 1, m.p, m.level)
     if m.nondegenerate:
         norm = total * total.conj()
@@ -220,8 +235,7 @@ def _b_characters(m):
     """The B-isomorphism of G onto its dual: for each a in elements() order,
     the index in elements() of the b with chi_b = B(., a), whose coordinates
     are those of a B over p^(level - k_i); |G| <= ORDER_CAP bounds a B."""
-    n = m.size()
-    X = np.array(list(m.elements()), dtype=np.int64).reshape(n, m.rank)
+    n, X = m.size(), m._element_rows
     XB = X @ np.array(m._b, dtype=np.int64).reshape(m.rank, m.rank) % m.modulus
     w = np.array([m.p ** (m.level - k) for k in m.exponents], dtype=np.int64)
     bad = np.flatnonzero((XB % w).any(axis=1))
@@ -234,30 +248,36 @@ def _b_characters(m):
     return chars
 
 
-def ribbon_qhat(m):
-    """The central element q-hat, computed along two independent routes.
-
-    (i) closed form: (G/|p|) sum of q̃(a)^{-1} [a];
-    (ii) definitional: transport q̃ to the dual through the B-isomorphism
-    a -> B(., a) and pull the resulting function back through the inverse
-    Fourier transform.  Any disagreement is an internal error.
-    """
+def _qhat_rows(m):
+    """(h, |p|): q-hat's coefficients over elements() as exponent rows of
+    shape (|G|, N), along two independent routes: (i) the closed form
+    (G/|p|) q̃(a)^{-1}, G's histogram rolled by q(a); (ii) the definition,
+    q̃ moved to the dual through the B-isomorphism a -> B(., a) and pulled
+    back by the inverse Fourier transform.  Any disagreement is an
+    internal error."""
     if not m.nondegenerate:
         raise MetricError("q-hat needs a nondegenerate form")
-    g = gauss_sum(m)
-    n = m.size()
-    elems = list(m.elements())
-    closed = {a: g.mul_root(-m.q_num(a)).scale(Fraction(1, n))
-              for a in elems}
-    definitional = fourier_inverse(
-        m, {elems[b]: m.qt(a) for a, b in zip(elems, _b_characters(m))})
+    n, N, q = m.size(), m.modulus, m.q_values
+    closed = np.bincount(q, minlength=N)[(np.arange(N) + q[:, None]) % N]
+    onehot = np.zeros((n, N), dtype=np.int64)
+    onehot[_b_characters(m), q] = 1
+    definitional = _transform(m, onehot, 1)
+    bad = np.flatnonzero(~same_values(closed, 1, definitional, 1, m.p,
+                                      m.level))
+    if bad.size:
+        a = int(bad[0])
+        x, y = (from_rows(h[a], n, m.p, m.level)
+                for h in (closed, definitional))
+        raise CrossCheckError(
+            "qhat-paths", f"q-hat paths disagree at "
+            f"{tuple(m._element_rows[a].tolist())}: {x} vs {y}")
+    return closed, n
 
-    for a in closed:
-        if closed[a] != definitional[a]:
-            raise CrossCheckError(
-                "qhat-paths", f"q-hat paths disagree at {a}: "
-                f"{closed[a]} vs {definitional[a]}")
-    return closed
+
+def ribbon_qhat(m):
+    """The central element q-hat as {a: coefficient}, from _qhat_rows."""
+    h, den = _qhat_rows(m)
+    return dict(zip(m.elements(), from_rows(h, den, m.p, m.level)))
 
 
 def st_matrices(m):
@@ -282,7 +302,7 @@ def st_matrices(m):
     idx = {a: i for i, a in enumerate(elems)}
     p, level, N = m.p, m.level, m.modulus
     chars = _b_characters(m)
-    q = np.array([m.q_num(a) for a in elems], dtype=np.int64)
+    q = m.q_values
     shift = (np.arange(N) - q[:, None]) % N
     times_s = lambda R, sign=-1: _transform(m, R, sign)[..., chars, :]
     times_t = lambda R: np.take_along_axis(R, shift[None], axis=-1)

@@ -12,18 +12,21 @@ and the Gauss sum evaluation.
 gamma is built for all of Gamma at once from the batch kernels, as two
 (|p|, dim V) arrays (perm, expo), and every check reads those arrays; eta
 is built one basis vector at a time, so Theorem 1 never compares gamma
-with itself.  Theorem 1 compares eta with q-hat = sum_g c_g gamma(g) as
-integer arrays over the exponents of zeta (cyclotomic's exponent format).
-The gu spanning lemma and the h_{beta0} reconstruction read gamma(g) u,
-u = sum_alpha 1_{alpha,0}, off the (alpha, 0) columns of the arrays; the
-rank over Q(zeta) that the lemma needs is cyclotomic.rank, a Howell rank
-modulo primes l = 1 (mod N) made exact by a norm bound.  The action
-axiom is checked from generators: the Exp(e_t) generate the finite group
-Gamma, each of finite order, so every g is a word Exp(e_t1) ... Exp(e_tr)
-without inverses.  If gamma(0) = id and gamma(e_t h) = gamma(e_t) gamma(h)
-for every t and h, induction on the word length gives gamma(g h) =
-gamma(g) gamma(h) for all g and h; so rank * |p| comparisons make the
-check exhaustive.
+with itself.  Theorem 1, eta = q-hat = sum_g c_g gamma(g), is decided on
+u = sum_alpha 1_{alpha,0} alone: if c is a class function (invariant
+under conjugation by the generators Exp(e_t)), q-hat commutes with gamma,
+as eta does (equivariance), so eta u = q-hat u gives eta = q-hat on the
+gamma(g) u, which span V (gu-rank).  q-hat u, the gu spanning lemma and
+the h_{beta0} reconstruction read gamma(g) u off the (alpha, 0) columns
+of the arrays, in cyclotomic's exponent format (integer arrays over the
+exponents of zeta); the rank over Q(zeta) that the lemma needs is
+cyclotomic.rank, a Howell rank modulo primes l = 1 (mod N) made exact by
+a norm bound.  The action axiom is checked from generators: the Exp(e_t)
+generate the finite group Gamma, each of finite order, so every g is a
+word Exp(e_t1) ... Exp(e_tr) without inverses.  If gamma(0) = id and
+gamma(e_t h) = gamma(e_t) gamma(h) for every t and h, induction on the
+word length gives gamma(g h) = gamma(g) gamma(h) for all g and h; so
+rank * |p| comparisons make the check exhaustive.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ from .arith import QpModZp, reduce_rows
 from .cyclotomic import (CycNumber, from_rows, rank as cyc_rank, same_values,
                          to_rows)
 from .lazard import (CrossCheckError, LieRing, Subring, all_elements,
-                     batch_conjugate, batch_exp_mul, conjugate, element_index,
-                     exp_mul, orthogonal, parse_ring, quotient_ring,
-                     serialize_ring, series_program)
-from .metric import MetricGroup, gauss_sum, ribbon_qhat
+                     batch_conjugate, batch_exp_mul, element_index, exp_mul,
+                     orthogonal, parse_ring, quotient_ring, serialize_ring,
+                     series_program)
+from .metric import MetricGroup, _qhat_rows, gauss_sum
 
 
 class VModelError(ValueError):
@@ -109,10 +112,14 @@ def validate_data(d):
     for x, y in itertools.combinations_with_replacement(gens, 2):
         if any(ring.bracket(x, y)):
             raise VModelError("abelian", f"[{x}, {y}] != 0 inside a")
-    for x in a.elements():
-        if m.q_num(x):
-            raise VModelError(
-                "isotropic", f"q({x}) = {m.q(x)} != 0 on the ideal")
+    # metric-shape makes elements() of m the rows of all_elements(ring)
+    G, qv = all_elements(ring), m.q_values
+    in_a = np.sort(element_index(ring, a.members()))
+    bad = in_a[qv[in_a] != 0]
+    if bad.size:
+        x = tuple(G[bad[0]].tolist())
+        raise VModelError(
+            "isotropic", f"q({x}) = {m.q(x)} != 0 on the ideal")
     size_a = a.size()
     if size_a * size_a != ring.size():
         raise VModelError(
@@ -125,14 +132,14 @@ def validate_data(d):
         raise VModelError(
             "lagrangian", f"{x} pairs to zero with a but lies outside")
     for t in range(ring.rank):
-        g = ring.basis(t)
-        for x in ring.elements():
-            gx = conjugate(ring, g, x)
-            if m.q_num(gx) != m.q_num(x):
-                raise VModelError(
-                    "invariance",
-                    f"q(Exp(e_{t}) {x} Exp(e_{t})^-1) = {m.q(gx)} != "
-                    f"q({x}) = {m.q(x)}")
+        GX = _conjugates(ring, np.broadcast_to(ring.basis(t), G.shape), G)
+        bad = np.flatnonzero(qv[element_index(ring, GX)] != qv)
+        if bad.size:
+            x, gx = (tuple(W[bad[0]].tolist()) for W in (G, GX))
+            raise VModelError(
+                "invariance",
+                f"q(Exp(e_{t}) {x} Exp(e_{t})^-1) = {m.q(gx)} != "
+                f"q({x}) = {m.q(x)}")
     if any(d.s[d.b.zero()]):
         raise VModelError("section", f"s(0) = {d.s[d.b.zero()]} != 0")
     for beta in d.b_elements:
@@ -154,6 +161,22 @@ def validate_data(d):
 def _require_valid(d):
     if not d._validated:
         validate_data(d)
+
+
+def _conjugates(ring, G, X):
+    """Rows Exp(g) Exp(x) Exp(g)^-1 from the exp(ad g) program, checked
+    against the group law route (g x)(-g) as lazard.conjugate checks one
+    pair; CrossCheckError at the first row where they split."""
+    via_ad = batch_conjugate(ring, G, X)
+    via_mul = batch_exp_mul(ring, batch_exp_mul(ring, G, X), -G)
+    split = np.flatnonzero((via_ad != via_mul).any(axis=1))
+    if split.size:
+        g, x, u, v = (tuple(W[split[0]].tolist())
+                      for W in (G, X, via_mul, via_ad))
+        raise CrossCheckError(
+            "conjugation", f"conjugation routes disagree at g={g}, x={x}: "
+            f"{u} vs {v}")
+    return via_ad
 
 
 # operators on V are monomial: basis vectors map to root-of-unity multiples
@@ -193,16 +216,7 @@ def _gamma_arrays(d):
     # tables over b x b, row x * nb + y
     X = np.repeat(all_elements(b), nb, axis=0)
     Y = np.tile(all_elements(b), (nb, 1))
-    via_ad = batch_conjugate(b, X, Y)
-    via_mul = batch_exp_mul(b, batch_exp_mul(b, X, Y), -X)
-    split = np.flatnonzero((via_ad != via_mul).any(axis=1))
-    if split.size:
-        x, y, u, v = (tuple(W[int(split[0])].tolist())
-                      for W in (X, Y, via_mul, via_ad))
-        raise CrossCheckError(
-            "conjugation", f"conjugation routes disagree at g={x}, x={y}: "
-            f"{u} vs {v}")
-    conj = element_index(b, via_ad).reshape(nb, nb)
+    conj = element_index(b, _conjugates(b, X, Y)).reshape(nb, nb)
     phi = element_index(b, series_program(b, "phi").batch(b, X, Y))
     # axes (g, alpha, beta)
     galpha = conj[project(G)][:, :, None]
@@ -256,34 +270,6 @@ def eta_matrix(d):
     return rows
 
 
-def _qhat_exponents(d):
-    """(h, den): q-hat's matrix in the exponent format, h of shape
-    (dim V, dim V, N) over one denominator.  q-hat = sum_g c_g gamma(g)
-    puts c_g zeta^expo_g[i] at (perm_g[i], i); the c_g come from
-    ribbon_qhat, which cross-checks the closed form against the Fourier
-    definition."""
-    m, n = d.metric, d.dim()
-    coeffs = ribbon_qhat(m)
-    c, den = to_rows(list(coeffs.values()), m.p, m.level,
-                     terms=len(coeffs) * m.modulus)
-    perm, expo = _gamma_arrays(d)
-    rows = element_index(d.ring, list(coeffs))
-    perm, expo = perm[rows], expo[rows]
-    h = np.zeros(n * n * m.modulus, dtype=c.dtype)
-    at = (perm * n + np.arange(n)) * m.modulus
-    for e in np.flatnonzero(c.any(axis=0)):
-        np.add.at(h, at + (expo + e) % m.modulus, c[:, e:e + 1])
-    return h.reshape(n, n, m.modulus), den
-
-
-def qhat_matrix(d):
-    """Matrix of the central element q-hat acting through gamma, from the
-    same exponent arrays as theorem1."""
-    _require_valid(d)
-    h, den = _qhat_exponents(d)
-    return from_rows(h, den, d.metric.p, d.metric.level)
-
-
 def _action_witness(d, elements):
     """None when gamma(0) = id and gamma(e_t h) = gamma(e_t) gamma(h) for
     every t and h, else ("unit",) or the first failing (e_t, h)."""
@@ -313,8 +299,13 @@ def verify_ribbon(d, eta_override=None):
     every basis element e_t and every h make gamma a homomorphism, since
     every group element is a word in the Exp(e_t) (module docstring).
 
-    eta_override substitutes a foreign matrix for the twist in the final
-    comparison, for negative-control experiments.
+    theorem1 decides eta = q-hat on u (module docstring), together with
+    the action, equivariance and gu-rank checks; its witness is (generator,
+    element) where c is not a class function, or the first entry of eta u
+    that q-hat u misses.  eta_override, a dense CycNumber matrix, is a
+    foreign twist for negative controls: once eta = q-hat is proved, it is
+    compared row by row with eta, and the witness is its first mismatch in
+    row-major order, with q-hat's value there.
     """
     _require_valid(d)
     ring, m = d.ring, d.metric
@@ -374,9 +365,9 @@ def verify_ribbon(d, eta_override=None):
     A = d.a.members()
     G = ((lifts[:, None] + A) % ring.pk).reshape(-1, ring.rank)
     owner = np.repeat(np.arange(nb), len(A))  # the beta0 of each g
-    q = np.array([m.q_num(x) for x in lifts.tolist() + G.tolist()])
-    rows = element_index(ring, G)
-    shift = (q[owner] - q[nb:])[:, None] + expo[rows, ::nb]
+    rows, q = element_index(ring, G), m.q_values
+    q0 = q[element_index(ring, lifts)]  # q(s(beta0)) for each beta0
+    shift = (q0[owner] - q[rows])[:, None] + expo[rows, ::nb]
     acc = np.zeros((nb, n, N), dtype=np.int64)
     np.add.at(acc, (owner[:, None], perm[rows, ::nb], shift % N), 1)
     want = np.zeros_like(acc)
@@ -393,33 +384,52 @@ def verify_ribbon(d, eta_override=None):
            None if ok else str(g_sum))
 
     t0 = time.perf_counter()
-    rhs, rden = _qhat_exponents(d)
-    if eta_override is None:
-        lden = 1
-
-        def lhs(i):
-            # eta's row i: zeta^ee[j] in each column j with ep[j] = i
-            row, cols = np.zeros_like(rhs[i]), np.flatnonzero(ep == i)
-            row[cols, ee[cols]] = 1
-            return row
-    else:
-        flat, lden = to_rows([v for row in eta_override for v in row],
-                             m.p, m.level)
-        lhs = lambda i: flat[i * n:(i + 1) * n]
+    # q-hat = sum_g c_g gamma(g), c over all_elements(ring) order
+    c, den = _qhat_rows(m)
+    p, level = m.p, m.level
     bad = None
-    for i in range(n):
-        # row by row, so that no dense copy of eta or of the cross-multiplied
-        # difference is held
-        lhs_i = lhs(i)
-        cols = np.flatnonzero(~same_values(lhs_i, lden, rhs[i], rden,
-                                           m.p, m.level))
-        if cols.size:
-            j = int(cols[0])
-            bad = {"row": d.pairs[i], "col": d.pairs[j],
-                   "eta": from_rows(lhs_i[j], lden, m.p, m.level).serialize(),
-                   "qhat": from_rows(rhs[i, j], rden, m.p, m.level).serialize()}
+    for t in range(ring.rank):
+        e_t = ring.basis(t)
+        moved = element_index(ring, batch_conjugate(
+            ring, np.broadcast_to(e_t, elements.shape), elements))
+        split = np.flatnonzero(~same_values(c[moved], den, c, den, p, level))
+        if split.size:
+            bad = {"generator": e_t,
+                   "element": tuple(elements[split[0]].tolist())}
             break
-    record("theorem1", f"eta = q-hat as {n} x {n} matrices", t0, bad)
+    if bad is None:
+        # q-hat u and eta u from the (alpha, 0) columns of gamma and eta
+        qhat_u = np.zeros(n * N, dtype=c.dtype)
+        for e in np.flatnonzero(c.any(axis=0)):
+            np.add.at(qhat_u, target * N + (expo[:, ::nb] + e) % N,
+                      c[:, e:e + 1])
+        qhat_u = qhat_u.reshape(n, N)
+        eta_u = np.zeros((n, N), dtype=np.int64)
+        eta_u[ep[::nb], ee[::nb]] = 1
+        split = np.flatnonzero(~same_values(eta_u, 1, qhat_u, den, p, level))
+        if split.size:
+            i = int(split[0])
+            bad = {"entry": d.pairs[i],
+                   "eta_u": from_rows(eta_u[i], 1, p, level).serialize(),
+                   "qhat_u": from_rows(qhat_u[i], den, p, level).serialize()}
+    detail = (f"eta = q-hat: c a class function ({ring.rank} generators x "
+              f"{len(elements)} elements), eta u = q-hat u ({n} entries)")
+    if bad is None and eta_override is not None:
+        detail += f", then the override against eta ({n} x {n})"
+        for i in range(n):
+            # row by row, so that no dense copy of the override is held
+            row, lden = to_rows(eta_override[i], p, level)
+            want = np.zeros((n, N), dtype=np.int64)
+            cols = np.flatnonzero(ep == i)
+            want[cols, ee[cols]] = 1
+            split = np.flatnonzero(~same_values(row, lden, want, 1, p, level))
+            if split.size:
+                j = int(split[0])
+                bad = {"row": d.pairs[i], "col": d.pairs[j],
+                       "eta": eta_override[i][j].serialize(),
+                       "qhat": from_rows(want[j], 1, p, level).serialize()}
+                break
+    record("theorem1", detail, t0, bad)
 
     report["pass"] = all(c["status"] == "PASS" for c in report["checks"])
     return report

@@ -2,6 +2,7 @@ import pytest
 
 from orbitlab.arith import QpModZp
 from orbitlab.lazard import LieRing, Subring, catalog
+from orbitlab import vmodel
 from orbitlab.metric import MetricGroup
 from orbitlab.vmodel import VModelData
 
@@ -74,3 +75,18 @@ def cyc_rank(rows):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def move_qhat_coefficient(monkeypatch, g):
+    """Make theorem1 read c_g + 1 in place of the q-hat coefficient c_g;
+    returns the patched q-hat rows, m -> (h, den)."""
+    qhat_rows = vmodel._qhat_rows
+
+    def moved(m):
+        c, den = qhat_rows(m)
+        c = c.copy()
+        c[sum(x * w for x, w in zip(g, m._strides)), 0] += den
+        return c, den
+
+    monkeypatch.setattr(vmodel, "_qhat_rows", moved)
+    return moved

@@ -2,18 +2,19 @@ import contextlib
 import io
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitlab import cli, lazard, metric, orbits, vmodel
-from orbitlab.cyclotomic import CycNumber
 from orbitlab.lazard import catalog, parse_ring, serialize_ring
 from orbitlab.metric import MetricError, parse_metric, serialize_metric
 from orbitlab.vmodel import (VModelData, build_hyperbolic, parse_vmodel,
                              serialize_vmodel)
 
-from conftest import hyperbolic_metric, quadratic_metric
+from conftest import (cotangent_h3, hyperbolic_metric, move_qhat_coefficient,
+                      quadratic_metric)
 
 
 @pytest.fixture()
@@ -360,26 +361,61 @@ def test_ribbon_gu_support_cross_check(capsys, vmodel_file, monkeypatch):
 
 
 def test_ribbon_qhat_paths_cross_check(capsys, vmodel_file, monkeypatch):
-    fourier_inverse = metric.fourier_inverse
+    # the Fourier route of q-hat off by 1 at its first coefficient
+    transform = metric._transform
 
-    def off_by_one(m, h):
-        out = fourier_inverse(m, h)
-        a = next(iter(out))
-        out[a] = out[a] + CycNumber.one(m.p, m.level)
+    def off_by_one(m, H, sign):
+        out = transform(m, H, sign)
+        out[0, 0] += m.size()
         return out
 
-    monkeypatch.setattr(metric, "fourier_inverse", off_by_one)
+    monkeypatch.setattr(metric, "_transform", off_by_one)
     assert _ribbon_counterexample(capsys, vmodel_file).startswith(
         "counterexample check=qhat-paths witness=")
 
 
 def test_ribbon_conjugation_cross_check(capsys, vmodel_file, monkeypatch):
-    # a group law off by e_0 + e_1 breaks conjugate's two routes, which
-    # validate_data runs
-    monkeypatch.setattr(lazard, "exp_mul", lambda ring, x, y: tuple(
-        (a + b + 1) % ring.pk for a, b in zip(x, y)))
+    # a batched group law off by e_0 + e_1 splits the two conjugation
+    # routes that validate_data's invariance axiom runs
+    monkeypatch.setattr(vmodel, "batch_exp_mul", lambda ring, X, Y: (
+        np.asarray(X) + np.asarray(Y) + 1) % ring.pk)
     assert _ribbon_counterexample(capsys, vmodel_file).startswith(
         "counterexample check=conjugation witness=")
+
+
+def _change_eta_outside_u(monkeypatch):
+    """eta's exponent moved in its last column, where beta != 0."""
+    eta_monomial = vmodel._eta_monomial
+
+    def changed(d):
+        perm, expo = eta_monomial(d)
+        return perm, expo[:-1] + ((expo[-1] + 1) % d.metric.modulus,)
+
+    monkeypatch.setattr(vmodel, "_eta_monomial", changed)
+
+
+@pytest.mark.parametrize("model, patch, line", [
+    (lambda: build_hyperbolic(5, 1, 1),
+     lambda mp: move_qhat_coefficient(mp, (2, 3)),
+     "counterexample check=theorem1 witness=\"'{'entry': ((0,), (3,)), "
+     "'eta_u': '5:0,0,0,0', 'qhat_u': '5:1,0,0,0'}'\""),
+    (cotangent_h3,
+     lambda mp: move_qhat_coefficient(mp, (1, 0, 0, 0, 0, 0)),
+     "counterexample check=theorem1 witness=\"'{'generator': "
+     "(0, 1, 0, 0, 0, 0), 'element': (1, 0, 0, 0, 0, 0)}'\""),
+    (lambda: build_hyperbolic(3, 1, 1), _change_eta_outside_u,
+     "counterexample check=equivariance witness=0,1"),
+], ids=["eta-u", "class-function", "equivariance"])
+def test_ribbon_theorem1_witnesses(capsys, tmp_path, monkeypatch, model,
+                                   patch, line):
+    path = _vm_file(tmp_path, model())
+    patch(monkeypatch)
+    code = cli.main(["ribbon", path, "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert [ln for ln in lines if ln.startswith("counterexample")] == [line]
+    assert lines[-1].startswith("theorem1 status=FAIL")
 
 
 def _break_group_law(monkeypatch):

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 import time
 from fractions import Fraction
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -312,6 +314,42 @@ def test_ribbon_qhat_two_paths_and_zero_coefficient():
             assert qhat[a] == want
 
 
+@pytest.mark.parametrize("name", sorted(TEST_METRICS) + ["mixed_st"])
+def test_q_values_match_the_quadratic_expansion(name):
+    # q(x) = sum_i x_i^2 q_i + sum_{i<j} x_i x_j B_ij in Q/Z, from the
+    # parsed values as Fractions, numerator at the common level
+    m = MIXED_ST if name == "mixed_st" else TEST_METRICS[name]
+    want = []
+    for x in m.elements():
+        v = sum((x[i] * x[i] * m.q_gens[i].as_fraction()
+                 for i in range(m.rank)), Fraction(0))
+        v += sum(x[i] * x[j] * m.gram[i][j].as_fraction()
+                 for i in range(m.rank) for j in range(i + 1, m.rank))
+        want.append(int(v * m.modulus) % m.modulus)
+    assert m.q_values.dtype == np.int64
+    assert m.q_values.tolist() == want
+    assert [m.q_num(x) for x in m.elements()] == want
+
+
+# sha256 of "a serialized\n" over elements(), as the closed form
+# (G/|p|) q̃(a)^{-1} computed one CycNumber at a time serialized them
+QHAT_DIGESTS = {
+    "x2_3": "a35a1fbb379fdae2", "x2_5": "af0df1c997506e30",
+    "x2_7": "588a94e31a351181", "hyp311": "99c85ecba5c840a1",
+    "hyp511": "4c8d3875fd7e4e95", "hyp321": "b6ef0aeed8033b09",
+    "hyp312": "31cb30d8c240671e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(QHAT_DIGESTS))
+def test_ribbon_qhat_serializes_as_before(name):
+    m = TEST_METRICS[name]
+    text = "".join(f"{a} {v.serialize()}\n"
+                   for a, v in ribbon_qhat(m).items())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        QHAT_DIGESTS[name]
+
+
 def test_st_matrices_relations_and_shape():
     m = hyperbolic_metric(3, 1, 1)
     s, t = st_matrices(m)
@@ -410,9 +448,9 @@ def test_b_isomorphism_failures_are_named():
 
 def test_st_matrices_catch_broken_q(monkeypatch):
     m = hyperbolic_metric(5, 1, 1)
-    q_num = m.q_num
-    monkeypatch.setattr(m, "q_num", lambda x: (q_num(x) + (x == (2, 1)))
-                        % m.modulus)
+    q = m.q_values.copy()
+    q[2 * 5 + 1] = (q[2 * 5 + 1] + 1) % m.modulus  # the entry of (2, 1)
+    monkeypatch.setattr(m, "q_values", q)
     with pytest.raises(MetricError, match="\\(ST\\)\\^3"):
         st_matrices(m)
 

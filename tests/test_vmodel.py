@@ -5,10 +5,11 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from conftest import cotangent_h3, cyc_rank, hyperbolic_metric
+from conftest import (cotangent_h3, cyc_rank, hyperbolic_metric,
+                      move_qhat_coefficient)
 from orbitlab import vmodel
 from orbitlab.arith import QpModZp
-from orbitlab.cyclotomic import CycNumber
+from orbitlab.cyclotomic import CycNumber, from_rows
 from orbitlab.lazard import (LieRing, Subring, all_elements, conjugate,
                              element_index, exp_mul)
 from orbitlab.metric import MetricGroup, ribbon_qhat
@@ -18,7 +19,6 @@ from orbitlab.vmodel import (
     build_hyperbolic,
     eta_matrix,
     parse_vmodel,
-    qhat_matrix,
     serialize_vmodel,
     validate_data,
     verify_ribbon,
@@ -349,34 +349,33 @@ def test_verify_ribbon_passes_default_and_seeded():
         assert report["dim"] == 9
 
 
-def test_verify_ribbon_matrices_agree():
-    d = build_hyperbolic(3, 1, 1)
-    assert eta_matrix(d) == qhat_matrix(d)
-
-
 def _qhat_rows_oracle(d):
-    """q-hat's matrix on the dense CycNumber route, one mul_root and one
-    add per group element and basis vector: the oracle for the exponent
-    arrays."""
+    """q-hat's matrix on the dense CycNumber route, one add per group
+    element and basis vector: the entrywise form of Theorem 1 that
+    verify_ribbon reduces to the vector u."""
     coeffs = ribbon_qhat(d.metric)
-    n = d.dim()
+    n, N = d.dim(), d.metric.modulus
     zero = CycNumber.zero(d.metric.p, d.metric.level)
     rows = [[zero] * n for _ in range(n)]
     for g, c in coeffs.items():
         perm, expo = _gamma_op(d, g)
+        turned = [c.mul_root(e) for e in range(N)]
         for i in range(n):
             j = perm[i]
-            rows[j][i] = rows[j][i] + c.mul_root(expo[i])
+            rows[j][i] = rows[j][i] + turned[expo[i]]
     return rows
 
 
-@pytest.mark.parametrize("args, seed", [((3, 1, 1), None), ((5, 1, 1), 3),
-                                        ((3, 2, 1), 5)],
-                         ids=["hyp311", "hyp511s3", "hyp321s5"])
-def test_qhat_matrix_matches_dense_oracle(args, seed):
-    d = build_hyperbolic(*args, section_seed=seed)
-    validate_data(d)
-    assert qhat_matrix(d) == _qhat_rows_oracle(d)
+@pytest.mark.parametrize("make", [
+    lambda: build_hyperbolic(3, 1, 1),
+    lambda: build_hyperbolic(5, 1, 1, section_seed=3),
+    lambda: build_hyperbolic(3, 2, 1, section_seed=5),
+    cotangent_h3,
+], ids=["hyp311", "hyp511s3", "hyp321s5", "cotangent_h3"])
+def test_eta_matrix_matches_qhat_oracle(make):
+    d = make()
+    assert verify_ribbon(d)["pass"]
+    assert eta_matrix(d) == _qhat_rows_oracle(d)
 
 
 @pytest.mark.parametrize("args, seed", [((3, 1, 1), 1), ((5, 1, 1), 2),
@@ -412,6 +411,97 @@ def test_forged_eta_detected_with_witness():
     (ce,) = [c for c in report["counterexamples"] if c["check"] == "theorem1"]
     assert ce["witness"]["row"] == d.pairs[0]
     assert ce["witness"]["eta"] != ce["witness"]["qhat"]
+
+
+def _moved_coefficients(monkeypatch, g, m):
+    """move_qhat_coefficient at g, and the moved c as {element: c_g}."""
+    moved = move_qhat_coefficient(monkeypatch, g)
+    return dict(zip(m.elements(), from_rows(*moved(m), m.p, m.level)))
+
+
+def _theorem1_witness(report):
+    status = {c["check"]: c["status"] for c in report["checks"]}
+    assert status.pop("theorem1") == "FAIL"
+    assert set(status.values()) == {"PASS"}
+    (ce,) = report["counterexamples"]
+    assert ce["check"] == "theorem1"
+    return ce["witness"]
+
+
+def test_theorem1_catches_one_moved_coefficient(monkeypatch):
+    # abelian, so c stays a class function: eta u = q-hat u must fail, at
+    # the first entry the dict path finds
+    d = build_hyperbolic(5, 1, 1)
+    g = (2, 3)
+    coeffs = _moved_coefficients(monkeypatch, g, d.metric)
+    u = _dict_u(d)
+    zero = CycNumber.zero(d.metric.p, d.metric.level)
+    eta_u, qhat_u = eta(d, u), {}
+    for h, c in coeffs.items():
+        for pair, v in gamma_act(d, h, u).items():
+            qhat_u[pair] = qhat_u.get(pair, zero) + c * v
+    entry = next(pair for pair in d.pairs
+                 if eta_u.get(pair, zero) != qhat_u.get(pair, zero))
+    witness = _theorem1_witness(verify_ribbon(d))
+    assert witness == {"entry": entry,
+                       "eta_u": eta_u.get(entry, zero).serialize(),
+                       "qhat_u": qhat_u.get(entry, zero).serialize()}
+    assert all(type(x) is int for part in entry for x in part)
+
+
+def test_theorem1_catches_non_class_coefficients(monkeypatch):
+    # e0 is not central in T*h3, so moving c at e0 alone breaks the class
+    # function; the witness is the first (e_t, g) the scalar conjugate
+    # finds with c(Exp(e_t) g Exp(e_t)^-1) != c(g)
+    d = cotangent_h3()
+    coeffs = _moved_coefficients(monkeypatch, (1, 0, 0, 0, 0, 0), d.metric)
+    want = next(
+        {"generator": e_t, "element": g}
+        for e_t in map(d.ring.basis, range(d.ring.rank))
+        for g in d.ring.elements()
+        if coeffs[conjugate(d.ring, e_t, g)] != coeffs[g])
+    witness = _theorem1_witness(verify_ribbon(d))
+    assert witness == want
+    assert all(type(x) is int for part in witness.values() for x in part)
+
+
+def test_equivariance_catches_eta_changed_outside_u(monkeypatch):
+    # one column with beta != 0 is outside u's support: eta u = q-hat u
+    # still holds, and only equivariance sees the change
+    d = build_hyperbolic(3, 1, 1, section_seed=2)
+    eta_monomial = vmodel._eta_monomial
+    col = d.index[((1,), (2,))]
+
+    def changed(d):
+        perm, expo = eta_monomial(d)
+        expo = list(expo)
+        expo[col] = (expo[col] + 1) % d.metric.modulus
+        return perm, tuple(expo)
+
+    monkeypatch.setattr(vmodel, "_eta_monomial", changed)
+    report = verify_ribbon(d)
+    status = {c["check"]: c["status"] for c in report["checks"]}
+    assert status["equivariance"] == "FAIL" and status["theorem1"] == "PASS"
+    (ce,) = report["counterexamples"]
+    assert ce["check"] == "equivariance"
+    assert all(type(x) is int for x in ce["witness"])
+
+
+def test_batched_axioms_name_the_first_witness():
+    # the texts the one-element-at-a-time loops over the ideal's members
+    # and the group, with scalar conjugate, reported
+    d0 = build_hyperbolic(3, 1, 1)
+    z, v = QpModZp(3, 0, 1), QpModZp(3, 1, 1)
+    perturbed = MetricGroup(3, (1, 1), [v, z], [[v.scale(2), v], [v, z]])
+    for d, text in [
+            (VModelData(d0.ring, d0.a, perturbed),
+             "isotropic: q((1, 0)) = 1/3 != 0 on the ideal"),
+            (cotangent_h3(q_e2=1),
+             "invariance: q(Exp(e_0) (0, 1, 0, 0, 0, 0) Exp(e_0)^-1) = 1/3 "
+             "!= q((0, 1, 0, 0, 0, 0)) = 0/1")]:
+        with pytest.raises(VModelError) as e:
+            validate_data(d)
+        assert str(e.value) == text
 
 
 def test_serialize_round_trip_default_section():
