@@ -366,6 +366,17 @@ def _qhat_rows_oracle(d):
     return rows
 
 
+def test_verify_ribbon_matrices_agree():
+    # eta's matrix equals the dense q-hat matrix on hyp(3,1,1), and
+    # verify_ribbon accepts that q-hat matrix as an eta override
+    d = build_hyperbolic(3, 1, 1)
+    qhat = _qhat_rows_oracle(d)
+    assert eta_matrix(d) == qhat
+    report = verify_ribbon(d, eta_override=qhat)
+    assert report["pass"]
+    assert report["counterexamples"] == []
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_hyperbolic(3, 1, 1),
     lambda: build_hyperbolic(5, 1, 1, section_seed=3),
