@@ -268,7 +268,7 @@ def cmd_ribbon(args, rep):
         else:
             rep.emit("counterexample",
                      f"counterexample ({ce['check']}): {witness}",
-                     check=ce["check"], witness=_field(witness))
+                     check=ce["check"], witness=witness)
     verdict = "PASS" if report["pass"] else "FAIL"
     rep.emit("theorem1",
              f"Theorem 1: {verdict} (dim V = {report['dim']})",

@@ -50,7 +50,8 @@ _INT64_BOUND = 2**62
 class _Conductor:
     """Per-(p, M) data shared by every CycNumber of that conductor."""
 
-    __slots__ = ("p", "m", "n", "phi", "pad", "zero", "roots", "_galois")
+    __slots__ = ("p", "m", "n", "phi", "pad", "zero", "roots", "_galois",
+                 "_primes")
 
     def __init__(self, p: int, m: int):
         if m < 1 or not is_prime(p):
@@ -65,6 +66,7 @@ class _Conductor:
         self.roots = tuple(self.fold(unit[self.n - e:] + unit[:self.n - e])
                            for e in range(self.n))
         self._galois = {}
+        self._primes = []
 
     def __reduce__(self):
         # copies and unpickled numbers share the one context per conductor
@@ -93,6 +95,25 @@ class _Conductor:
             got = itemgetter(*(j * t_inv % self.n for j in range(self.n)))
             self._galois[t] = got
         return got
+
+    def primes(self):
+        """Yield (l, Modulus(l, 1), w^e mod l for 0 <= e < n) for the
+        primes l = 1 (mod n) upward from 2^30, in order (rank's docstring
+        defines w).  Each prime is found once per conductor and kept, so
+        later calls extend the list instead of searching again."""
+        found, n = self._primes, self.n
+        for i in count():
+            if i == len(found):
+                ell = found[-1][0] + n if found else 2**30 + (1 - 2**30) % n
+                while not is_prime(ell):
+                    ell += n
+                g = next(g for g in count(2)
+                         if pow(g, (ell - 1) // self.p, ell) != 1)
+                w = pow(g, (ell - 1) // n, ell)
+                powers = np.array([pow(w, e, ell) for e in range(n)],
+                                  dtype=object)
+                found.append((ell, Modulus(ell, 1), powers))
+            yield found[i]
 
 
 _CONDUCTORS: dict = {}
@@ -363,19 +384,25 @@ def rank(h, p: int, m: int) -> int:
     R^(min(r, c) phi), some prime tried does not divide Norm(D), so the
     largest rank seen is r0: the result is exact, and full rank min(r, c)
     ends the search at once.
+
+    The primes, their fields and the powers of w are kept per conductor
+    (_Conductor.primes), and the bound is computed only when the first
+    prime falls short of full rank: a full-rank result never reads it.
     """
     ctx = _conductor(p, m)
-    n, full = ctx.n, min(h.shape[:2])
-    l1 = np.abs(h.astype(object)).sum(axis=-1)
-    bound = max((l1 * l1).sum(axis=1).tolist(), default=0) ** (full * ctx.phi)
-    best, prod, ell = 0, 1, 2**30 + (1 - 2**30) % n
-    while best < full and prod * prod <= bound:
-        if is_prime(ell):
-            g = next(g for g in count(2) if pow(g, (ell - 1) // p, ell) != 1)
-            w = pow(g, (ell - 1) // n, ell)
-            powers = np.array([pow(w, e, ell) for e in range(n)], dtype=object)
-            rows = ((h % ell).astype(object) @ powers % ell).tolist()
-            best = max(best, len(howell(rows, Modulus(ell, 1))))
-            prod *= ell
-        ell += n
+    full = min(h.shape[:2])
+    best, prod, bound = 0, 1, None
+    for ell, field, powers in ctx.primes():
+        if best == full:
+            break
+        if prod > 1:
+            if bound is None:
+                l1 = np.abs(h.astype(object)).sum(axis=-1)
+                bound = max((l1 * l1).sum(axis=1).tolist(),
+                            default=0) ** (full * ctx.phi)
+            if prod * prod > bound:
+                break
+        rows = ((h % ell).astype(object) @ powers % ell).tolist()
+        best = max(best, len(howell(rows, field)))
+        prod *= ell
     return best

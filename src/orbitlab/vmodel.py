@@ -11,22 +11,23 @@ and the Gauss sum evaluation.
 
 gamma is built for all of Gamma at once from the batch kernels, as two
 (|p|, dim V) arrays (perm, expo), and every check reads those arrays; eta
-is built one basis vector at a time, so Theorem 1 never compares gamma
-with itself.  Theorem 1, eta = q-hat = sum_g c_g gamma(g), is decided on
-u = sum_alpha 1_{alpha,0} alone: if c is a class function (invariant
-under conjugation by the generators Exp(e_t)), q-hat commutes with gamma,
-as eta does (equivariance), so eta u = q-hat u gives eta = q-hat on the
-gamma(g) u, which span V (gu-rank).  q-hat u, the gu spanning lemma and
-the h_{beta0} reconstruction read gamma(g) u off the (alpha, 0) columns
-of the arrays, in cyclotomic's exponent format (integer arrays over the
-exponents of zeta); the rank over Q(zeta) that the lemma needs is
-cyclotomic.rank, a Howell rank modulo primes l = 1 (mod N) made exact by
-a norm bound.  The action axiom is checked from generators: the Exp(e_t)
-generate the finite group Gamma, each of finite order, so every g is a
-word Exp(e_t1) ... Exp(e_tr) without inverses.  If gamma(0) = id and
-gamma(e_t h) = gamma(e_t) gamma(h) for every t and h, induction on the
-word length gives gamma(g h) = gamma(g) gamma(h) for all g and h; so
-rank * |p| comparisons make the check exhaustive.
+is built from its own batch calls, never from the gamma arrays, so
+Theorem 1 never compares gamma with itself.  Theorem 1, eta = q-hat =
+sum_g c_g gamma(g), is decided on u = sum_alpha 1_{alpha,0} alone: if c
+is a class function (invariant under conjugation by the generators
+Exp(e_t)), q-hat commutes with gamma, as eta does (equivariance), so eta
+u = q-hat u gives eta = q-hat on the gamma(g) u, which span V (gu-rank).
+q-hat u, the gu spanning lemma and the h_{beta0} reconstruction read
+gamma(g) u off the (alpha, 0) columns of the arrays, in cyclotomic's
+exponent format (integer arrays over the exponents of zeta); the rank
+over Q(zeta) that the lemma needs is cyclotomic.rank, a Howell rank
+modulo primes l = 1 (mod N) made exact by a norm bound.  The action axiom
+is checked from generators: the Exp(e_t) generate the finite group Gamma,
+each of finite order, so every g is a word Exp(e_t1) ... Exp(e_tr)
+without inverses.  If gamma(0) = id and gamma(e_t h) = gamma(e_t)
+gamma(h) for every t and h, induction on the word length gives gamma(g h)
+= gamma(g) gamma(h) for all g and h; so rank * |p| comparisons make the
+check exhaustive.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 from .arith import QpModZp, reduce_rows
 from .cyclotomic import (CycNumber, from_rows, rank as cyc_rank, same_values,
                          to_rows)
+# exp_mul is unused here; perfbench's self-test reads vmodel.exp_mul
 from .lazard import (CrossCheckError, LieRing, Subring, all_elements,
                      batch_conjugate, batch_exp_mul, element_index, exp_mul,
                      orthogonal, parse_ring, quotient_ring, serialize_ring,
@@ -85,10 +87,6 @@ class VModelData:
 
     def dim(self):
         return len(self.pairs)
-
-    def _phi_b(self, x, y):
-        """Phi(x, y) in b, from b's compiled series program."""
-        return series_program(self.b, "phi").scalar(x, y)
 
     def __repr__(self):
         return (f"VModelData({self.name}, |p|={self.ring.size()}, "
@@ -233,28 +231,41 @@ def _gamma_arrays(d):
 
 
 def _eta_monomial(d):
-    ring, m = d.ring, d.metric
-    perm = [0] * d.dim()
-    expo = [0] * d.dim()
-    for i, (alpha, beta) in enumerate(d.pairs):
-        ab = exp_mul(d.b, alpha, beta)
-        delta = ring.sub(exp_mul(ring, d.s[alpha], d.s[beta]), d.s[ab])
-        if not d.a.contains(delta):
+    """(perm, expo), two tuples over the pair index: the twist sends
+    1_{alpha,beta} to zeta^(B(delta, s(w)) - q(s(alpha))) 1_{alpha,
+    alpha beta}, with delta = s(alpha) s(beta) - s(alpha beta) and w =
+    Phi(alpha, alpha beta).  Built for every pair at once from its own
+    batch calls, never from _gamma_arrays.  Raises at the first failing
+    pair in d.pairs order, twist-data before twist-beta0 at one pair."""
+    ring, b, m = d.ring, d.b, d.metric
+    nb, N = len(d.b_elements), m.modulus
+    B = all_elements(b)
+    S = np.array([d.s[beta] for beta in d.b_elements], dtype=np.int64)
+    # pair i = alpha * nb + beta, as in d.pairs
+    alpha, beta = np.divmod(np.arange(nb * nb), nb)
+    ab = element_index(b, batch_exp_mul(b, B[alpha], B[beta]))
+    delta = (batch_exp_mul(ring, S[alpha], S[beta]) - S[ab]) % ring.pk
+    w = element_index(b, series_program(b, "phi").batch(b, B[alpha], B[ab]))
+    # metric-shape makes m._b the Gram matrix mod p^k and q_values' order
+    # that of all_elements(ring)
+    gram = np.array(m._b, dtype=np.int64)
+    qs = m.q_values[element_index(ring, S)][alpha]
+    expo = ((delta @ gram % N * S[w]).sum(axis=1) - qs) % N
+    outside = ~d.a.contains_rows(delta)
+    # the beta = 0 slice must collapse to the bare twist formula
+    collapse = delta.any(axis=1) | (ab != alpha) | (expo != -qs % N)
+    for i in np.flatnonzero(outside | ((beta == 0) & collapse))[:1]:
+        pa, pb = d.pairs[i]
+        if outside[i]:
             raise VModelError(
                 "twist-data",
-                f"s(alpha) s(beta) - s(alpha beta) = {delta} is outside "
-                f"the ideal for alpha={alpha}, beta={beta}")
-        w = d._phi_b(alpha, ab)
-        perm[i] = d.index[(alpha, ab)]
-        expo[i] = (m.b_num(delta, d.s[w]) - m.q_num(d.s[alpha])) % m.modulus
-        if beta == d.b.zero():
-            # the beta = 0 slice must collapse to the bare twist formula
-            if any(delta) or ab != alpha or \
-                    expo[i] != -m.q_num(d.s[alpha]) % m.modulus:
-                raise CrossCheckError(
-                    "twist-beta0", f"twist formula fails its beta = 0 "
-                    f"specialization at alpha={alpha}")
-    return tuple(perm), tuple(expo)
+                f"s(alpha) s(beta) - s(alpha beta) = "
+                f"{tuple(delta[i].tolist())} is outside the ideal for "
+                f"alpha={pa}, beta={pb}")
+        raise CrossCheckError(
+            "twist-beta0", f"twist formula fails its beta = 0 "
+            f"specialization at alpha={pa}")
+    return tuple((alpha * nb + ab).tolist()), tuple(expo.tolist())
 
 
 def eta_matrix(d):

@@ -397,12 +397,12 @@ def _change_eta_outside_u(monkeypatch):
 @pytest.mark.parametrize("model, patch, line", [
     (lambda: build_hyperbolic(5, 1, 1),
      lambda mp: move_qhat_coefficient(mp, (2, 3)),
-     "counterexample check=theorem1 witness=\"'{'entry': ((0,), (3,)), "
-     "'eta_u': '5:0,0,0,0', 'qhat_u': '5:1,0,0,0'}'\""),
+     "counterexample check=theorem1 witness=\"{'entry': ((0,), (3,)), "
+     "'eta_u': '5:0,0,0,0', 'qhat_u': '5:1,0,0,0'}\""),
     (cotangent_h3,
      lambda mp: move_qhat_coefficient(mp, (1, 0, 0, 0, 0, 0)),
-     "counterexample check=theorem1 witness=\"'{'generator': "
-     "(0, 1, 0, 0, 0, 0), 'element': (1, 0, 0, 0, 0, 0)}'\""),
+     "counterexample check=theorem1 witness=\"{'generator': "
+     "(0, 1, 0, 0, 0, 0), 'element': (1, 0, 0, 0, 0, 0)}\""),
     (lambda: build_hyperbolic(3, 1, 1), _change_eta_outside_u,
      "counterexample check=equivariance witness=0,1"),
 ], ids=["eta-u", "class-function", "equivariance"])

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 import numpy as np
 
 from conftest import cyc_rank
+from orbitlab import cyclotomic
 from orbitlab.arith import QpModZp, is_prime
-from orbitlab.cyclotomic import (CycNumber, from_rows, rank, same_values,
-                                 to_rows)
+from orbitlab.cyclotomic import (CycNumber, _conductor, from_rows, rank,
+                                 same_values, to_rows)
 
 
 def test_power_basis_length():
@@ -155,19 +156,36 @@ def test_rank_matches_exact_elimination(case):
     assert rank(h, p, m) == cyc_rank(from_rows(h, 1, p, m))
 
 
-def test_rank_tries_more_primes_when_the_first_divides_a_minor():
+def test_rank_tries_more_primes_when_the_first_divides_a_minor(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cyclotomic, "is_prime",
+                        lambda n: calls.append(n) or is_prime(n))
+    # a full-rank call finds the first prime once; a second call on the
+    # same conductor searches for none
+    full = np.array([[[1, 0, 0], [0, 1, 0]]])
+    assert rank(full, 3, 1) == 1
+    known = list(_conductor(3, 1)._primes)
+    calls.clear()
+    assert rank(full, 3, 1) == 1
+    assert calls == []
     # the first prime l = 1 (mod 3) from 2^30 kills the 1 x 1 matrix (l),
     # and the product of the first two kills (l l'); the rank is still 1
     first = [ell for ell in range(2**30, 2**30 + 600, 3) if is_prime(ell)]
     assert first[0] % 3 == 1
-    for value in (first[0], first[0] * first[1], first[0] * 2**70):
-        h = np.array([[[value, 0, 0]]], dtype=object)
-        assert rank(h, 3, 1) == 1
+    ranks = [rank(np.array([[[value, 0, 0]]], dtype=object), 3, 1)
+             for value in (first[0], first[0] * first[1], first[0] * 2**70)]
     # 1 + zeta + zeta^2 = 0, so a row of those is rank 0; a row and its
     # zeta-multiple are rank 1
-    assert rank(np.ones((1, 2, 3), dtype=np.int64), 3, 1) == 0
+    ranks.append(rank(np.ones((1, 2, 3), dtype=np.int64), 3, 1))
     row = np.array([[1, -1, 0], [0, 2, 1]])
-    assert rank(np.array([row, np.roll(row, 1, axis=-1)]), 3, 1) == 1
+    ranks.append(rank(np.array([row, np.roll(row, 1, axis=-1)]), 3, 1))
+    assert ranks == [1, 1, 1, 0, 1]
+    # the warm list was extended, not rebuilt: the search went on from
+    # its last prime
+    primes = _conductor(3, 1)._primes
+    assert [entry[0] for entry in primes[:3]] == first[:3]
+    assert all(a is b for a, b in zip(primes, known))
+    assert calls == list(range(known[-1][0] + 3, primes[-1][0] + 1, 3))
     assert rank(np.zeros((0, 3, 9), dtype=np.int64), 3, 2) == 0
 
 

@@ -1,7 +1,6 @@
 import itertools
 import random
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from orbitlab.lazard import (
 )
 from orbitlab.orbits import (SkewForm, all_characters, radical,
                              sample_characters)
-from orbitlab.vmodel import VModelData
 
 
 def heis(p, k=1):
@@ -300,8 +298,7 @@ def test_compiled_series_match_tree_walk(data):
         assert series_program(ring, "exp_ad").scalar(x, y) == via_ad
         assert conjugate(ring, x, y) == via_ad
         assert tuple(int(v) for v in conj_row) == via_ad
-        # VModelData evaluates Phi in its quotient b
-        assert (VModelData._phi_b(SimpleNamespace(b=ring), x, y)
+        assert (series_program(ring, "phi").scalar(x, y)
                 == tree_walk(ring, phi_series(ring.cls), x, y))
 
 
@@ -333,8 +330,6 @@ def test_emitted_scalar_reduces_any_integers(data):
         assert exp_mul(ring, a, b) == tree_walk(ring, bch(ring.cls), rx, ry)
         assert conjugate(ring, a, b) == tree_walk(ring, exp_ad(ring.cls),
                                                   rx, ry)
-        assert (VModelData._phi_b(SimpleNamespace(b=ring), a, b)
-                == tree_walk(ring, phi_series(ring.cls), rx, ry))
 
 
 @pytest.mark.parametrize("x, y", [((1, 2), (1, 2, 3)), ((1, 2, 3), [1] * 4),

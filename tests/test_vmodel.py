@@ -10,8 +10,9 @@ from conftest import (cotangent_h3, cyc_rank, hyperbolic_metric,
 from orbitlab import vmodel
 from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber, from_rows
-from orbitlab.lazard import (LieRing, Subring, all_elements, conjugate,
-                             element_index, exp_mul)
+from orbitlab.lazard import (CrossCheckError, LieRing, Subring,
+                             all_elements, conjugate, element_index, exp_mul,
+                             series_program)
 from orbitlab.metric import MetricGroup, ribbon_qhat
 from orbitlab.vmodel import (
     VModelData,
@@ -193,7 +194,7 @@ def _gamma_monomial(d, g):
     for alpha, beta in d.pairs:
         galpha = conjugate(d.b, gbar, alpha)
         gbeta = target_beta[beta]
-        w = d._phi_b(galpha, gbeta)
+        w = series_program(d.b, "phi").scalar(galpha, gbeta)
         perm.append(d.index[(galpha, gbeta)])
         expo.append(m.b_num(coeff[beta], d.s[w]))
     return perm, expo
@@ -220,6 +221,76 @@ def test_gamma_arrays_match_scalar_oracle_nonabelian():
     d = cotangent_h3()
     _assert_rows_match_oracle(
         d, random.Random(0).sample(range(d.ring.size()), 20))
+
+
+def _eta_monomial_oracle(d):
+    """The twist on the scalar series path, one basis vector at a time:
+    the oracle for the batch-built vmodel._eta_monomial, with its error
+    texts and order."""
+    ring, m = d.ring, d.metric
+    phi = series_program(d.b, "phi").scalar
+    perm = [0] * d.dim()
+    expo = [0] * d.dim()
+    for i, (alpha, beta) in enumerate(d.pairs):
+        ab = exp_mul(d.b, alpha, beta)
+        delta = ring.sub(exp_mul(ring, d.s[alpha], d.s[beta]), d.s[ab])
+        if not d.a.contains(delta):
+            raise VModelError(
+                "twist-data",
+                f"s(alpha) s(beta) - s(alpha beta) = {delta} is outside "
+                f"the ideal for alpha={alpha}, beta={beta}")
+        w = phi(alpha, ab)
+        perm[i] = d.index[(alpha, ab)]
+        expo[i] = (m.b_num(delta, d.s[w]) - m.q_num(d.s[alpha])) % m.modulus
+        if beta == d.b.zero():
+            if any(delta) or ab != alpha or \
+                    expo[i] != -m.q_num(d.s[alpha]) % m.modulus:
+                raise CrossCheckError(
+                    "twist-beta0", f"twist formula fails its beta = 0 "
+                    f"specialization at alpha={alpha}")
+    return tuple(perm), tuple(expo)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_hyperbolic(3, 1, 1),
+    lambda: build_hyperbolic(5, 1, 1, section_seed=7),
+    lambda: build_hyperbolic(3, 2, 1),
+    lambda: build_hyperbolic(3, 1, 2),
+    lambda: build_hyperbolic(7, 1, 1),
+    cotangent_h3,
+], ids=["hyp311", "hyp511s7", "hyp321", "hyp312", "hyp711", "cotangent_h3"])
+def test_eta_monomial_matches_scalar_oracle(make):
+    d = make()
+    validate_data(d)
+    got = vmodel._eta_monomial(d)
+    assert got == _eta_monomial_oracle(d)
+    assert all(type(x) is int for part in got for x in part)
+
+
+def _twist_error(make_twist, d):
+    with pytest.raises((VModelError, CrossCheckError)) as err:
+        make_twist(d)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("section_of", [
+    # s(beta) lifts beta + 1: delta leaves the ideal (twist-data)
+    lambda d, beta: d.lift(((beta[0] + 1) % 3,)),
+    # s(0) = e_0 lies in the ideal but is not 0 (twist-beta0)
+    lambda d, beta: d.ring.add(d.lift(beta), (1, 0)),
+    # s(1) = s(2) lifts 2: the beta = 0 slice holds, then delta leaves
+    # the ideal at alpha = beta = 1
+    lambda d, beta: d.lift((2,) if beta == (1,) else beta),
+    # and with s(0) = e_0 too, the beta = 0 slice fails first
+    lambda d, beta: (1, 2) if beta == (1,) else d.ring.add(d.lift(beta),
+                                                           (1, 0)),
+], ids=["twist-data", "twist-beta0", "twist-data-later", "twist-beta0-first"])
+def test_eta_monomial_errors_match_scalar_oracle(section_of):
+    d0 = build_hyperbolic(3, 1, 1)
+    d = VModelData(d0.ring, d0.a, d0.metric, section={
+        beta: section_of(d0, beta) for beta in d0.b_elements})
+    want = _twist_error(_eta_monomial_oracle, d)
+    assert _twist_error(vmodel._eta_monomial, d) == want
 
 
 def test_action_check_catches_one_wrong_exponent():
