@@ -11,6 +11,7 @@ order and no timing fields, so fixed seeds give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -124,7 +125,13 @@ def cmd_bch(args, rep):
     return 0
 
 
+def _at_least_one(flag, value):
+    if value < 1:
+        raise InputError(f"--{flag} must be at least 1, not {value}")
+
+
 def cmd_orbits(args, rep):
+    _at_least_one("cap", args.cap)
     ring = _load_ring(args.file)
     orbits = enumerate_orbits(ring, cap=args.cap)
     hist = orbit_histogram(orbits)
@@ -146,8 +153,8 @@ def cmd_orbits(args, rep):
 
 
 def cmd_kernel_check(args, rep):
-    if args.samples < 1:
-        raise InputError(f"--samples must be at least 1, not {args.samples}")
+    _at_least_one("samples", args.samples)
+    _at_least_one("cap", args.cap)
     ring = _load_ring(args.file)
     if dual_size(ring) <= args.samples:
         count = kernel_lemma_all(ring, cap=args.cap)["characters"]
@@ -278,6 +285,7 @@ def cmd_ribbon(args, rep):
 
 # -- argument plumbing ---------------------------------------------------------
 
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "records"),
@@ -335,8 +343,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.  The parser is built
+    once per process, on the first call; each call parses into a fresh
+    namespace, so no flag carries over from one call to the next."""
+    args = _build_parser().parse_args(argv)
     rep = Reporter(args.format)
     try:
         return args.run(args, rep)

@@ -216,15 +216,20 @@ def _left_kernels(A, ring):
 
 def _radicals(ring, chis):
     """Rows spanning rad(B_chi), (m, n, n), and |rad(B_chi)| for the rows
-    chi of chis, by _left_kernels; bracket closure is checked in bulk."""
+    chi of chis, by _left_kernels; bracket closure is checked in one
+    batch, on each pair of rows that are both nonzero (a zero row
+    brackets to zero)."""
     B = _forms(ring, chis)
     gens, sizes = _left_kernels(B, ring)
-    for a, b in itertools.combinations(range(ring.rank), 2):
-        br = batch_bracket(ring, gens[:, a], gens[:, b])
-        outside = (np.einsum("ci,cij->cj", br, B) % ring.pk).any(axis=1)
-        for c in np.flatnonzero(outside)[:1]:
-            raise OrbitError(f"radical of chi = {Character(ring, chis[c])} "
-                             f"is not closed under bracket")
+    nonzero = gens.any(axis=2)
+    a, b = np.triu_indices(ring.rank, 1)
+    # pair-major, so the character named is the first failing pair's
+    pair, c = np.nonzero((nonzero[:, a] & nonzero[:, b]).T)
+    br = batch_bracket(ring, gens[c, a[pair]], gens[c, b[pair]])
+    outside = (np.einsum("ti,tij->tj", br, B[c]) % ring.pk).any(axis=1)
+    for i in c[outside][:1]:
+        raise OrbitError(f"radical of chi = {Character(ring, chis[i])} "
+                         f"is not closed under bracket")
     return gens, sizes
 
 
@@ -266,10 +271,11 @@ def _cached(ring, key, build):
 
 def _group(ring, cap):
     """(elems, disp, live): every group element, lexicographic; the
-    (n, n, |G|) array whose [j, i, g] entry is (M_g - I)[j, i] mod p^k,
-    M_g the matrix of g acting on covectors; and the (j, i) entries of
-    disp that are not zero for every g.  The cap is checked on every
-    call, cached or not."""
+    C-contiguous (n, n, |G|) array whose [j, i, g] entry is
+    (M_g - I)[j, i] mod p^k, M_g the matrix of g acting on covectors,
+    computed once per coset of the central coordinates (_build_group);
+    and the (j, i) entries of disp that are not zero for every g.  The
+    cap is checked on every call, cached or not."""
     if ring.size() > cap:
         raise CapError(
             f"|G| = {ring.size()} exceeds the exhaustive-scan cap {cap}")
@@ -277,20 +283,28 @@ def _group(ring, cap):
 
 
 def _build_group(ring):
-    """Row j of M_g is conjugate(-g, e_j), batched over g; a central e_j
+    """Row j of M_g is conjugate(-g, e_j), batched over g.  A coordinate i
+    is central when ring.table[i] is zero; then ad(e_i) = 0, so M_g is
+    constant on cosets of the central coordinates and is computed on the
+    representatives whose central coordinates are zero.  g's representative
+    is its non-central coordinates read in mixed radix, and np.take
+    gathers each row of disp from the representatives' row.  A central e_j
     is fixed by every g, so its row of disp is zero and not computed."""
-    elems = all_elements(ring)
-    neg = (-elems) % ring.pk
-    disp = np.zeros((ring.rank, ring.rank, len(elems)),
-                    dtype=ring.modulus.dtype)
-    for j in range(ring.rank):
-        if any(any(row[j]) for row in ring.table):
-            ej = np.zeros_like(elems)
-            ej[:, j] = 1
-            disp[j] = ((batch_conjugate(ring, neg, ej) - ej) % ring.pk).T
-    live = [(j, i) for j in range(ring.rank) for i in range(ring.rank)
-            if disp[j, i].any()]
-    return elems, disp, live
+    n, pk = ring.rank, ring.pk
+    noncentral = [any(map(any, ring.table[i])) for i in range(n)]
+    shape = [pk if c else 1 for c in noncentral]
+    reps = np.indices(shape, dtype=np.int64).reshape(n, -1).T
+    pos = np.broadcast_to(np.arange(len(reps)).reshape(shape),
+                          (pk,) * n).ravel()
+    disp = np.zeros((n, n, len(pos)), dtype=ring.modulus.dtype)
+    live = []
+    for j in itertools.compress(range(n), noncentral):
+        ej = np.zeros_like(reps)
+        ej[:, j] = 1
+        row = ((batch_conjugate(ring, -reps, ej) - ej) % pk).T
+        np.take(row, pos, axis=1, out=disp[j])
+        live += [(j, i) for i in range(n) if row[i].any()]
+    return all_elements(ring), disp, live
 
 
 def _basis_matrices(ring):
@@ -344,16 +358,17 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
 
     Deliberately independent of the radical computation.  Once per ring
     (_group): every group element and the displacement M_g - I of its
-    coadjoint matrix.  Per character, the fixed points are g with
-    sum_i disp[j, i, g] chi_i = 0 for every row j, tested one row at a
-    time on the elements that passed the rows before.  A subgroup is
-    spanned by one generator per column j: among its members whose first
-    j coordinates vanish (a prefix of the lexicographic order), one with
-    the least valuation at j, such as the first with x_j != 0.  Those of
-    the fixed points give one Howell form.  One listing of its span
-    (Subring.members; none if both are G) confirms that it is the fixed
-    set, so the return value represents the set faithfully.  Otherwise
-    this raises, naming when it can a member of the span that is not fixed.
+    coadjoint matrix, computed once per coset of the central coordinates.
+    Per character, the fixed points are g with sum_i disp[j, i, g] chi_i
+    = 0 for every row j, tested one row at a time on the elements that
+    passed the rows before.  A subgroup is spanned by one generator per
+    column j: among its members whose first j coordinates vanish (a
+    prefix of the lexicographic order), one with the least valuation at
+    j, such as the first with x_j != 0.  Those of the fixed points give
+    one Howell form.  One listing of its span (Subring.members; none if
+    both are G) confirms that it is the fixed set, so the return value
+    represents the set faithfully.  Otherwise this raises, naming when it
+    can a member of the span that is not fixed.
     """
     ring = chi.ring
     pk, n = ring.pk, ring.rank

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import time
@@ -238,7 +239,7 @@ def test_cap_env_default(capsys, h3p5_file, monkeypatch):
 
 
 def test_cap_hint_names_the_flag(capsys, h3p5_file):
-    assert cli.main(["orbits", h3p5_file, "--cap", "-1"]) == 2
+    assert cli.main(["orbits", h3p5_file, "--cap", "10"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.rstrip().endswith("; raise --cap")
     assert "sampled" not in err and "ORBITLAB_CAP" not in err
@@ -274,6 +275,16 @@ def test_kernel_check_needs_a_sample(capsys, h3p5_file, samples):
     assert captured.err.startswith("input error:")
 
 
+@pytest.mark.parametrize("command", ["orbits", "kernel-check"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_is_an_input_error(capsys, h3p5_file, command, cap):
+    # no scan fits under such a cap: the flag, not the ring, is wrong
+    code = cli.main([command, h3p5_file, "--cap", cap])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: --cap must be at least 1, not {cap}\n"
+
+
 @pytest.mark.parametrize("command, message", [
     # the exhaustive stabilizer scan needs |G| = 125 > cap: no verdict
     ("kernel-check", "exhaustive-scan cap 10"),
@@ -287,6 +298,45 @@ def test_cap_is_not_a_counterexample(capsys, h3p5_file, command, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_parser_is_built_once(capsys, h3p5_file, monkeypatch):
+    cli._build_parser.cache_clear()
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: made.append(1) or init(
+                            self, *a, **kw))
+    assert cli.main(["validate", h3p5_file]) == 0
+    first = len(made)
+    assert first > 0
+    for argv in (["orbits", h3p5_file], ["bch", "--class", "2"],
+                 ["validate", h3p5_file]):
+        assert cli.main(argv) == 0
+    assert len(made) == first
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("before, code, after, line", [
+    # the seed given once is not the default of the next call
+    (["kernel-check", "{ring}", "--samples", "7", "--seed", "3",
+      "--format", "records"], 0,
+     ["kernel-check", "{ring}", "--samples", "7", "--format", "records"],
+     "kernel ring=h3_p5 characters=7 mode=sampled seed=0"),
+    # a forged twist is forged for its own call only
+    (["ribbon", "{vm}", "--forge-eta"], 1, ["ribbon", "{vm}"],
+     "Theorem 1: PASS (dim V = 9)"),
+    # nor does the records format outlive its call
+    (["orbits", "{ring}", "--format", "records"], 0, ["orbits", "{ring}"],
+     "29 orbits; sizes 1x25, 25x4"),
+], ids=["seed", "forge-eta", "format"])
+def test_no_flag_carries_over_between_calls(capsys, h3p5_file, vmodel_file,
+                                            before, code, after, line):
+    files = {"ring": h3p5_file, "vm": vmodel_file}
+    assert cli.main([a.format(**files) for a in before]) == code
+    capsys.readouterr()
+    got, out = run(capsys, *[a.format(**files) for a in after])
+    assert got == 0 and line in out.splitlines()
 
 
 # -- ribbon: every failure is a counterexample record, never a traceback ------

@@ -368,20 +368,21 @@ def test_radicals_take_one_batched_path_for_every_k(monkeypatch, make):
 
 
 def test_batched_bracket_closure_names_its_character(monkeypatch):
-    # [g_a, g_b] replaced by e0 for the generic character of h3 over F_5,
-    # whose radical is spanned by e2 alone: e0 pairs with e1 to 1/5
-    ring = lazard_catalog()["h3_p5"]
-    c = int(element_index(ring, [generic_character(ring).nums])[0])
+    # [e2, e3] read as e0 in h3 + a1 over F_3: every character with
+    # chi(e2) != 0 has radical span(e2, e3), and e0 pairs with e1 to
+    # chi(e2), so the first of them, the generic character, is named
+    ring = lazard_catalog()["h3xa1_p3"]
+    e2, e3 = ring.basis(2), ring.basis(3)
     bracket = orbits.batch_bracket
 
     def corrupted(ring, X, Y):
         out = bracket(ring, X, Y)
-        out[c] = ring.basis(0)
+        out[(X == e2).all(axis=1) & (Y == e3).all(axis=1)] = ring.basis(0)
         return out
     monkeypatch.setattr(orbits, "batch_bracket", corrupted)
     with pytest.raises(OrbitError) as err:
         kernel_lemma_all(ring)
-    assert str(err.value) == ("radical of chi = Character(0/1, 0/1, 1/5) "
+    assert str(err.value) == ("radical of chi = Character(0/1, 0/1, 1/3, 0/1) "
                               "is not closed under bracket")
 
 
@@ -486,17 +487,28 @@ def test_stabilizer_oracle_one_howell_form_per_character(monkeypatch, name,
         assert len(calls) == before + 1, chi
 
 
-@pytest.mark.parametrize("name", ["abelian3_p3", "h3_p3", "h3xa1_p3", "h3_z9"])
+def a1xh3_p5():
+    """Rank 4 over F_5 with only [e1, e2] = e3: e0 and e3 are central, and
+    e0 is not a trailing coordinate."""
+    return LieRing(5, 1, 4, {(1, 2): (0, 0, 0, 1)}, name="a1xh3_p5")
+
+
+@pytest.mark.parametrize("name", ["abelian3_p3", "h3_p3", "h3xa1_p3", "h3_z9",
+                                  "u4_p5", "a1xh3_p5"])
 def test_cached_displacement(monkeypatch, name):
-    ring = lazard_catalog()[name]
-    calls = []
-    monkeypatch.setattr(orbits, "batch_conjugate",
-                        lambda *args: calls.append(1) or batch_conjugate(*args))
+    ring = a1xh3_p5() if name == "a1xh3_p5" else lazard_catalog()[name]
+    rows = []
+    monkeypatch.setattr(orbits, "batch_conjugate", lambda ring, G, X: (
+        rows.append(len(G)) or batch_conjugate(ring, G, X)))
     elems, disp, live = orbits._group(ring, orbits.DUAL_CAP)
-    # a central e_j is fixed by every g and costs no batch_conjugate call
-    assert len(calls) == sum(
-        any(any(ring.bracket(ring.basis(t), ring.basis(j)))
-            for t in range(ring.rank)) for j in range(ring.rank))
+    central = [not any(any(ring.bracket(ring.basis(t), ring.basis(j)))
+                       for t in range(ring.rank)) for j in range(ring.rank)]
+    c = sum(central)
+    # a central e_j is fixed by every g and costs no batch_conjugate call;
+    # the others run once on each coset of the central coordinates
+    assert len(rows) == ring.rank - c
+    assert sum(rows) == (ring.rank - c) * ring.size() // ring.pk ** c
+    assert disp.flags.c_contiguous
     for j in range(ring.rank):
         ej = np.zeros_like(elems)
         ej[:, j] = 1
