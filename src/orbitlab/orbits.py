@@ -215,8 +215,9 @@ def _left_kernels(A, ring):
 
 
 def _radicals(ring, chis):
-    """Rows spanning rad(B_chi), (m, n, n), and |rad(B_chi)| for the rows
-    chi of chis, by _left_kernels; bracket closure is checked in one
+    """Rows spanning rad(B_chi), (m, n, n), |rad(B_chi)| and the forms B
+    themselves for the rows chi of chis, by _left_kernels, which leaves B
+    as it is; bracket closure is checked in one
     batch, on each pair of rows that are both nonzero (a zero row
     brackets to zero)."""
     B = _forms(ring, chis)
@@ -230,7 +231,7 @@ def _radicals(ring, chis):
     for i in c[outside][:1]:
         raise OrbitError(f"radical of chi = {Character(ring, chis[i])} "
                          f"is not closed under bracket")
-    return gens, sizes
+    return gens, sizes, B
 
 
 def enumerate_orbits(ring, cap=DUAL_CAP):
@@ -242,7 +243,7 @@ def enumerate_orbits(ring, cap=DUAL_CAP):
     reps = np.flatnonzero(lab == np.arange(len(lab)))
     sizes = np.bincount(lab)[reps]
     chis = all_elements(ring)[reps]
-    gens, rad_sizes = _radicals(ring, chis)
+    gens, rad_sizes, _ = _radicals(ring, chis)
     for i in np.flatnonzero(sizes * rad_sizes != ring.size())[:1]:
         raise OrbitError(
             f"orbit size {sizes[i]} times stabilizer size {rad_sizes[i]} "
@@ -469,7 +470,7 @@ def kernel_lemma_all(ring, cap=DUAL_CAP):
     _, disp, _ = _group(ring, cap)
     lab = _labels(ring, cap)
     chis = all_elements(ring)
-    gens, sizes = _radicals(ring, chis)
+    gens, sizes, B = _radicals(ring, chis)
     orbit = np.bincount(lab)[lab]
     for c in np.flatnonzero(sizes * orbit != ring.size())[:1]:
         raise OrbitError(
@@ -483,7 +484,7 @@ def kernel_lemma_all(ring, cap=DUAL_CAP):
                 f"radical row {tuple(gens[c, s].tolist())} does not fix "
                 f"chi = {Character(ring, chis[c])}: it moves it to "
                 f"{Character(ring, moved[c])}")
-    B, stables = _forms(ring, chis), _basis_stable(ring)
+    stables = _basis_stable(ring)
     tested = sum(_perp_cases(ring, ring.basis(t), chis, chis[perm], B[:, t],
                              stables[t]) for t, perm in enumerate(_perms(ring)))
     reps = np.flatnonzero(lab == np.arange(len(lab))).tolist()

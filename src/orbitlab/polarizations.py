@@ -62,10 +62,12 @@ class Polarization:
             raise PolarizationError("h is not isotropic")
         self.isotropic = True
         self.lie_subring = h.is_lie_subring()
-        self.perp_lie_subring = self.perp.is_lie_subring()
+        # [h_perp, h_perp], once: perp is a submodule, so it is a Lie
+        # subring exactly when it contains this span
+        self.perp_bracket = bracket_span(self.perp, self.perp)
+        self.perp_lie_subring = _is_subset(self.perp_bracket, self.perp)
         self.heisenberg = _is_subset(bracket_span(self.perp, h), h)
-        self.heisenberg_strong = _is_subset(
-            bracket_span(self.perp, self.perp), h)
+        self.heisenberg_strong = _is_subset(self.perp_bracket, h)
 
     def is_quasi(self):
         return self.lie_subring and self.perp_lie_subring
@@ -118,7 +120,7 @@ def heisenberg_chain(start, trace=None):
                 f"-> {new.h.size()}")
         if not new.is_quasi():
             raise PolarizationError("enlargement is not a quasi-polarization")
-        if not _is_subset(bracket_span(hp, hp), new.perp):
+        if not _is_subset(pol.perp_bracket, new.perp):
             raise PolarizationError("[h_perp, h_perp] escapes the new perp")
         if not _is_subset(new.perp, hp):
             raise PolarizationError("new perp is not inside the old one")

@@ -24,7 +24,6 @@ from orbitlab.lazard import (
     conjugate,
     exp_inv,
     exp_mul,
-    exp_pow,
     log_group,
     parse_ring,
     quotient_ring,
@@ -159,6 +158,11 @@ def test_exp_mul_heisenberg_closed_form():
             want = ((a[0] + b[0]) % 5, (a[1] + b[1]) % 5,
                     (a[2] + b[2] + half * (a[0] * b[1] - a[1] * b[0])) % 5)
             assert exp_mul(ring, a, b) == want
+
+
+def exp_pow(ring, x, m):
+    """Exp(x)^m = Exp(m x); powers of one element stay on one line."""
+    return ring.scale(int(m), lazard._vec(ring, x))
 
 
 def test_exp_identity_inverse_powers():
@@ -332,6 +336,35 @@ def test_emitted_scalar_reduces_any_integers(data):
                                                   rx, ry)
 
 
+@pytest.mark.parametrize("ring", [catalog()["u4_p5"], heis(BIG_PRIME)],
+                         ids=["u4_p5", "h3_big"])
+def test_emitted_scalar_needs_no_reduced_inputs(ring):
+    # the emitted code takes only int() of its inputs and reduces brackets
+    # and outputs: negative, unreduced, bool and np.int64 coordinates give
+    # the value at the reduced Python-int tuple, as Python ints
+    rng = random.Random(21)
+    top = 2**63 - 1
+    for _ in range(20):
+        x, y = ([rng.randrange(-top, top + 1) for _ in range(ring.rank)]
+                for _ in range(2))
+        x[0] = top
+        bits = [rng.random() < 0.5 for _ in range(ring.rank)]
+        forms = [
+            ((x, y), tuple(tuple(v % ring.pk for v in w) for w in (x, y))),
+            (([np.int64(v) for v in x], np.array(y, dtype=np.int64)),
+             tuple(tuple(v % ring.pk for v in w) for w in (x, y))),
+            ((bits, tuple(bits)), (tuple(map(int, bits)),) * 2),
+            (([-v for v in bits], [v + 3 * ring.pk for v in bits]),
+             (tuple(-v % ring.pk for v in bits), tuple(map(int, bits)))),
+        ]
+        for name in SERIES:
+            scalar = series_program(ring, name).scalar
+            for (a, b), (ra, rb) in forms:
+                got = scalar(a, b)
+                assert got == scalar(ra, rb)
+                assert all(type(v) is int for v in got)
+
+
 @pytest.mark.parametrize("x, y", [((1, 2), (1, 2, 3)), ((1, 2, 3), [1] * 4),
                                   ((), (0, 0, 0))])
 def test_emitted_scalar_length_error_is_vec_message(x, y):
@@ -450,8 +483,8 @@ LOG_GROUP_WITNESSES = [
     ("h3_p7", {((3, 3, 4), (4, 0, 5)), ((6, 3, 0), (1, 2, 2))},
      "Exp of the recovered ring disagrees with the law at x=(3, 3, 4), "
      "y=(4, 0, 5): (0, 3, 3) vs (0, 3, 4)"),
-    # pairs 4096 and 11111 of 15625: the first lies just past the first
-    # chunk of rows converted to Python tuples
+    # pairs 4096 and 11111 of 15625: far into the lexicographic order,
+    # where pair tuples out of step with the batch rows would show
     ("h3_p5", {((1, 1, 2), (3, 4, 1)), ((3, 2, 3), (4, 2, 1))},
      "Exp of the recovered ring disagrees with the law at x=(1, 1, 2), "
      "y=(3, 4, 1): (4, 0, 1) vs (4, 0, 2)"),
@@ -471,6 +504,41 @@ def test_log_group_witness_is_first_bad_pair(rings, name, bad, message):
     with pytest.raises(LazardError) as err:
         log_group(law, ring.p, ring.k, ring.rank)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name, samples, calls", [
+    # 1 for the identity, 3c - 2 for each of 19 graded pairs (3 basis
+    # pairs, 16 random), then 1 per checked pair
+    ("h3_p3", 2000, 1 + 19 * 4 + 27 ** 2),
+    ("h3_p7", 300, 1 + 19 * 16 + 300)])
+def test_log_group_calls_the_law_once_per_pair(rings, name, samples, calls):
+    ring = rings[name]
+    seen = []
+
+    def law(x, y):
+        seen.append((x, y))
+        return exp_mul(ring, x, y)
+
+    recovered, _ = log_group(law, ring.p, ring.k, ring.rank, samples=samples)
+    assert recovered.table == ring.table
+    assert len(seen) == calls
+
+
+def test_log_group_refuses_a_law_returning_lists(rings):
+    ring = rings["h3_p3"]
+    with pytest.raises(LazardError, match="identity"):
+        log_group(lambda x, y: list(exp_mul(ring, x, y)), 3, 1, 3)
+
+    # a list away from the identity: the first pair checked after (0, 0)
+    def law(x, y):
+        out = exp_mul(ring, x, y)
+        return list(out) if any(x) or any(y) else out
+
+    with pytest.raises(LazardError) as err:
+        log_group(law, 3, 1, 3)
+    assert str(err.value) == (
+        "Exp of the recovered ring disagrees with the law at x=(0, 0, 0), "
+        "y=(0, 0, 1): (0, 0, 1) vs [0, 0, 1]")
 
 
 def test_log_group_rejects_non_exponential_coordinates():

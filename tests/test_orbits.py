@@ -434,12 +434,12 @@ def test_corrupted_radical_is_a_witness(monkeypatch, corrupt, witness):
     batched = orbits._radicals
 
     def corrupted(ring, chis):
-        gens, sizes = batched(ring, chis)
+        gens, sizes, B = batched(ring, chis)
         if corrupt == "row":
             gens[c, np.flatnonzero(gens[c].any(axis=1))[0]] = ring.basis(0)
         else:
             sizes[c] *= 5
-        return gens, sizes
+        return gens, sizes, B
     monkeypatch.setattr(orbits, "_radicals", corrupted)
     with pytest.raises(OrbitError) as err:
         kernel_lemma_all(ring)
