@@ -217,9 +217,8 @@ def _left_kernels(A, ring):
 def _radicals(ring, chis):
     """Rows spanning rad(B_chi), (m, n, n), |rad(B_chi)| and the forms B
     themselves for the rows chi of chis, by _left_kernels, which leaves B
-    as it is; bracket closure is checked in one
-    batch, on each pair of rows that are both nonzero (a zero row
-    brackets to zero)."""
+    as it is; bracket closure is checked in one batch, on each pair of
+    rows that are both nonzero (a zero row brackets to zero)."""
     B = _forms(ring, chis)
     gens, sizes = _left_kernels(B, ring)
     nonzero = gens.any(axis=2)
