@@ -22,11 +22,11 @@ vanish: the kernel of h -> sum_e h[e] zeta^e is spanned by the multiples
 of Phi, which are the vectors constant on each residue class mod
 p^(M-1), and fold subtracts that class's top entry from each class.
 to_rows and from_rows convert between CycNumbers and this format,
-same_values compares two such arrays exactly, and rank decides the rank
-over Q(zeta) of a matrix whose entries are in it from Howell forms over
-primes l = 1 (mod n), with no inverse in Q(zeta).  The arrays are int64
-while a bound computed from the inputs stays below 2^62, and Python ints
-otherwise, so no sum overflows silently.
+same_values compares two such arrays exactly, and rank decides the ranks
+over Q(zeta) of a stack of such matrices by one batched int64 elimination
+over F_l for each prime l = 1 (mod n), with no inverse in Q(zeta).  The
+arrays are int64 while a bound computed from the inputs stays below 2^62,
+and Python ints otherwise, so no sum overflows silently.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from orbitlab.arith import Modulus, howell, is_prime
+from orbitlab.arith import is_prime
 
 __all__ = ["CycNumber", "to_rows", "from_rows", "same_values", "rank"]
 
@@ -97,10 +97,10 @@ class _Conductor:
         return got
 
     def primes(self):
-        """Yield (l, Modulus(l, 1), w^e mod l for 0 <= e < n) for the
-        primes l = 1 (mod n) upward from 2^30, in order (rank's docstring
-        defines w).  Each prime is found once per conductor and kept, so
-        later calls extend the list instead of searching again."""
+        """Yield (l, w^e mod l for 0 <= e < n, int64) for the primes
+        l = 1 (mod n) upward from 2^30, in order (rank's docstring defines
+        w).  Each prime is found once per conductor and kept, so later
+        calls extend the list instead of searching again."""
         found, n = self._primes, self.n
         for i in count():
             if i == len(found):
@@ -110,9 +110,8 @@ class _Conductor:
                 g = next(g for g in count(2)
                          if pow(g, (ell - 1) // self.p, ell) != 1)
                 w = pow(g, (ell - 1) // n, ell)
-                powers = np.array([pow(w, e, ell) for e in range(n)],
-                                  dtype=object)
-                found.append((ell, Modulus(ell, 1), powers))
+                found.append((ell, np.array([pow(w, e, ell) for e in range(n)],
+                                            dtype=np.int64)))
             yield found[i]
 
 
@@ -367,42 +366,73 @@ def same_values(h1, den1: int, h2, den2: int, p: int, m: int):
     return ~_conductor(p, m).fold(diff).any(axis=-1)
 
 
-def rank(h, p: int, m: int) -> int:
-    """Rank over Q(zeta) of the (r, c) matrix with entries sum_e h[i, j, e]
-    zeta^e, h an (r, c, n) integer array in the exponent format, n = p^m.
-    A denominator does not change the rank, so only numerators are taken.
+def _ranks_mod(h, ell: int, powers):
+    """Ranks over F_l of the stack h (B, r, c, n) under zeta -> w, in int64
+    (rank's docstring bounds every product)."""
+    a = np.zeros(h.shape[:-1], np.int64)
+    for e in range(h.shape[-1]):
+        res = (h[..., e] % ell).astype(np.int64, copy=False)
+        a = (a + res * powers[e]) % ell
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1).copy()  # eliminate along the shorter side
+    blocks, ranks = np.arange(len(a)), np.zeros(len(a), np.int64)
+    for j in range(a.shape[2]):
+        # each block's first row nonzero in column j clears the column
+        # from every row, itself included: it counts once and is spent
+        col = a[:, :, j]
+        piv = (col != 0).argmax(axis=1)
+        pv = col[blocks, piv]
+        ranks += pv != 0
+        prow = a[blocks, piv, j + 1:]
+        a[:, :, j + 1:] = (a[:, :, j + 1:] * (pv + (pv == 0))[:, None, None]
+                           - col[:, :, None] * prow[:, None, :]) % ell
+    return ranks
+
+
+def rank(h, p: int, m: int) -> list:
+    """Ranks over Q(zeta) of the B matrices (r, c) with entries sum_e
+    h[b, i, j, e] zeta^e, h a (B, r, c, n) integer array in the exponent
+    format, n = p^m (Python ints for an object array).  A denominator does
+    not change a rank, so only numerators are taken.
 
     For primes l = 1 (mod n) upward from 2^30, w = g^((l-1)/n), with g
     the least integer with g^((l-1)/p) != 1 (mod l), has order n in F_l,
-    so zeta -> w is a ring map Z[zeta] -> F_l and the rank mod l (the
-    number of Howell rows over F_l) is at most the true rank r0.  It is
-    less only when some nonzero r0 x r0 minor D maps to 0, that is when
-    D lies in the prime (l, zeta - w), whose integers are lZ; then l
-    divides Norm(D).  Each conjugate of D obeys Hadamard's bound with
-    |sigma(h_ij)| <= sum_e |h_ij[e]|, so |Norm(D)|^2 <= R^(r0 phi), R the
-    largest sum_j (sum_e |h_ij[e]|)^2 over rows.  Once (prod l)^2 exceeds
-    R^(min(r, c) phi), some prime tried does not divide Norm(D), so the
-    largest rank seen is r0: the result is exact, and full rank min(r, c)
-    ends the search at once.
+    so zeta -> w is a ring map Z[zeta] -> F_l and a block's rank mod l is
+    at most its true rank r0.  It is less only when some nonzero r0 x r0
+    minor D maps to 0, that is when D lies in the prime (l, zeta - w),
+    whose integers are lZ; then l divides Norm(D).  Each conjugate of D
+    obeys Hadamard's bound with |sigma(h_ij)| <= sum_e |h_ij[e]|, so
+    |Norm(D)|^2 <= R^(r0 phi), R the block's largest sum_j (sum_e
+    |h_ij[e]|)^2 over rows.  Once (prod l)^2 exceeds R^(min(r, c) phi),
+    some prime tried does not divide Norm(D), so the largest rank seen is
+    r0: the result is exact.
 
-    The primes, their fields and the powers of w are kept per conductor
-    (_Conductor.primes), and the bound is computed only when the first
-    prime falls short of full rank: a full-rank result never reads it.
+    Every block is eliminated at the first prime, all at once with a
+    pivot per block (_ranks_mod), in int64: l < 2^31 is asserted, so a
+    residue is below 2^31, a product of two is below 2^62, and the
+    difference of two products in the fraction-free step row * pivot -
+    col * pivot_row fits; zeta -> w reduces after each exponent.  Only
+    the blocks short of full rank min(r, c) go on to the next prime, each
+    until it reaches full rank or passes its own bound; the bound is
+    computed only for the blocks short at the first prime, so a full-rank
+    block never reads it.  The primes and the powers of w are kept per
+    conductor (_Conductor.primes).
     """
-    ctx = _conductor(p, m)
-    full = min(h.shape[:2])
-    best, prod, bound = 0, 1, None
-    for ell, field, powers in ctx.primes():
-        if best == full:
-            break
-        if prod > 1:
+    ctx, full = _conductor(p, m), min(h.shape[1:3])
+    ranks = np.zeros(len(h), np.int64)
+    todo, prod, bound = np.arange(len(h) if full else 0), 1, None
+    for ell, powers in ctx.primes():
+        if prod > 1 and todo.size:
             if bound is None:
-                l1 = np.abs(h.astype(object)).sum(axis=-1)
-                bound = max((l1 * l1).sum(axis=1).tolist(),
-                            default=0) ** (full * ctx.phi)
-            if prod * prod > bound:
-                break
-        rows = ((h % ell).astype(object) @ powers % ell).tolist()
-        best = max(best, len(howell(rows, field)))
-        prod *= ell
-    return best
+                l1 = np.abs(h[todo].astype(object)).sum(axis=-1)
+                bound = np.zeros(len(h), dtype=object)
+                bound[todo] = (l1 * l1).sum(axis=2).max(axis=1) ** (
+                    full * ctx.phi)
+            todo = todo[bound[todo] >= prod * prod]
+        if not todo.size:
+            break
+        assert ell < 2**31
+        got = _ranks_mod(h if prod == 1 else h[todo], ell, powers)
+        ranks[todo] = np.maximum(ranks[todo], got)
+        todo, prod = todo[ranks[todo] < full], prod * ell
+    return ranks.tolist()

@@ -20,14 +20,14 @@ u = q-hat u gives eta = q-hat on the gamma(g) u, which span V (gu-rank).
 q-hat u, the gu spanning lemma and the h_{beta0} reconstruction read
 gamma(g) u off the (alpha, 0) columns of the arrays, in cyclotomic's
 exponent format (integer arrays over the exponents of zeta); the rank
-over Q(zeta) that the lemma needs is cyclotomic.rank, a Howell rank
-modulo primes l = 1 (mod N) made exact by a norm bound.  The action axiom
-is checked from generators: the Exp(e_t) generate the finite group Gamma,
-each of finite order, so every g is a word Exp(e_t1) ... Exp(e_tr)
-without inverses.  If gamma(0) = id and gamma(e_t h) = gamma(e_t)
-gamma(h) for every t and h, induction on the word length gives gamma(g h)
-= gamma(g) gamma(h) for all g and h; so rank * |p| comparisons make the
-check exhaustive.
+over Q(zeta) that the lemma needs is cyclotomic.rank, one batched
+elimination of every block modulo primes l = 1 (mod N), made exact per
+block by a norm bound.  The action axiom is checked from generators: the
+Exp(e_t) generate the finite group Gamma, each of finite order, so every
+g is a word Exp(e_t1) ... Exp(e_tr) without inverses.  If gamma(0) = id
+and gamma(e_t h) = gamma(e_t) gamma(h) for every t and h, induction on
+the word length gives gamma(g h) = gamma(g) gamma(h) for all g and h; so
+rank * |p| comparisons make the check exhaustive.
 """
 
 from __future__ import annotations
@@ -359,12 +359,16 @@ def verify_ribbon(d, eta_override=None):
         raise CrossCheckError(
             "gu-support", f"gu is not supported on one beta for "
             f"g={tuple(elements[split[0]].tolist())}")
-    # row g of block beta: the coefficients of gamma(g) u over alpha
-    coeffs = np.zeros((len(elements), nb, N), dtype=np.int64)
-    np.add.at(coeffs, (np.arange(len(elements))[:, None], target // nb,
-                       expo[:, ::nb]), 1)
-    rank = sum(cyc_rank(coeffs[beta[:, 0] == b], m.p, m.level)
-               for b in range(nb))
+    # block beta has one row per g with gamma(g) u in coset beta: its
+    # coefficients over alpha; shorter blocks are padded with zero rows,
+    # which change no rank
+    block = beta[:, 0]
+    slot = np.cumsum(block[:, None] == np.arange(nb), axis=0)[
+        np.arange(len(block)), block] - 1
+    stack = np.zeros((nb, slot.max() + 1, nb, N), dtype=np.int64)
+    np.add.at(stack, (block[:, None], slot[:, None], target // nb,
+                      expo[:, ::nb]), 1)
+    rank = sum(cyc_rank(stack, m.p, m.level))
     record("gu-rank", f"rank of the |p| x |p| coefficient matrix = {rank}, "
            f"dim V = {n}", t0,
            None if rank == n else {"rank": rank, "dim": n})

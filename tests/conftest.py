@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from orbitlab.arith import QpModZp
+from orbitlab.arith import Modulus, QpModZp, howell
+from orbitlab.cyclotomic import _conductor
 from orbitlab.lazard import LieRing, Subring, catalog
 from orbitlab import vmodel
 from orbitlab.metric import MetricGroup
@@ -75,6 +77,31 @@ def cyc_rank(rows):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def fl_rank(h, p, m):
+    """Rank over Q(zeta_{p^m}) of one (r, c, p^m) block in the exponent
+    format, from Howell forms over F_l (arith.howell on Python ints) for
+    the primes l of _Conductor.primes until full rank or the norm bound:
+    the former per-block route of cyclotomic.rank, kept as its oracle."""
+    ctx = _conductor(p, m)
+    full = min(h.shape[:2])
+    best, prod, bound = 0, 1, None
+    for ell, powers in ctx.primes():
+        if best == full:
+            break
+        if prod > 1:
+            if bound is None:
+                l1 = np.abs(h.astype(object)).sum(axis=-1)
+                bound = max((l1 * l1).sum(axis=1).tolist(),
+                            default=0) ** (full * ctx.phi)
+            if prod * prod > bound:
+                break
+        rows = ((h % ell).astype(object) @ powers.astype(object)
+                % ell).tolist()
+        best = max(best, len(howell(rows, Modulus(ell, 1))))
+        prod *= ell
+    return best
 
 
 def move_qhat_coefficient(monkeypatch, g):

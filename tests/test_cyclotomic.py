@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from conftest import cyc_rank
+from conftest import cyc_rank, fl_rank
 from orbitlab import cyclotomic
 from orbitlab.arith import QpModZp, is_prime
 from orbitlab.cyclotomic import (CycNumber, _conductor, from_rows, rank,
@@ -120,13 +121,14 @@ def test_same_values_exact_beyond_int64():
 
 
 @st.composite
-def _root_sum_matrix(draw):
+def _root_sum_matrix(draw, conductor=None, shape=None):
     """(h, p, m): an (r, c, p^m) matrix whose entries are sums of +-zeta^e,
     with some rows and then some columns replaced by zeta^a times one
-    other line plus or minus zeta^b times another."""
-    p, m = draw(st.sampled_from([(3, 1), (3, 2), (5, 1), (7, 1)]))
+    other line plus or minus zeta^b times another.  The conductor (p, m)
+    and the shape (r, c) are drawn unless given."""
+    p, m = conductor or draw(st.sampled_from([(3, 1), (3, 2), (5, 1), (7, 1)]))
     n = p**m
-    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r, c = shape or (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     term = st.tuples(st.integers(0, n - 1), st.sampled_from([-1, 1]))
     h = np.zeros((r, c, n), dtype=np.int64)
     for i in range(r):
@@ -153,7 +155,47 @@ def _root_sum_matrix(draw):
 @given(_root_sum_matrix())
 def test_rank_matches_exact_elimination(case):
     h, p, m = case
-    assert rank(h, p, m) == cyc_rank(from_rows(h, 1, p, m))
+    assert rank(h[None], p, m) == [cyc_rank(from_rows(h, 1, p, m))]
+
+
+@st.composite
+def _root_sum_stack(draw):
+    """(h, p, m): a (B, r, c, p^m) stack of _root_sum_matrix blocks of one
+    conductor and shape, with a full-rank block (ones on the diagonal)
+    and a rank-deficient one (the first block with a line zeroed), in a
+    drawn order."""
+    first, p, m = draw(_root_sum_matrix())
+    r, c = first.shape[:2]
+    more = draw(st.lists(_root_sum_matrix((p, m), (r, c)), max_size=3))
+    diagonal = np.zeros_like(first)
+    diagonal[range(min(r, c)), range(min(r, c)), 0] = 1
+    short = first.copy()
+    if r <= c:
+        short[0] = 0
+    else:
+        short[:, 0] = 0
+    blocks = [first, diagonal, short] + [h for h, _, _ in more]
+    return np.array(draw(st.permutations(blocks))), p, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_root_sum_stack())
+def test_rank_of_a_stack_is_the_rank_of_each_block(case):
+    h, p, m = case
+    ranks = rank(h, p, m)
+    assert ranks == [cyc_rank(from_rows(block, 1, p, m)) for block in h]
+    assert ranks == [fl_rank(block, p, m) for block in h]
+    assert min(ranks) < min(h.shape[1:3]) == max(ranks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_root_sum_matrix(), st.integers(1, 3))
+def test_zero_rows_change_no_rank(case, pad):
+    # verify_ribbon pads short gu blocks to one stack this way
+    h, p, m = case
+    padded = np.concatenate([h, np.zeros((pad,) + h.shape[1:], h.dtype)])
+    assert rank(padded[None], p, m) == rank(h[None], p, m) == [
+        fl_rank(h, p, m)]
 
 
 def test_rank_tries_more_primes_when_the_first_divides_a_minor(monkeypatch):
@@ -162,31 +204,80 @@ def test_rank_tries_more_primes_when_the_first_divides_a_minor(monkeypatch):
                         lambda n: calls.append(n) or is_prime(n))
     # a full-rank call finds the first prime once; a second call on the
     # same conductor searches for none
-    full = np.array([[[1, 0, 0], [0, 1, 0]]])
-    assert rank(full, 3, 1) == 1
+    full = np.array([[[[1, 0, 0], [0, 1, 0]]]])
+    assert rank(full, 3, 1) == [1]
     known = list(_conductor(3, 1)._primes)
     calls.clear()
-    assert rank(full, 3, 1) == 1
+    assert rank(full, 3, 1) == [1]
     assert calls == []
     # the first prime l = 1 (mod 3) from 2^30 kills the 1 x 1 matrix (l),
     # and the product of the first two kills (l l'); the rank is still 1
     first = [ell for ell in range(2**30, 2**30 + 600, 3) if is_prime(ell)]
     assert first[0] % 3 == 1
-    ranks = [rank(np.array([[[value, 0, 0]]], dtype=object), 3, 1)
-             for value in (first[0], first[0] * first[1], first[0] * 2**70)]
+    values = (first[0], first[0] * first[1], first[0] * 2**70)
+    ranks = rank(np.array([[[[v, 0, 0]]] for v in values], dtype=object),
+                 3, 1)
     # 1 + zeta + zeta^2 = 0, so a row of those is rank 0; a row and its
     # zeta-multiple are rank 1
-    ranks.append(rank(np.ones((1, 2, 3), dtype=np.int64), 3, 1))
+    ranks += rank(np.ones((1, 1, 2, 3), dtype=np.int64), 3, 1)
     row = np.array([[1, -1, 0], [0, 2, 1]])
-    ranks.append(rank(np.array([row, np.roll(row, 1, axis=-1)]), 3, 1))
+    ranks += rank(np.array([[row, np.roll(row, 1, axis=-1)]]), 3, 1)
     assert ranks == [1, 1, 1, 0, 1]
+    assert [fl_rank(np.array([[[v, 0, 0]]], dtype=object), 3, 1)
+            for v in values] == [1, 1, 1]
     # the warm list was extended, not rebuilt: the search went on from
     # its last prime
     primes = _conductor(3, 1)._primes
     assert [entry[0] for entry in primes[:3]] == first[:3]
     assert all(a is b for a, b in zip(primes, known))
     assert calls == list(range(known[-1][0] + 3, primes[-1][0] + 1, 3))
-    assert rank(np.zeros((0, 3, 9), dtype=np.int64), 3, 2) == 0
+
+
+def test_only_the_short_block_goes_on_to_a_second_prime(monkeypatch):
+    first, second = (ell for ell, _ in islice(_conductor(3, 1).primes(), 2))
+    eye = np.eye(2, dtype=np.int64)
+    h = np.zeros((2, 2, 2, 3), dtype=np.int64)
+    h[0, ..., 0] = eye
+    h[1, ..., 0] = first * eye + 1  # ones mod the first prime, det l(l+2)
+    seen = []
+    ranks_mod = cyclotomic._ranks_mod
+    monkeypatch.setattr(cyclotomic, "_ranks_mod", lambda h, ell, powers: (
+        seen.append((h.copy(), ell)) or ranks_mod(h, ell, powers)))
+    assert rank(h, 3, 1) == [2, 2]
+    assert [(len(block), ell) for block, ell in seen] == [(2, first),
+                                                          (1, second)]
+    assert (seen[1][0] == h[1:]).all()
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (7, 2)])
+def test_rank_with_every_residue_at_l_minus_1(p, m):
+    # mod the first prime l every product in the elimination is near
+    # (l - 1)^2 < 2^62, and the map zeta -> w sums n = p^m of them, which
+    # overflows int64 at n = 49 unless it reduces after each one
+    ell = next(_conductor(p, m).primes())[0]
+    eye = np.eye(3, dtype=np.int64)
+    h = np.zeros((3, 3, 3, p**m), dtype=np.int64)
+    h[0] = ell - 1  # (l - 1)(1 + zeta + ... + zeta^(n-1)) = 0
+    h[1, ..., 0] = ell - 1 - eye  # -(J + I) mod l
+    h[2, ..., 0] = ell - 1 + ell * eye  # (l - 1) J mod l, full over Q
+    assert rank(h, p, m) == [0, 3, 3]
+    assert [fl_rank(block, p, m) for block in h] == [0, 3, 3]
+    assert [cyc_rank(from_rows(block, 1, p, m)) for block in h] == [0, 3, 3]
+
+
+def test_rank_of_empty_and_object_stacks():
+    assert rank(np.zeros((0, 2, 3, 9), dtype=np.int64), 3, 2) == []
+    assert rank(np.zeros((2, 0, 3, 9), dtype=np.int64), 3, 2) == [0, 0]
+    assert rank(np.zeros((2, 3, 0, 9), dtype=np.int64), 3, 2) == [0, 0]
+    # Python ints beyond int64 give the ranks of the int64 blocks they
+    # scale
+    row = np.array([[1, -1, 0], [0, 2, 1]])
+    h = np.array([[row, np.roll(row, 1, axis=-1)],
+                  [row, [[1, 0, 0], [0, 0, 0]]]])
+    ranks = [fl_rank(block, 3, 1) for block in h]
+    assert ranks == [cyc_rank(from_rows(block, 1, 3, 1)) for block in h]
+    assert ranks == [1, 2]
+    assert rank(h.astype(object) * 2**70, 3, 1) == rank(h, 3, 1) == ranks
 
 
 def test_rational_detection():

@@ -387,6 +387,32 @@ def test_gamma_mutation_gives_dict_path_witnesses(args, seed, coset, alpha,
     assert status["h-beta"] == ("PASS" if beta0 is None else "FAIL")
 
 
+@pytest.mark.parametrize("args, seed", [((3, 1, 1), None), ((5, 1, 1), 3)],
+                         ids=["hyp311", "hyp511s3"])
+def test_gu_rank_pads_unequal_blocks(monkeypatch, args, seed):
+    # gamma(g) copied from an element of another coset leaves the beta
+    # blocks of unequal sizes; the zero-padded stack must give the rank
+    # that the dict path computes from the same arrays
+    d = build_hyperbolic(*args, section_seed=seed)
+    validate_data(d)
+    perm, expo = vmodel._gamma_arrays(d)
+    nb = len(d.b_elements)
+    src, dst = (np.flatnonzero(perm[:, 0] % nb == beta)[0] for beta in (1, 0))
+    perm[dst], expo[dst] = perm[src], expo[src]
+    stacks = []
+    ranks = vmodel.cyc_rank
+    monkeypatch.setattr(vmodel, "cyc_rank", lambda h, p, m: (
+        stacks.append(h) or ranks(h, p, m)))
+    report = verify_ribbon(d)
+    (stack,) = stacks
+    sizes = stack.any(axis=(2, 3)).sum(axis=1)
+    assert sizes[0] < sizes[1] == len(stack[0])
+    witness = {c["check"]: c["witness"] for c in report["counterexamples"]}
+    rank = _dict_gu_rank(d)
+    assert rank < d.dim()
+    assert witness["gu-rank"] == {"rank": rank, "dim": d.dim()}
+
+
 def test_eta_closed_form_with_linear_section():
     d = build_hyperbolic(5, 1, 1)
     validate_data(d)
