@@ -16,7 +16,7 @@ import random
 import sys
 
 from .freelie import bch, certify, tree_degree, tree_str
-from .lazard import CrossCheckError, LazardError, parse_ring, validate
+from .lazard import CrossCheckError, parse_ring, validate
 from .metric import MetricError, gauss_sum, lagrangians, parse_metric
 from .orbits import (DUAL_CAP, CapError, Character, OrbitError, SkewForm,
                      dual_size, enumerate_orbits, generic_character,
@@ -71,26 +71,21 @@ def _pair(pair):
                      ",".join(str(c) for c in beta)))
 
 
-def _read(path):
+def _load(path, parse):
+    """parse(text at path); unreadable, non-UTF-8 or bad input exits 2."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}")
-
-
-def _load_ring(path):
-    text = _read(path)
-    try:
-        return parse_ring(text)
-    except (ValueError, LazardError) as e:
+    except ValueError as e:
         raise InputError(f"{path}: {e}")
 
 
 # -- subcommands --------------------------------------------------------------
 
 def cmd_validate(args, rep):
-    ring = _load_ring(args.file)
+    ring = _load(args.file, parse_ring)
     cert = validate(ring)
     rep.emit("ring",
              f"{cert['name']}: Z/{ring.p}^{ring.k} rank {cert['rank']}, "
@@ -132,7 +127,7 @@ def _at_least_one(flag, value):
 
 def cmd_orbits(args, rep):
     _at_least_one("cap", args.cap)
-    ring = _load_ring(args.file)
+    ring = _load(args.file, parse_ring)
     orbits = enumerate_orbits(ring, cap=args.cap)
     hist = orbit_histogram(orbits)
     total = sum(size * count for size, count in hist.items())
@@ -155,7 +150,7 @@ def cmd_orbits(args, rep):
 def cmd_kernel_check(args, rep):
     _at_least_one("samples", args.samples)
     _at_least_one("cap", args.cap)
-    ring = _load_ring(args.file)
+    ring = _load(args.file, parse_ring)
     if dual_size(ring) <= args.samples:
         count = kernel_lemma_all(ring, cap=args.cap)["characters"]
         mode = f"all {count}"
@@ -176,7 +171,7 @@ def cmd_kernel_check(args, rep):
 
 
 def cmd_polarize(args, rep):
-    ring = _load_ring(args.file)
+    ring = _load(args.file, parse_ring)
     if args.chi:
         try:
             chi = Character.from_values(ring, args.chi.split(","))
@@ -209,11 +204,7 @@ def cmd_polarize(args, rep):
 
 
 def cmd_gauss(args, rep):
-    text = _read(args.file)
-    try:
-        m = parse_metric(text)
-    except (ValueError, MetricError) as e:
-        raise InputError(f"{args.file}: {e}")
+    m = _load(args.file, parse_metric)
     g = gauss_sum(m)
     norm = g * g.conj()
     rep.emit("metric",
@@ -245,11 +236,7 @@ def cmd_gauss(args, rep):
 
 
 def cmd_ribbon(args, rep):
-    text = _read(args.file)
-    try:
-        d = parse_vmodel(text)
-    except (ValueError, LazardError, MetricError) as e:
-        raise InputError(f"{args.file}: {e}")
+    d = _load(args.file, parse_vmodel)
     validate_data(d)
     override = None
     if args.forge_eta:

@@ -421,18 +421,18 @@ def rank(h, p: int, m: int) -> list:
     ctx, full = _conductor(p, m), min(h.shape[1:3])
     ranks = np.zeros(len(h), np.int64)
     todo, prod, bound = np.arange(len(h) if full else 0), 1, None
-    for ell, powers in ctx.primes():
-        if prod > 1 and todo.size:
+    primes = ctx.primes()
+    while todo.size:
+        ell, powers = next(primes)
+        assert ell < 2**31
+        got = _ranks_mod(h if prod == 1 else h[todo], ell, powers)
+        ranks[todo] = np.maximum(ranks[todo], got)
+        todo, prod = todo[ranks[todo] < full], prod * ell
+        if todo.size:
             if bound is None:
                 l1 = np.abs(h[todo].astype(object)).sum(axis=-1)
                 bound = np.zeros(len(h), dtype=object)
                 bound[todo] = (l1 * l1).sum(axis=2).max(axis=1) ** (
                     full * ctx.phi)
             todo = todo[bound[todo] >= prod * prod]
-        if not todo.size:
-            break
-        assert ell < 2**31
-        got = _ranks_mod(h if prod == 1 else h[todo], ell, powers)
-        ranks[todo] = np.maximum(ranks[todo], got)
-        todo, prod = todo[ranks[todo] < full], prod * ell
     return ranks.tolist()

@@ -34,6 +34,8 @@ MAX_CLASS = 6
 MAX_RANK = 64
 # residues fit an int64, so numpy can draw and hold them
 MAX_MODULUS = 2**63
+# the single-valued keys of a ring block
+RING_KEYS = ("p", "k", "rank", "class")
 
 
 class LazardError(ValueError):
@@ -743,31 +745,57 @@ def serialize_ring(ring):
     return "\n".join(lines) + "\n"
 
 
-def parse_ring(text):
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("ring"):
-        raise ValueError("ring file must start with a 'ring' line")
-    name = lines[0].split(maxsplit=1)[1] if " " in lines[0] else "unnamed"
-    fields = {}
-    brackets = {}
-    for ln in lines[1:]:
+def read_format(text, kind, once, with_ring=False):
+    """The name and token lines of a ring, metric or v-model file, by the
+    rules the three formats share: blank lines and `#` comments are
+    skipped, the first line is `kind` and an optional name (the rest of
+    the line), the last is `end`, and a key in `once` starts at most one
+    line.  with_ring reads a ring block, by the same rules, right after
+    the header (as in a v-model) and puts its LieRing first in the lines."""
+    lines = iter([ln.strip() for ln in text.splitlines()
+                  if ln.strip() and not ln.lstrip().startswith("#")])
+    name, rows = _read_block(lines, kind, once, with_ring)
+    for ln in lines:
+        raise ValueError(f"line {ln!r} after 'end'")
+    return name, rows
+
+
+def _read_block(lines, kind, once, with_ring=False):
+    header = next(lines, "")
+    if header.split()[:1] != [kind]:
+        raise ValueError(f"expected a '{kind}' line, got {header!r}")
+    name = header.split(maxsplit=1)[1] if " " in header else "unnamed"
+    rows = [_ring(*_read_block(lines, "ring", RING_KEYS))] if with_ring else []
+    seen = set()
+    for ln in lines:
+        if ln == "end":
+            return name, rows
         parts = ln.split()
-        if parts[0] == "end":
-            break
-        if parts[0] in ("p", "k", "rank", "class"):
-            if len(parts) != 2:
-                raise ValueError(f"expected one value in {ln!r}")
-            fields[parts[0]] = int(parts[1])
-        elif parts[0] == "bracket":
-            if len(parts) < 3:
-                raise ValueError(f"expected a basis pair in {ln!r}")
-            i, j = int(parts[1]) - 1, int(parts[2]) - 1
-            brackets[(i, j)] = tuple(int(v) for v in parts[3:])
+        if parts[0] in seen:
+            raise ValueError(f"second {parts[0]!r} line")
+        if parts[0] in once:
+            seen.add(parts[0])
+        rows.append(parts)
+    raise ValueError(f"the '{kind}' block has no 'end' line")
+
+
+def parse_ring(text):
+    return _ring(*read_format(text, "ring", RING_KEYS))
+
+
+def _ring(name, rows):
+    fields, brackets = {}, {}
+    for key, *values in rows:
+        if key in RING_KEYS and len(values) == 1:
+            fields[key] = int(values[0])
+        elif key == "bracket" and len(values) >= 2:
+            pair = (int(values[0]) - 1, int(values[1]) - 1)
+            if pair in brackets:
+                raise ValueError(
+                    f"second 'bracket {values[0]} {values[1]}' line")
+            brackets[pair] = tuple(int(v) for v in values[2:])
         else:
-            raise ValueError(f"unknown line {ln!r}")
-    else:
-        raise ValueError("missing 'end' line")
+            raise ValueError(f"malformed line {' '.join([key, *values])!r}")
     for key in ("p", "k", "rank"):
         if key not in fields:
             raise ValueError(f"missing field {key!r}")

@@ -26,7 +26,8 @@ import numpy as np
 from .arith import (Modulus, QpModZp, is_prime, kernel, reduce_rows,
                     span_size)
 from .cyclotomic import CycNumber, from_rows, same_values, to_rows
-from .lazard import CrossCheckError, LieRing, Subring, unit_inverses
+from .lazard import (CrossCheckError, LieRing, Subring, read_format,
+                     unit_inverses)
 
 ORDER_CAP = 4096
 
@@ -392,33 +393,16 @@ def serialize_metric(m):
 
 
 def parse_metric(text):
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("metric"):
-        raise ValueError("metric file must start with a 'metric' line")
-    name = lines[0].split(maxsplit=1)[1] if " " in lines[0] else "unnamed"
-    p = None
-    exponents = None
-    q_gens = None
-    b_rows = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "end":
-            break
-        if parts[0] == "p":
-            if len(parts) != 2:
-                raise ValueError(f"expected one value in {ln!r}")
-            p = int(parts[1])
-        elif parts[0] == "type":
-            exponents = [int(v) for v in parts[1:]]
-        elif parts[0] == "q":
-            q_gens = parts[1:]
-        elif parts[0] == "B":
-            b_rows.append(parts[1:])
+    name, rows = read_format(text, "metric", ("p", "type", "q"))
+    fields, b_rows = {}, []
+    for key, *values in rows:
+        if key == "B":
+            b_rows.append(values)
+        elif key in ("type", "q") or key == "p" and len(values) == 1:
+            fields[key] = values
         else:
-            raise ValueError(f"unknown line {ln!r}")
-    else:
-        raise ValueError("missing 'end' line")
-    if p is None or exponents is None or q_gens is None:
+            raise ValueError(f"malformed line {' '.join([key, *values])!r}")
+    if len(fields) < 3:
         raise ValueError("missing p, type, or q line")
-    return MetricGroup(p, exponents, q_gens, b_rows, name=name)
+    return MetricGroup(int(fields["p"][0]), [int(v) for v in fields["type"]],
+                       fields["q"], b_rows, name=name)

@@ -121,8 +121,8 @@ def radical(form):
 
     By the kernel = stabilizer statement this is the stabilizer Lie ring,
     so a bracket-closure failure here would be a counterexample and is
-    raised rather than ignored, on every call.  A radical that passes is
-    kept on the form, so each form computes it once.
+    raised rather than ignored.  Closure is checked once per form: a
+    radical that passes is kept on the form and returned from then on.
     """
     if form._radical is not None:
         return form._radical

@@ -45,7 +45,7 @@ from .cyclotomic import (CycNumber, from_rows, rank as cyc_rank, same_values,
 # exp_mul is unused here; perfbench's self-test reads vmodel.exp_mul
 from .lazard import (CrossCheckError, LieRing, Subring, all_elements,
                      batch_conjugate, batch_exp_mul, element_index, exp_mul,
-                     orthogonal, parse_ring, quotient_ring, serialize_ring,
+                     orthogonal, quotient_ring, read_format, serialize_ring,
                      series_program)
 from .metric import MetricGroup, _qhat_rows, gauss_sum
 
@@ -185,8 +185,8 @@ def _gamma_arrays(d):
     """(perm, expo), two (|p|, dim V) arrays cached on the model: row r is
     gamma(Exp(g)) for g = all_elements(ring)[r], sending basis vector i to
     zeta^expo[r, i] times basis vector perm[r, i].  validate_data's
-    metric-shape check bounds |p| by ORDER_CAP, so the Gram products,
-    reduced after each one, cannot overflow int64."""
+    metric-shape check makes m._b the Gram matrix and bounds |p| by
+    ORDER_CAP, so its products, reduced after each one, fit an int64."""
     if d._gamma is not None:
         return d._gamma
     ring, b, a, m = d.ring, d.b, d.a, d.metric
@@ -220,8 +220,7 @@ def _gamma_arrays(d):
     galpha = conj[project(G)][:, :, None]
     gbeta = gbeta.reshape(len(G), 1, nb)
     w = phi.reshape(nb, nb)[galpha, gbeta]
-    E = [ring.basis(i) for i in range(ring.rank)]
-    gram = np.array([[m.b_num(x, y) for y in E] for x in E], dtype=np.int64)
+    gram = np.array(m._b, dtype=np.int64)
     # pairing[g * nb + beta, w] = B(delta, s(w))
     pairing = (delta @ gram % m.modulus) @ S.T % m.modulus
     expo = pairing[np.arange(len(G) * nb).reshape(len(G), 1, nb), w]
@@ -506,36 +505,23 @@ def serialize_vmodel(d):
 
 
 def parse_vmodel(text):
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("vmodel"):
-        raise ValueError("v-model file must start with a 'vmodel' line")
-    name = lines[0].split(maxsplit=1)[1] if " " in lines[0] else "unnamed"
-    if len(lines) < 2 or not lines[1].startswith("ring"):
-        raise ValueError("expected an embedded ring block")
-    stop = next((i for i, ln in enumerate(lines) if ln == "end"), None)
-    if stop is None:
-        raise ValueError("embedded ring block has no 'end'")
-    ring = parse_ring("\n".join(lines[1:stop + 1]))
+    name, (ring, *rows) = read_format(text, "vmodel", ("q",), with_ring=True)
     a_rows, q_vals, b_rows, section = [], None, [], {}
-    for ln in lines[stop + 1:]:
-        parts = ln.split()
-        if parts[0] == "end":
-            break
-        if parts[0] == "a":
-            a_rows.append(tuple(int(c) for c in parts[1:]))
-        elif parts[0] == "q":
-            q_vals = parts[1:]
-        elif parts[0] == "B":
-            b_rows.append(parts[1:])
-        elif parts[0] == "s":
-            head, _, tail = ln[2:].partition("->")
-            section[tuple(int(c) % ring.pk for c in head.split())] = tuple(
-                int(c) % ring.pk for c in tail.split())
+    for key, *values in rows:
+        if key == "a":
+            a_rows.append(tuple(int(c) for c in values))
+        elif key == "q":
+            q_vals = values
+        elif key == "B":
+            b_rows.append(values)
+        elif key == "s":
+            head, _, tail = " ".join(values).partition("->")
+            beta = tuple(int(c) % ring.pk for c in head.split())
+            if beta in section:
+                raise ValueError(f"second 's' line for the coset {beta}")
+            section[beta] = tuple(int(c) % ring.pk for c in tail.split())
         else:
-            raise ValueError(f"unknown line {ln!r}")
-    else:
-        raise ValueError("missing final 'end' line")
+            raise ValueError(f"malformed line {' '.join([key, *values])!r}")
     if not a_rows or q_vals is None or not b_rows:
         raise ValueError("missing a, q, or B data")
     a = Subring(ring, a_rows)

@@ -216,6 +216,55 @@ def test_short_lines_are_input_errors(capsys, tmp_path, command, text):
     assert "Traceback" not in err
 
 
+_RING = serialize_ring(catalog()["h3_p5"])
+_METRIC = serialize_metric(quadratic_metric(3))
+_SECTION_VM = serialize_vmodel(build_hyperbolic(3, 1, 1, section_seed=1))
+_READERS = {
+    "ring": (parse_ring, ("validate", "orbits", "kernel-check", "polarize")),
+    "metric": (parse_metric, ("gauss",)),
+    "vmodel": (parse_vmodel, ("ribbon",)),
+}
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("ring", _RING.replace("p 5\n", "p 5\np 7\n")),
+    ("ring", _RING.replace("end", "bracket 1 2 0 0 2\nend")),
+    ("ring", _RING + "p 7\n"),
+    ("ring", _RING.replace("ring ", "ringx ")),
+    ("ring", b"\xff" + _RING.encode()),
+    ("metric", _METRIC.replace("type", "p 3\ntype")),
+    ("metric", _METRIC.replace("B", "q 1/3\nB")),
+    ("metric", _METRIC + "# a comment\nB 0/1\n"),
+    ("metric", _METRIC.replace("metric ", "metricx ")),
+    ("metric", _METRIC.encode("utf-16")),
+    ("vmodel", _SECTION_VM.replace("B 0", "q 0/1 0/1\nB 0", 1)),
+    ("vmodel", _SECTION_VM.replace("k 1", "k 1\nk 1")),
+    ("vmodel", _SECTION_VM.replace("s 1 ->", "s 4 -> 0 1\ns 1 ->")),
+    ("vmodel", _SECTION_VM + "end\n"),
+    ("vmodel", _SECTION_VM.replace("vmodel ", "vmodelx ")),
+    ("vmodel", _SECTION_VM.replace("ring ", "ringx ")),
+    ("vmodel", _SECTION_VM.encode("latin-1") + b"# \xe9\n"),
+], ids=["ring-p", "ring-bracket", "ring-after-end", "ring-header",
+        "ring-bytes", "metric-p", "metric-q", "metric-after-end",
+        "metric-header", "metric-bytes", "vmodel-q", "vmodel-ring-k",
+        "vmodel-s", "vmodel-after-end", "vmodel-header",
+        "vmodel-ring-header", "vmodel-bytes"])
+def test_shared_format_rules_refuse(capsys, tmp_path, kind, data):
+    # the rules the three formats share: one header line naming the kind,
+    # nothing after 'end', each single-valued line once, UTF-8 text
+    parse, commands = _READERS[kind]
+    data = data if isinstance(data, bytes) else data.encode()
+    with pytest.raises(ValueError):
+        parse(data.decode("utf-8"))
+    path = tmp_path / f"refused.{kind}"
+    path.write_bytes(data)
+    for command in commands:
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("input error:")
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["1000000000", "8"])
 def test_gauss_refuses_hostile_order(capsys, tmp_path, value):
     # the order bound is checked before p^k is formed; 3^8 > 4096 as well

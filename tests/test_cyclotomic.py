@@ -233,6 +233,14 @@ def test_rank_tries_more_primes_when_the_first_divides_a_minor(monkeypatch):
     assert calls == list(range(known[-1][0] + 3, primes[-1][0] + 1, 3))
 
 
+def test_a_full_rank_call_draws_one_prime(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_CONDUCTORS", {})
+    h = np.zeros((1, 2, 2, 7), dtype=np.int64)
+    h[0, ..., 0] = np.eye(2, dtype=np.int64)
+    assert rank(h, 7, 1) == [2]
+    assert len(_conductor(7, 1)._primes) == 1
+
+
 def test_only_the_short_block_goes_on_to_a_second_prime(monkeypatch):
     first, second = (ell for ell, _ in islice(_conductor(3, 1).primes(), 2))
     eye = np.eye(2, dtype=np.int64)
