@@ -764,7 +764,7 @@ def _read_block(lines, kind, once, with_ring=False):
     header = next(lines, "")
     if header.split()[:1] != [kind]:
         raise ValueError(f"expected a '{kind}' line, got {header!r}")
-    name = header.split(maxsplit=1)[1] if " " in header else "unnamed"
+    name, = header.split(maxsplit=1)[1:] or ["unnamed"]
     rows = [_ring(*_read_block(lines, "ring", RING_KEYS))] if with_ring else []
     seen = set()
     for ln in lines:

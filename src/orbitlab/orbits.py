@@ -156,10 +156,17 @@ def dual_size(ring):
 
 
 def _perms(ring):
-    """perms[t][i]: the index of Exp(e_t) acting on the i-th character."""
-    return _cached(ring, "perms", lambda ring: [
-        element_index(ring, all_elements(ring) @ np.array(m).T)
-        for m in _basis_matrices(ring)])
+    """perms[t][i]: the index of Exp(e_t) acting on the i-th character: the
+    index i plus, in each coordinate j that Exp(e_t) moves (row j of its
+    matrix is not e_j), the change in chi_j times the weight p^(k(n-1-j))."""
+    def build(ring):
+        chis, n = all_elements(ring), ring.rank
+        weights = ring.pk ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        for m in map(np.array, _basis_matrices(ring)):
+            j = np.flatnonzero((m != np.eye(n, dtype=m.dtype)).any(axis=1))
+            yield np.arange(len(chis)) + (
+                chis @ m[j].T % ring.pk - chis[:, j]) @ weights[j]
+    return _cached(ring, "perms", lambda ring: list(build(ring)))
 
 
 def _labels(ring, cap):
@@ -270,12 +277,13 @@ def _cached(ring, key, build):
 
 
 def _group(ring, cap):
-    """(elems, disp, live): every group element, lexicographic; the
-    C-contiguous (n, n, |G|) array whose [j, i, g] entry is
-    (M_g - I)[j, i] mod p^k, M_g the matrix of g acting on covectors,
-    computed once per coset of the central coordinates (_build_group);
-    and the (j, i) entries of disp that are not zero for every g.  The
-    cap is checked on every call, cached or not."""
+    """(elems, disp, pos, live): every group element, lexicographic; the
+    C-contiguous (n, n, R) array whose [j, i, r] entry is (M_g - I)[j, i]
+    mod p^k, M_g the matrix of g acting on covectors, for the R = |G| /
+    (p^k)^c representatives r of the cosets of the c central coordinates
+    (_build_group); pos[g], the index of g's representative; and the (j, i)
+    entries of disp that are not zero for every r.  The cap is checked on
+    every call, cached or not."""
     if ring.size() > cap:
         raise CapError(
             f"|G| = {ring.size()} exceeds the exhaustive-scan cap {cap}")
@@ -285,26 +293,25 @@ def _group(ring, cap):
 def _build_group(ring):
     """Row j of M_g is conjugate(-g, e_j), batched over g.  A coordinate i
     is central when ring.table[i] is zero; then ad(e_i) = 0, so M_g is
-    constant on cosets of the central coordinates and is computed on the
-    representatives whose central coordinates are zero.  g's representative
-    is its non-central coordinates read in mixed radix, and np.take
-    gathers each row of disp from the representatives' row.  A central e_j
-    is fixed by every g, so its row of disp is zero and not computed."""
+    constant on cosets of the central coordinates and is computed only on
+    the representatives whose central coordinates are zero, lexicographic.
+    g's representative is its non-central coordinates read in mixed radix.
+    A central e_j is fixed by every g, so its row of disp is zero and not
+    computed."""
     n, pk = ring.rank, ring.pk
     noncentral = [any(map(any, ring.table[i])) for i in range(n)]
     shape = [pk if c else 1 for c in noncentral]
     reps = np.indices(shape, dtype=np.int64).reshape(n, -1).T
     pos = np.broadcast_to(np.arange(len(reps)).reshape(shape),
                           (pk,) * n).ravel()
-    disp = np.zeros((n, n, len(pos)), dtype=ring.modulus.dtype)
+    disp = np.zeros((n, n, len(reps)), dtype=ring.modulus.dtype)
     live = []
     for j in itertools.compress(range(n), noncentral):
         ej = np.zeros_like(reps)
         ej[:, j] = 1
-        row = ((batch_conjugate(ring, -reps, ej) - ej) % pk).T
-        np.take(row, pos, axis=1, out=disp[j])
-        live += [(j, i) for i in range(n) if row[i].any()]
-    return all_elements(ring), disp, live
+        disp[j] = ((batch_conjugate(ring, -reps, ej) - ej) % pk).T
+        live += [(j, i) for i in range(n) if disp[j, i].any()]
+    return all_elements(ring), disp, pos, live
 
 
 def _basis_matrices(ring):
@@ -340,10 +347,10 @@ def _coordinate_subalgebras(ring):
 
 
 def _stable_subalgebras(ring, b):
-    """Index subsets of the coordinate subalgebras a with [b, a] <= a:
-    each [b, e_i], i in a, vanishes off a."""
+    """(index subset, bit mask) of the coordinate subalgebras a with
+    [b, a] <= a: each [b, e_i], i in a, vanishes off a."""
     support = _supports(ring, b)
-    return [subset for subset, bits in _coordinate_subalgebras(ring)
+    return [(subset, bits) for subset, bits in _coordinate_subalgebras(ring)
             if all(support[i] & ~bits == 0 for i in subset)]
 
 
@@ -358,30 +365,36 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
 
     Deliberately independent of the radical computation.  Once per ring
     (_group): every group element and the displacement M_g - I of its
-    coadjoint matrix, computed once per coset of the central coordinates.
-    Per character, the fixed points are g with sum_i disp[j, i, g] chi_i
-    = 0 for every row j, tested one row at a time on the elements that
-    passed the rows before.  A subgroup is spanned by one generator per
-    column j: among its members whose first j coordinates vanish (a
-    prefix of the lexicographic order), one with the least valuation at
-    j, such as the first with x_j != 0.  Those of the fixed points give
-    one Howell form.  One listing of its span (Subring.members; none if
-    both are G) confirms that it is the fixed set, so the return value
-    represents the set faithfully.  Otherwise this raises, naming when it
-    can a member of the span that is not fixed.
+    coadjoint matrix, stored once per coset of the central coordinates.
+    Per character, the fixed representatives r are those with
+    sum_i disp[j, i, r] chi_i = 0 for every row j, tested one row at a time
+    on those that passed the rows before; g is fixed exactly when pos[g]
+    is.  A subgroup is spanned by one generator per column j: among its
+    members whose first j coordinates vanish (a prefix of the lexicographic
+    order), one with the least valuation at j, such as the first with
+    x_j != 0.  Those of the fixed points give one Howell form.  One
+    listing of its span (Subring.members; none if both are G) confirms that
+    it is the fixed set, so the return value represents the set faithfully.
+    Otherwise this raises, naming when it can a member of the span that is
+    not fixed.
     """
     ring = chi.ring
     pk, n = ring.pk, ring.rank
-    elems, disp, live = _group(ring, cap)
-    fixed = np.arange(len(elems))
+    elems, disp, pos, live = _group(ring, cap)
+    keep = np.arange(disp.shape[2])
     for j in range(n):
         terms = [i for r, i in live if r == j and chi.nums[i]]
         if terms:
-            # at most n products of two residues, each below p^k: for
-            # n >= 2, |G| >= (p^k)^2, so any group small enough to scan
-            # keeps these sums far inside int64
-            moved = sum(disp[j, i, fixed] * chi.nums[i] for i in terms)
-            fixed = fixed[moved % pk == 0]
+            # at most n products of two residues, each below p^k: the cap
+            # bounds |G| = (p^k)^n, not the R representatives scanned, so
+            # for n >= 2 p^k is at most its square root and these sums stay
+            # far inside int64
+            moved = sum(disp[j, i, keep] * chi.nums[i] for i in terms)
+            keep = keep[moved % pk == 0]
+    inside = np.zeros(disp.shape[2], dtype=bool)
+    inside[keep] = True
+    inside = inside[pos]
+    fixed = np.flatnonzero(inside)
     gens = []
     for j in range(n):
         # the elements with x_0 = ... = x_(j-1) = 0 and x_j != 0 are those
@@ -394,8 +407,6 @@ def stabilizer_oracle(chi, cap=DUAL_CAP):
     stray = ""
     # a span of |G| elements is G itself, so G is then the fixed set
     if sub.size() == len(fixed) < len(elems):
-        inside = np.zeros(len(elems), dtype=bool)
-        inside[fixed] = True
         members = sub.members()
         for x in members[~inside[element_index(ring, members)]][:1]:
             stray = f", and it holds {tuple(x.tolist())}, which is not fixed"
@@ -417,15 +428,14 @@ def _perp_cases(ring, b, chis, moved, pairing, stable):
     """On each coordinate subalgebra a in stable ([b, a] <= a), chi and
     moved = b.chi agree exactly when pairing = B_chi(b, .) vanishes on a,
     for each row chi of chis.  Returns the number of cases."""
-    S = _cached(ring, ("masks", tuple(stable)), lambda ring: np.array(
-        [[i in a for i in range(ring.rank)] for a in stable],
-        dtype=np.int64).reshape(-1, ring.rank))
+    S = np.array([[bits >> i & 1 for i in range(ring.rank)]
+                  for _, bits in stable], dtype=np.int64).reshape(-1, ring.rank)
     agree = (moved != chis) @ S.T == 0
     perp = (pairing != 0) @ S.T == 0
     for c, r in np.argwhere(agree != perp)[:1]:
         raise OrbitError(
             f"perpendicularity violated at chi = {Character(ring, chis[c])}, "
-            f"b = {b}, subalgebra on coordinates {list(stable[r])}: "
+            f"b = {b}, subalgebra on coordinates {list(stable[r][0])}: "
             f"agree = {agree[c, r]}, perpendicular = {perp[c, r]}")
     return agree.size
 
@@ -440,23 +450,30 @@ def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
     rad = radical(form)
     stab = stabilizer_oracle(chi, cap=cap)
     _same_subgroup(chi, rad, stab)
-    cases = [(ring.basis(t), _act(m, chi.nums, ring.pk), stable)
-             for t, (m, stable) in enumerate(zip(_basis_matrices(ring),
-                                                 _basis_stable(ring)))]
+    # B_chi(e_t, .) is row t of the form
+    cases = [(ring.basis(t), _act(m, chi.nums, ring.pk), row, stable)
+             for t, (m, row, stable) in enumerate(zip(
+                 _basis_matrices(ring), form.nums, _basis_stable(ring)))]
     if rng is not None:
         for b in [ring.random_element(rng) for _ in range(2)]:
             cases.append((b, coadjoint_act(b, chi).nums,
+                          _act(zip(*form.nums), b, ring.pk),
                           _stable_subalgebras(ring, b)))
-    chis, B = np.array([chi.nums]), np.array([form.nums])
-    tested = sum(_perp_cases(ring, b, chis, np.array([moved]),
-                             np.einsum("i,cij->cj", b, B) % ring.pk, stable)
-                 for b, moved, stable in cases)
+    for b, moved, pairing, stable in cases:
+        # bit masks of the coordinates where b.chi and chi differ and where
+        # B_chi(b, .) is nonzero; _perp_cases names the case that fails
+        moves = sum(1 << i for i, (a, c) in enumerate(zip(moved, chi.nums))
+                    if a != c)
+        pairs = sum(1 << i for i, v in enumerate(pairing) if v)
+        if any(bool(moves & bits) != bool(pairs & bits) for _, bits in stable):
+            _perp_cases(ring, b, np.array([chi.nums]), np.array([moved]),
+                        np.array([pairing]), stable)
     return {
         "chi": chi.nums,
         "stabilizer_size": stab.size(),
         "radical_size": rad.size(),
         "equal": True,
-        "perp_cases": tested,
+        "perp_cases": sum(len(stable) for *_, stable in cases),
     }
 
 
@@ -466,7 +483,7 @@ def kernel_lemma_all(ring, cap=DUAL_CAP):
     (those rows generate Exp(rad), rad being a Lie subring, so with equal
     orders it is the stabilizer), and the perpendicularity cases over the
     basis.  stabilizer_oracle runs on each orbit representative."""
-    _, disp, _ = _group(ring, cap)
+    _, disp, pos, _ = _group(ring, cap)
     lab = _labels(ring, cap)
     chis = all_elements(ring)
     gens, sizes, B = _radicals(ring, chis)
@@ -476,8 +493,8 @@ def kernel_lemma_all(ring, cap=DUAL_CAP):
             f"radical of chi = {Character(ring, chis[c])} has {sizes[c]} "
             f"elements, its orbit {orbit[c]} of |G| = {ring.size()}")
     for s in range(ring.rank):
-        moved = (chis + np.einsum("jic,ci->cj", disp[:, :, element_index(
-            ring, gens[:, s])], chis)) % ring.pk
+        moved = (chis + np.einsum("jic,ci->cj", disp[:, :, pos[element_index(
+            ring, gens[:, s])]], chis)) % ring.pk
         for c in np.flatnonzero((moved != chis).any(axis=1))[:1]:
             raise OrbitError(
                 f"radical row {tuple(gens[c, s].tolist())} does not fix "

@@ -267,6 +267,24 @@ def test_shared_format_rules_refuse(capsys, tmp_path, kind, data):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["ring", "metric", "vmodel"])
+@pytest.mark.parametrize("sep", [" ", "\t", " \t "])
+def test_header_name_follows_any_whitespace(kind, sep):
+    # the name is the rest of the header line after the kind, however the
+    # two are separated; a v-model's ring block is read by the same rule
+    parse = _READERS[kind][0]
+    text = {"ring": _RING, "metric": _METRIC, "vmodel": _SECTION_VM}[kind]
+    header, rest = text.split("\n", 1)
+    name = header.split(" ", 1)[1]
+    if kind == "vmodel":
+        rest = rest.replace("ring ", "ring" + sep, 1)
+    parsed = parse(f"{kind}{sep}{name}\n{rest}")
+    assert parsed.name == parse(text).name == name
+    if kind == "vmodel":
+        assert parsed.ring.name == parse(text).ring.name
+    assert parse(f"{kind}\n{rest}").name == "unnamed"
+
+
 @pytest.mark.parametrize("value", ["1000000000", "8"])
 def test_gauss_refuses_hostile_order(capsys, tmp_path, value):
     # the order bound is checked before p^k is formed; 3^8 > 4096 as well

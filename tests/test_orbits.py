@@ -200,7 +200,9 @@ def test_stable_subalgebras_match_howell_membership(rings):
             want = [subset for subset, span in spans.items()
                     if all(span.contains(ring.bracket(b, ring.basis(i)))
                            for i in subset)]
-            assert orbits._stable_subalgebras(ring, b) == want
+            stable = orbits._stable_subalgebras(ring, b)
+            assert [subset for subset, _ in stable] == want
+            assert set(stable) <= set(found)  # each with its bit mask
         assert orbits._basis_stable(ring) == [
             orbits._stable_subalgebras(ring, b) for b in bs[:ring.rank]]
 
@@ -500,70 +502,109 @@ def test_cached_displacement(monkeypatch, name):
     rows = []
     monkeypatch.setattr(orbits, "batch_conjugate", lambda ring, G, X: (
         rows.append(len(G)) or batch_conjugate(ring, G, X)))
-    elems, disp, live = orbits._group(ring, orbits.DUAL_CAP)
+    elems, disp, pos, live = orbits._group(ring, orbits.DUAL_CAP)
     central = [not any(any(ring.bracket(ring.basis(t), ring.basis(j)))
                        for t in range(ring.rank)) for j in range(ring.rank)]
     c = sum(central)
     # a central e_j is fixed by every g and costs no batch_conjugate call;
-    # the others run once on each coset of the central coordinates
+    # the others run once on each coset of the central coordinates, and
+    # disp holds one column per coset
     assert len(rows) == ring.rank - c
     assert sum(rows) == (ring.rank - c) * ring.size() // ring.pk ** c
+    assert disp.shape == (ring.rank, ring.rank, ring.size() // ring.pk ** c)
     assert disp.flags.c_contiguous
+    # pos[g] is the rank, in lexicographic order, of g with its central
+    # coordinates set to zero among all such elements
+    reps = elems.copy()
+    reps[:, central] = 0
+    index = element_index(ring, reps)
+    assert np.array_equal(pos, np.searchsorted(np.unique(index), index))
     for j in range(ring.rank):
         ej = np.zeros_like(elems)
         ej[:, j] = 1
         assert np.array_equal(
-            disp[j].T, (batch_conjugate(ring, -elems, ej) - ej) % ring.pk)
+            disp[j][:, pos].T, (batch_conjugate(ring, -elems, ej) - ej) % ring.pk)
     assert live == [tuple(e) for e in np.argwhere(disp.any(axis=2)).tolist()]
 
 
-@pytest.mark.parametrize("g, entry, witness", [
-    # Exp(e0) moves the generic character; a zero displacement makes it
-    # read as fixed, and it spans e0 with the five true fixed points
-    ((1, 0, 0), None, "6 fixed points, span of size 25"),
-    # 2 e2 is central and fixes every character; a displacement in row 0,
-    # column 2 makes it read as moved, yet e2 still spans it
-    ((0, 0, 2), (0, 2), "4 fixed points, span of size 5"),
-], ids=["moved-reads-fixed", "fixed-reads-moved"])
-def test_stabilizer_not_additively_closed(monkeypatch, g, entry, witness):
-    ring = lazard_catalog()["h3_p5"]
-    elems, disp, live = orbits._group(ring, orbits.DUAL_CAP)
+def _corrupt_group(monkeypatch, ring, corrupt):
+    """Cache a copy of the displacement array changed by corrupt(disp, rep),
+    rep(g) the column of g's coset representative."""
+    elems, disp, pos, live = orbits._group(ring, orbits.DUAL_CAP)
     disp = disp.copy()
-    c = int(element_index(ring, [g])[0])
-    if entry is None:
-        disp[:, :, c] = 0
-    else:
-        disp[entry + (c,)] = 1
-    monkeypatch.setitem(ring.orbit_cache, "group", (elems, disp, live))
+    corrupt(disp, lambda g: int(pos[element_index(ring, [g])[0]]))
+    monkeypatch.setitem(ring.orbit_cache, "group", (elems, disp, pos, live))
+
+
+def _zero(*gs):
+    def corrupt(disp, rep):
+        for g in gs:
+            disp[:, :, rep(g)] = 0
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, witness, all_witness", [
+    # Exp(e0) moves the generic character; a zero displacement on the coset
+    # of (1, 0, 0) makes its five elements read as fixed, and they span e0
+    # with the five true fixed points
+    (_zero((1, 0, 0)), "10 fixed points, span of size 25", None),
+    # the centre fixes every character; a displacement in row 0, column 2
+    # of its representative, the identity, makes all of it read as moved;
+    # kernel_lemma_all reads the same column for the zero radical row first
+    (lambda disp, rep: disp.__setitem__((0, 2, rep((0, 0, 0))), 1),
+     "0 fixed points, span of size 1",
+     "radical row (0, 0, 0) does not fix chi = Character(0/1, 0/1, 1/5): "
+     "it moves it to Character(1/5, 0/1, 1/5)"),
+], ids=["moved-reads-fixed", "fixed-reads-moved"])
+def test_stabilizer_not_additively_closed(monkeypatch, corrupt, witness,
+                                          all_witness):
+    ring = lazard_catalog()["h3_p5"]
+    _corrupt_group(monkeypatch, ring, corrupt)
     chi = generic_character(ring)
     message = ("stabilizer of Character(0/1, 0/1, 1/5) is not additively "
                "closed: " + witness)
+    for check, want in ((lambda: stabilizer_oracle(chi), message),
+                        (lambda: kernel_lemma_check(ring, chi), message),
+                        (lambda: kernel_lemma_all(ring), all_witness or message)):
+        with pytest.raises(OrbitError) as err:
+            check()
+        assert str(err.value) == want
+
+
+def test_stabilizer_span_of_the_right_size_is_still_checked(monkeypatch):
+    # read as fixed: the cosets of the centre through e0, e0 + e1, 2 e0
+    # and 3 e0, beside the centre itself.  25 fixed points, and the
+    # generators e0 and e2 span 25 elements too, yet 4 e0 is not fixed:
+    # only the listing tells the two sets apart
+    ring = lazard_catalog()["h3_p5"]
+    _corrupt_group(monkeypatch, ring, _zero((1, 0, 0), (1, 1, 0), (2, 0, 0),
+                                            (3, 0, 0)))
+    chi = generic_character(ring)
     for check in (lambda: stabilizer_oracle(chi),
                   lambda: kernel_lemma_check(ring, chi),
                   lambda: kernel_lemma_all(ring)):
         with pytest.raises(OrbitError) as err:
             check()
-        assert str(err.value) == message
-
-
-def test_stabilizer_span_of_the_right_size_is_still_checked(monkeypatch):
-    # read as fixed: e0, e0 + e1, 2 e0 and 3 e0; read as moved: every
-    # nonzero central element.  Five fixed points, and the one generator
-    # e0 spans five elements too, yet 4 e0 is not fixed: only the listing
-    # tells the two sets apart
-    ring = lazard_catalog()["h3_p5"]
-    elems, disp, live = orbits._group(ring, orbits.DUAL_CAP)
-    disp = disp.copy()
-    fixed = element_index(ring, [(1, 0, 0), (1, 1, 0), (2, 0, 0), (3, 0, 0)])
-    disp[:, :, fixed] = 0
-    disp[0, 2, element_index(ring, [(0, 0, c) for c in range(1, 5)])] = 1
-    monkeypatch.setitem(ring.orbit_cache, "group", (elems, disp, live))
-    chi = generic_character(ring)
-    for check in (lambda: stabilizer_oracle(chi),
-                  lambda: kernel_lemma_check(ring, chi)):
-        with pytest.raises(OrbitError) as err:
-            check()
         assert str(err.value) == (
             "stabilizer of Character(0/1, 0/1, 1/5) is not additively "
-            "closed: 5 fixed points, span of size 5, and it holds "
+            "closed: 25 fixed points, span of size 25, and it holds "
             "(4, 0, 0), which is not fixed")
+
+
+def _dense_perms(ring):
+    """The coadjoint action of each Exp(e_t) on every character, by one
+    full matrix product and element_index."""
+    return [element_index(ring, all_elements(ring) @ np.array(m).T)
+            for m in orbits._basis_matrices(ring)]
+
+
+@pytest.mark.parametrize("source", sorted(lazard_catalog()) + [
+    pytest.param(a1xh3_p5, id="a1xh3_p5"),
+    pytest.param(lambda: class2_ring("c2_v3z2_p7", 7, 3, 2, seed=11),
+                 id="c2_v3z2_p7")])
+def test_perms_match_dense_route(source):
+    ring = lazard_catalog()[source] if isinstance(source, str) else source()
+    perms = orbits._perms(ring)
+    assert len(perms) == ring.rank
+    for perm, dense in zip(perms, _dense_perms(ring)):
+        assert np.array_equal(perm, dense)
