@@ -543,6 +543,10 @@ def _zero(*gs):
     return corrupt
 
 
+def _move_centre(disp, rep):
+    disp[0, 2, rep((0, 0, 0))] = 1
+
+
 @pytest.mark.parametrize("corrupt, witness, all_witness", [
     # Exp(e0) moves the generic character; a zero displacement on the coset
     # of (1, 0, 0) makes its five elements read as fixed, and they span e0
@@ -551,8 +555,7 @@ def _zero(*gs):
     # the centre fixes every character; a displacement in row 0, column 2
     # of its representative, the identity, makes all of it read as moved;
     # kernel_lemma_all reads the same column for the zero radical row first
-    (lambda disp, rep: disp.__setitem__((0, 2, rep((0, 0, 0))), 1),
-     "0 fixed points, span of size 1",
+    (_move_centre, "0 fixed points, span of size 1",
      "radical row (0, 0, 0) does not fix chi = Character(0/1, 0/1, 1/5): "
      "it moves it to Character(1/5, 0/1, 1/5)"),
 ], ids=["moved-reads-fixed", "fixed-reads-moved"])
