@@ -51,8 +51,16 @@ class CrossCheckError(RuntimeError):
         self.check = check
 
 
+def _reduced(v, pk):
+    """tuple(v) reduced mod pk; a tuple of residues comes back as is."""
+    t = tuple(v)
+    if all(type(c) is int and 0 <= c < pk for c in t):
+        return t
+    return tuple([int(c) % pk for c in t])
+
+
 def _vec(ring, v):
-    t = tuple(int(c) % ring.pk for c in v)
+    t = _reduced(v, ring.pk)
     if len(t) != ring.rank:
         raise ValueError(f"expected {ring.rank} coordinates, got {len(t)}")
     return t
@@ -92,7 +100,7 @@ class LieRing:
         for (i, j), v in brackets.items():
             if not 0 <= i < j < rank:
                 raise ValueError(f"bad bracket pair ({i}, {j})")
-            w = tuple(int(c) % self.pk for c in v)
+            w = _reduced(v, self.pk)
             if len(w) != rank:
                 raise ValueError(f"bracket ({i}, {j}) has wrong length")
             table[i][j] = w
@@ -295,10 +303,10 @@ def _emit(steps, terms, pk, rank, structure):
     """Compile one program for one ring's structure to a function of
     straight-line Python: a local per coordinate that is not known to be
     zero, each bracket and output coordinate reduced mod pk.  Python ints
-    are exact, so the inputs need only int(), not a reduction.  The source
-    is built from integers only and runs with int, len and ValueError as
-    its only globals.  Rings with equal (pk, rank, structure) share the
-    function."""
+    are exact, so the inputs need no reduction, and int() runs only when
+    a coordinate is not an int.  The source is built from integers only
+    and runs with int, type, len and ValueError as its only globals.
+    Rings with equal (pk, rank, structure) share the function."""
     lines = []
     vals = {}
     for slot, arg in enumerate("xy"):
@@ -307,8 +315,11 @@ def _emit(steps, terms, pk, rank, structure):
                   "    raise ValueError(f'expected %d coordinates, "
                   "got {len(%s)}')" % (rank, arg),
                   "%s, = %s" % (", ".join(names), arg)]
-        lines += ["%s = int(%s)" % (v, v) for v in names]
         vals[slot] = dict(enumerate(names))
+    args = [*vals[0].values(), *vals[1].values()]
+    lines.append("if not (%s is int):" % " is ".join(
+        "type(%s)" % v for v in args))
+    lines += ["    %s = int(%s)" % (v, v) for v in args]
     for dst, a, b in steps:
         u, v = vals[a], vals[b]
         sums = {}
@@ -331,7 +342,8 @@ def _emit(steps, terms, pk, rank, structure):
         out.append("(%s) %% %d" % (" + ".join(e), pk) if e else "0")
     lines.append("return (%s,)" % ", ".join(out))
     source = "def series(x, y):\n" + "".join("    %s\n" % ln for ln in lines)
-    env = {"__builtins__": {}, "int": int, "len": len, "ValueError": ValueError}
+    env = {"__builtins__": {}, "int": int, "type": type, "len": len,
+           "ValueError": ValueError}
     exec(compile(source, "<series program>", "exec"), env)
     return env["series"]
 

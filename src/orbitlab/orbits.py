@@ -10,13 +10,14 @@ stabilizer statement rather than assume it (kernel_lemma_all: all at once).
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 
 import numpy as np
 
 from .arith import QpModZp, kernel
-from .lazard import (Subring, all_elements, batch_bracket, batch_conjugate,
-                     conjugate, element_index, unit_inverses)
+from .lazard import (Subring, _reduced, all_elements, batch_bracket,
+                     batch_conjugate, conjugate, element_index, unit_inverses)
 
 DUAL_CAP = 7 ** 6
 
@@ -35,7 +36,7 @@ class Character:
 
     def __init__(self, ring, nums):
         self.ring = ring
-        self.nums = tuple(int(a) % ring.pk for a in nums)
+        self.nums = _reduced(nums, ring.pk)
         if len(self.nums) != ring.rank:
             raise ValueError(f"expected {ring.rank} covector entries")
 
@@ -82,7 +83,7 @@ def coadjoint_matrix(ring, g):
 
 def _act(m, nums, pk):
     """Numerators of the covector nums moved by the coadjoint matrix m."""
-    return tuple(sum(a * c for a, c in zip(row, nums)) % pk for row in m)
+    return tuple(sum(map(operator.mul, row, nums)) % pk for row in m)
 
 
 def coadjoint_act(g, chi):
@@ -100,7 +101,7 @@ class SkewForm:
         pk, n = self.ring.pk, self.ring.rank
         # ring.table[i][j] holds the coordinates of [e_i, e_j]
         self.nums = tuple(
-            tuple(sum(c * a for c, a in zip(v, chi.nums)) % pk for v in row)
+            tuple(sum(map(operator.mul, v, chi.nums)) % pk for v in row)
             for row in self.ring.table)
         for i in range(n):
             if self.nums[i][i] != 0:
@@ -459,12 +460,13 @@ def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
             cases.append((b, coadjoint_act(b, chi).nums,
                           _act(zip(*form.nums), b, ring.pk),
                           _stable_subalgebras(ring, b)))
+    bit = [1 << i for i in range(ring.rank)]
     for b, moved, pairing, stable in cases:
         # bit masks of the coordinates where b.chi and chi differ and where
         # B_chi(b, .) is nonzero; _perp_cases names the case that fails
-        moves = sum(1 << i for i, (a, c) in enumerate(zip(moved, chi.nums))
-                    if a != c)
-        pairs = sum(1 << i for i, v in enumerate(pairing) if v)
+        moves = sum(itertools.compress(bit, map(operator.ne, moved,
+                                                chi.nums)))
+        pairs = sum(itertools.compress(bit, pairing))
         if any(bool(moves & bits) != bool(pairs & bits) for _, bits in stable):
             _perp_cases(ring, b, np.array([chi.nums]), np.array([moved]),
                         np.array([pairing]), stable)

@@ -43,10 +43,10 @@ from .arith import QpModZp, reduce_rows
 from .cyclotomic import (CycNumber, from_rows, rank as cyc_rank, same_values,
                          to_rows)
 # exp_mul is unused here; perfbench's self-test reads vmodel.exp_mul
-from .lazard import (CrossCheckError, LieRing, Subring, all_elements,
-                     batch_conjugate, batch_exp_mul, element_index, exp_mul,
-                     orthogonal, quotient_ring, read_format, serialize_ring,
-                     series_program)
+from .lazard import (CrossCheckError, LieRing, Subring, _reduced,
+                     all_elements, batch_conjugate, batch_exp_mul,
+                     element_index, exp_mul, orthogonal, quotient_ring,
+                     read_format, serialize_ring, series_program)
 from .metric import MetricGroup, _qhat_rows, gauss_sum
 
 
@@ -78,7 +78,7 @@ class VModelData:
                            None)
             if missing is not None:
                 raise ValueError(f"the section misses the coset {missing}")
-            self.s = {beta: tuple(int(c) % ring.pk for c in section[beta])
+            self.s = {beta: _reduced(section[beta], ring.pk)
                       for beta in belems}
         self.pairs = [(alpha, beta) for alpha in belems for beta in belems]
         self.index = {pair: i for i, pair in enumerate(self.pairs)}

@@ -31,7 +31,7 @@ from orbitlab.lazard import (
     series_program,
     validate,
 )
-from orbitlab.orbits import (SkewForm, all_characters, radical,
+from orbitlab.orbits import (Character, SkewForm, all_characters, radical,
                              sample_characters)
 
 
@@ -323,7 +323,9 @@ def test_emitted_scalar_reduces_any_integers(data):
     forms = [(tuple(x), tuple(y)), (x, y),
              (np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)),
              ([np.int64(v) for v in x], [np.int64(v) for v in y]),
-             ([v - shift for v in x], [v + shift for v in y])]
+             ([v - shift for v in x], [v + shift for v in y]),
+             # Python ints with one numpy scalar among them
+             ((*x[:-1], np.int64(x[-1])), [np.int64(y[0]), *y[1:]])]
     for name, series in SERIES.items():
         want = tree_walk(ring, series(ring.cls), rx, ry)
         for a, b in forms:
@@ -382,6 +384,34 @@ def test_emitted_scalar_length_error_is_vec_message(x, y):
         assert str(err.value) == str(want.value)
 
 
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("odd", [np.int64(2**63 - 1), True, _Int(-7)],
+                         ids=["int64", "bool", "int_subclass"])
+@pytest.mark.parametrize("ring", [catalog()["u4_p5"], heis(BIG_PRIME)],
+                         ids=["u4_p5", "h3_big"])
+def test_emitted_scalar_converts_a_single_non_int(ring, odd):
+    # the int() lines run unless every coordinate is an int: one coordinate
+    # of another type, at any position of x or of y, is still converted
+    rng = random.Random(26)
+    x, y = ([rng.randrange(ring.pk) for _ in range(ring.rank)]
+            for _ in range(2))
+    for name, series in SERIES.items():
+        scalar = series_program(ring, name).scalar
+        for side, i in itertools.product(range(2), range(ring.rank)):
+            args = [list(x), list(y)]
+            args[side][i] = odd
+            want = tree_walk(ring, series(ring.cls),
+                             *(tuple(int(v) % ring.pk for v in w)
+                               for w in args))
+            for a, b in ((args[0], args[1]), map(tuple, args)):
+                got = scalar(a, b)
+                assert got == want, (name, side, i)
+                assert all(type(v) is int for v in got)
+
+
 def test_emitted_scalar_names_only_int_len_valueerror():
     # the source is built from integers only: a ring name that looks like
     # code never reaches it
@@ -390,7 +420,43 @@ def test_emitted_scalar_names_only_int_len_valueerror():
     for ring in list(catalog().values()) + [hostile]:
         for name in SERIES:
             code = series_program(ring, name).scalar.__code__
-            assert set(code.co_names) <= {"int", "len", "ValueError"}
+            assert set(code.co_names) <= {"int", "type", "len", "ValueError"}
+
+
+@pytest.mark.parametrize("pk", [5, 9, BIG_PRIME, BIG_PRIME**2])
+def test_reduced_matches_int_mod_expression(pk):
+    rng = random.Random(pk)
+    top = 2**63 - 1
+    rows = [[rng.randrange(pk) for _ in range(4)],
+            [rng.randrange(-top, top + 1) for _ in range(4)],
+            [-1, pk, pk + 3, top], [True, False, 0, 1], [], [0]]
+    for row in rows:
+        want = tuple(int(c) % pk for c in row)
+        forms = [tuple(row), list(row), (c for c in row),
+                 np.array(row, dtype=np.int64), [np.int64(c) for c in row],
+                 [_Int(c) for c in row]]
+        for form in forms:
+            got = lazard._reduced(form, pk)
+            assert got == want
+            assert type(got) is tuple
+            assert all(type(c) is int for c in got)
+    # a tuple of residues comes back as it is
+    residues = tuple(rng.randrange(pk) for _ in range(5))
+    assert lazard._reduced(residues, pk) is residues
+
+
+def test_reduced_keeps_the_length_messages():
+    ring = heis(5)
+    with pytest.raises(ValueError) as err:
+        lazard._vec(ring, (1, 2))
+    assert str(err.value) == "expected 3 coordinates, got 2"
+    with pytest.raises(ValueError) as err:
+        lazard._vec(ring, np.array([1, 2, 3, 4]))
+    assert str(err.value) == "expected 3 coordinates, got 4"
+    for nums in ((1, 2), [1, 2, 3, 4]):
+        with pytest.raises(ValueError) as err:
+            Character(ring, nums)
+        assert str(err.value) == "expected 3 covector entries"
 
 
 def test_emitted_scalar_is_shared_by_equal_structures():
@@ -548,8 +614,12 @@ def test_log_group_rejects_non_exponential_coordinates():
         return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3,
                 (x[2] + y[2] + x[0] * y[1]) % 3)
 
-    with pytest.raises(LazardError):
+    # the degree-1 check names the first sampled pair it fails on
+    with pytest.raises(LazardError) as err:
         log_group(matrix_law, 3, 1, 3)
+    assert str(err.value) == (
+        "degree-1 part of the law at x=(2, 1, 1), y=(0, 0, 0) is (2, 1, 0), "
+        "not coordinate addition; not exponential coordinates")
 
     # rank-one twisted law x + y + xy: degree-1 part is fine, the check
     # against the recovered (abelian) ring fails
