@@ -12,7 +12,6 @@ from orbitlab.lazard import (
     catalog,
     check_exp_associative,
     conjugate,
-    exp_inv,
     exp_mul,
     log_group,
     serialize_ring,
@@ -29,7 +28,7 @@ print(f"{report['name']}: order {report['order']}, class {report['class']}, "
 a, b = (1, 0, 0), (0, 1, 0)
 print(f"Exp{a} * Exp{b} = Exp{exp_mul(ring, a, b)}")
 print(f"Exp{b} * Exp{a} = Exp{exp_mul(ring, b, a)}")
-print(f"inverse of Exp{a}: Exp{exp_inv(ring, a)}")
+print(f"inverse of Exp{a}: Exp{ring.neg(a)}")
 print(f"conjugate of Exp{b} by Exp{a}: Exp{conjugate(ring, a, b)}")
 print()
 

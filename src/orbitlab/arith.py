@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "is_prime",
-    "inv_mod",
     "valuation",
     "Modulus",
     "QpModZp",
@@ -57,10 +56,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def inv_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
 
 
 def valuation(a: int, p: int) -> int:
@@ -131,9 +126,6 @@ class QpModZp:
         if p**lev != den:
             raise ValueError(f"denominator {den} is not a power of {p}")
         return cls(p, x.numerator, lev)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.p**self.level)
 
     def __add__(self, other: "QpModZp") -> "QpModZp":
         if self.p != other.p:
@@ -211,7 +203,7 @@ def howell(rows: Sequence[Sequence[int]], modulus: Modulus):
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-        u = inv_mod(a[r][col] // p**pv, pk)
+        u = pow(a[r][col] // p**pv, -1, pk)
         a[r] = [x * u % pk for x in a[r]]
         step = p**pv
         for i in range(r + 1, n):
@@ -242,16 +234,11 @@ def howell_pivots(hrows, p):
     return out
 
 
-def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus, pivots=None):
+def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus, pivots):
     """Reduce x against Howell rows; residue is zero iff x is in the span.
-
-    pivots, when given, is howell_pivots(hrows, p), computed once by the
-    caller.
-    """
+    pivots is howell_pivots(hrows, p), computed once by the caller."""
     pk, p = modulus.pk, modulus.p
     x = [v % pk for v in x]
-    if pivots is None:
-        pivots = howell_pivots(hrows, p)
     for row, (c, v) in zip(hrows, pivots):
         q = x[c] // p**v
         if q:
@@ -259,11 +246,11 @@ def reduce_mod_span(x: Sequence[int], hrows, modulus: Modulus, pivots=None):
     return x
 
 
-def member(x: Sequence[int], hrows, modulus: Modulus, pivots=None) -> bool:
-    return not any(reduce_mod_span(x, hrows, modulus, pivots=pivots))
+def member(x: Sequence[int], hrows, modulus: Modulus, pivots) -> bool:
+    return not any(reduce_mod_span(x, hrows, modulus, pivots))
 
 
-def reduce_rows(X, hrows, modulus: Modulus, pivots=None):
+def reduce_rows(X, hrows, modulus: Modulus, pivots):
     """reduce_mod_span on every row of the 2-D array X at once.
 
     Returns the array of residues, of modulus.dtype: each q * row[j] is a
@@ -272,8 +259,6 @@ def reduce_rows(X, hrows, modulus: Modulus, pivots=None):
     pk, p, dtype = modulus.pk, modulus.p, modulus.dtype
     X = np.array(X, dtype=dtype)
     X %= pk
-    if pivots is None:
-        pivots = howell_pivots(hrows, p)
     for row, (c, v) in zip(hrows, pivots):
         X -= np.multiply.outer(X[:, c] // p**v, np.array(row, dtype=dtype))
         X %= pk

@@ -19,9 +19,8 @@ from .freelie import bch, certify, tree_degree, tree_str
 from .lazard import CrossCheckError, parse_ring, validate
 from .metric import MetricError, gauss_sum, lagrangians, parse_metric
 from .orbits import (DUAL_CAP, CapError, Character, OrbitError, SkewForm,
-                     dual_size, enumerate_orbits, generic_character,
-                     kernel_lemma_all, kernel_lemma_check, orbit_histogram,
-                     sample_characters)
+                     enumerate_orbits, generic_character, kernel_lemma_all,
+                     kernel_lemma_check, orbit_histogram, sample_characters)
 from .polarizations import PolarizationError, polarize
 from .vmodel import (VModelError, eta_matrix, parse_vmodel, validate_data,
                      verify_ribbon)
@@ -138,11 +137,11 @@ def cmd_orbits(args, rep):
     for size, count in sorted(hist.items()):
         rep.emit("orbitclass", f"  size {size}: {count} orbits",
                  size=size, count=count, stabilizer=ring.size() // size)
-    if total != dual_size(ring):
+    if total != ring.size():
         rep.emit("counterexample",
                  f"counterexample (census): orbit sizes sum to {total}, "
-                 f"dual has {dual_size(ring)}",
-                 check="census", sum=total, dual=dual_size(ring))
+                 f"dual has {ring.size()}",
+                 check="census", sum=total, dual=ring.size())
         return 1
     return 0
 
@@ -151,7 +150,7 @@ def cmd_kernel_check(args, rep):
     _at_least_one("samples", args.samples)
     _at_least_one("cap", args.cap)
     ring = _load(args.file, parse_ring)
-    if dual_size(ring) <= args.samples:
+    if ring.size() <= args.samples:
         count = kernel_lemma_all(ring, cap=args.cap)["characters"]
         mode = f"all {count}"
     else:

@@ -60,15 +60,6 @@ def tree_str(t: Tree) -> str:
     return f"[{tree_str(t[0])},{tree_str(t[1])}]"
 
 
-def _is_hall(t: Tree) -> bool:
-    if isinstance(t, int):
-        return True
-    a, b = t
-    if not (_is_hall(a) and _is_hall(b) and tree_key(a) < tree_key(b)):
-        return False
-    return isinstance(b, int) or tree_key(b[0]) <= tree_key(a)
-
-
 def _witt(m: int, d: int) -> int:
     """Necklace count (1/d) sum_{e|d} mu(e) m^(d/e)."""
     def mobius(n):
@@ -119,10 +110,10 @@ def _assoc_degree_part(a: dict, d: int) -> dict:
     return {w: c for w, c in a.items() if len(w) == d}
 
 
-def log_exp_xy_assoc(c: int, gens=(0, 1)) -> dict:
-    """log(e^g0 * e^g1 * ...) in the degree-<=c truncated associative algebra."""
+def log_exp_xy_assoc(c: int) -> dict:
+    """log(e^x e^y) in the degree-<=c truncated associative algebra."""
     prod = {(): _F1}
-    for g in gens:
+    for g in (0, 1):
         e = {(): _F1}
         pw = {(): _F1}
         for i in range(1, c + 1):
@@ -300,10 +291,6 @@ class LiePoly:
         for t, c in self.coeffs.items():
             _assoc_addmul(out, self.basis.expand(t), c)
         return out
-
-    def degree_part(self, d: int) -> "LiePoly":
-        return LiePoly(self.basis,
-                       {t: c for t, c in self.coeffs.items() if tree_degree(t) == d})
 
     def is_zero(self) -> bool:
         return not self.coeffs

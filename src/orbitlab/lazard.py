@@ -25,9 +25,8 @@ import operator
 
 import numpy as np
 
-from .arith import (Modulus, howell, howell_pivots, inv_mod, kernel,
-                    mat_inverse, member, reduce_mod_span, reduce_rows,
-                    span_size)
+from .arith import (Modulus, howell, howell_pivots, kernel, mat_inverse,
+                    member, reduce_mod_span, reduce_rows, span_size)
 from .freelie import bch, exp_ad, phi_series
 
 MAX_CLASS = 6
@@ -132,9 +131,6 @@ class LieRing:
     def neg(self, x):
         return tuple(-a % self.pk for a in x)
 
-    def sub(self, x, y):
-        return tuple((a - b) % self.pk for a, b in zip(x, y))
-
     def scale(self, m, x):
         return tuple(m * a % self.pk for a in x)
 
@@ -204,11 +200,8 @@ class LieRing:
 
 
 def validate(ring):
-    """Re-run the construction checks and report the ring's shape."""
-    LieRing(ring.p, ring.k, ring.rank,
-            {(i, j): ring.table[i][j]
-             for i in range(ring.rank) for j in range(i + 1, ring.rank)},
-            name=ring.name)
+    """Report the ring's shape; its constructor has checked Jacobi, the
+    lower central series and the Lazard condition."""
     return {
         "name": ring.name,
         "p": ring.p,
@@ -255,7 +248,7 @@ class _Program:
 
         terms = []
         for tree, coeff in series.coeffs.items():
-            c = coeff.numerator * inv_mod(coeff.denominator, pk) % pk
+            c = coeff.numerator * pow(coeff.denominator, -1, pk) % pk
             if c:
                 terms.append((slot(tree), c))
         self.steps = tuple(steps)
@@ -348,23 +341,29 @@ def _emit(steps, terms, pk, rank, structure):
     return env["series"]
 
 
+def _cached(ring, key, build):
+    """ring.orbit_cache[key], filled by build(ring) on first use.  The
+    cache holds character-independent data of the ring and no reference
+    back to it."""
+    cache = ring.orbit_cache
+    if key not in cache:
+        cache[key] = build(ring)
+    return cache[key]
+
+
 def series_program(ring, name):
     """The compiled program of series name ("bch", "exp_ad" or "phi")
     through ring's class, built on first use in ring.orbit_cache."""
-    prog = ring.orbit_cache.get(name)
-    if prog is None:
-        series = {"bch": bch, "exp_ad": exp_ad, "phi": phi_series}[name]
-        prog = ring.orbit_cache[name] = _Program(series(ring.cls), ring)
-    return prog
+    return _cached(ring, name, lambda ring: _Program(
+        {"bch": bch, "exp_ad": exp_ad, "phi": phi_series}[name](ring.cls),
+        ring))
 
 
 def unit_inverses(ring):
     """unit[v]: the inverse mod p^k of v / gcd(v, p^k), and unit[0] = 0."""
-    cache, pk = ring.orbit_cache, ring.pk
-    if "unit_inverses" not in cache:
-        cache["unit_inverses"] = np.array(
-            [0] + [pow(v // math.gcd(v, pk), -1, pk) for v in range(1, pk)])
-    return cache["unit_inverses"]
+    pk = ring.pk
+    return _cached(ring, "unit_inverses", lambda ring: np.array(
+        [0] + [pow(v // math.gcd(v, pk), -1, pk) for v in range(1, pk)]))
 
 
 def exp_mul(ring, x, y):
@@ -374,11 +373,6 @@ def exp_mul(ring, x, y):
     except KeyError:
         scalar = series_program(ring, "bch").scalar
     return scalar(x, y)
-
-
-def exp_inv(ring, x):
-    """Inverse of Exp(x) is Exp(-x): the BCH series of (x, -x) collapses."""
-    return ring.neg(_vec(ring, x))
 
 
 def conjugate(ring, g, x):
@@ -508,7 +502,9 @@ def log_group(mul, p, k, rank, samples=2000, seed=0):
         return out
 
     def graded_parts(x, y):
-        cols = list(zip(*[mul(a, b) for a, b in zip(powers(x), powers(y))]))
+        # reduced to Python ints: numpy integers from the law would wrap
+        cols = list(zip(*[_reduced(mul(a, b), pk)
+                          for a, b in zip(powers(x), powers(y))]))
         return [tuple(sum(map(operator.mul, row, col)) % pk for col in cols)
                 for row in vinv]
 
@@ -714,7 +710,7 @@ def quotient_ring(ring, ideal, name=None):
 
 # bundled rings
 
-def _entries(p, k=1):
+def _entries(p):
     pairs = []
     for r in (1, 2, 3):
         pairs.append((f"abelian{r}", (r, {})))

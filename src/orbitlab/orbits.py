@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import QpModZp, kernel
-from .lazard import (Subring, _reduced, all_elements, batch_bracket,
+from .lazard import (Subring, _cached, _reduced, all_elements, batch_bracket,
                      batch_conjugate, conjugate, element_index, unit_inverses)
 
 DUAL_CAP = 7 ** 6
@@ -152,10 +152,6 @@ class CoadjointOrbit:
         return f"CoadjointOrbit(rep={self.rep!r}, size={self.size})"
 
 
-def dual_size(ring):
-    return ring.pk ** ring.rank
-
-
 def _perms(ring):
     """perms[t][i]: the index of Exp(e_t) acting on the i-th character: the
     index i plus, in each coordinate j that Exp(e_t) moves (row j of its
@@ -174,7 +170,7 @@ def _labels(ring, cap):
     """lab[i]: the index of the least character in the orbit of the i-th.
     Labels stay in their orbit and only fall, so the fixed point of
     lab = min(lab, lab[perm_t]), lab = lab[lab] is constant on orbits."""
-    n = dual_size(ring)
+    n = ring.size()
     if cap is not None and n > cap:
         raise CapError(
             f"dual space has {n} characters, above the cap {cap}")
@@ -265,16 +261,6 @@ def orbit_histogram(orbits):
     for o in orbits:
         hist[o.size] = hist.get(o.size, 0) + 1
     return dict(sorted(hist.items()))
-
-
-def _cached(ring, key, build):
-    """ring.orbit_cache[key], filled by build(ring) on first use.  The
-    cache holds this layer's character-independent data of the ring and
-    no reference back to it."""
-    cache = ring.orbit_cache
-    if key not in cache:
-        cache[key] = build(ring)
-    return cache[key]
 
 
 def _group(ring, cap):

@@ -84,6 +84,7 @@ class VModelData:
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
         self._validated = False
         self._gamma = None
+        self._conj = None
 
     def dim(self):
         return len(self.pairs)
@@ -129,11 +130,10 @@ def validate_data(d):
         x = next(r for r in perp.generators() if not a.contains(r))
         raise VModelError(
             "lagrangian", f"{x} pairs to zero with a but lies outside")
-    for t in range(ring.rank):
-        GX = _conjugates(ring, np.broadcast_to(ring.basis(t), G.shape), G)
-        bad = np.flatnonzero(qv[element_index(ring, GX)] != qv)
+    for t, moved in enumerate(_conjugations(d)):
+        bad = np.flatnonzero(qv[moved] != qv)
         if bad.size:
-            x, gx = (tuple(W[bad[0]].tolist()) for W in (G, GX))
+            x, gx = (tuple(G[i].tolist()) for i in (bad[0], moved[bad[0]]))
             raise VModelError(
                 "invariance",
                 f"q(Exp(e_{t}) {x} Exp(e_{t})^-1) = {m.q(gx)} != "
@@ -175,6 +175,20 @@ def _conjugates(ring, G, X):
             "conjugation", f"conjugation routes disagree at g={g}, x={x}: "
             f"{u} vs {v}")
     return via_ad
+
+
+def _conjugations(d):
+    """(rank, |p|) array cached on the model: row t holds the index in
+    all_elements(ring) of Exp(e_t) g Exp(e_t)^-1 for each g, from one
+    cross-checked _conjugates call over every generator."""
+    if d._conj is None:
+        ring = d.ring
+        G = all_elements(ring)
+        E = np.repeat(np.eye(ring.rank, dtype=np.int64), len(G), axis=0)
+        d._conj = element_index(
+            ring, _conjugates(ring, E, np.tile(G, (ring.rank, 1)))
+        ).reshape(ring.rank, len(G))
+    return d._conj
 
 
 # operators on V are monomial: basis vectors map to root-of-unity multiples
@@ -402,13 +416,10 @@ def verify_ribbon(d, eta_override=None):
     c, den = _qhat_rows(m)
     p, level = m.p, m.level
     bad = None
-    for t in range(ring.rank):
-        e_t = ring.basis(t)
-        moved = element_index(ring, batch_conjugate(
-            ring, np.broadcast_to(e_t, elements.shape), elements))
+    for t, moved in enumerate(_conjugations(d)):
         split = np.flatnonzero(~same_values(c[moved], den, c, den, p, level))
         if split.size:
-            bad = {"generator": e_t,
+            bad = {"generator": ring.basis(t),
                    "element": tuple(elements[split[0]].tolist())}
             break
     if bad is None:

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitlab import freelie
 from orbitlab.freelie import (
     CertificationError,
+    HallBasis,
     LiePoly,
     apply_series,
     assoc_mul,
@@ -24,6 +26,12 @@ from orbitlab.freelie import (
     phi_series,
     tree_degree,
 )
+
+
+def degree_part(poly, d):
+    """The terms of poly of degree d."""
+    return LiePoly(poly.basis, {t: c for t, c in poly.coeffs.items()
+                                if tree_degree(t) == d})
 
 
 def test_hall_basis_dimensions_match_witt():
@@ -87,7 +95,7 @@ def test_bch_parts_satisfy_dynkin_specht_wever(c):
     # right-normed bracketing maps a Lie element L of degree d to d * L
     series = bch(c)
     for d in range(1, c + 1):
-        part = series.degree_part(d).expand()
+        part = degree_part(series, d).expand()
         assert part
         assert dynkin_rightnorm(part, c) == {w: d * v for w, v in part.items()}
 
@@ -114,7 +122,7 @@ def test_bch_inverse_law(cx, cy):
     b = LiePoly(basis, dict(zip(keys, cy)))
     # degree-1 part of bch(a, b) is a + b's degree-1 part
     s = bch_apply(a, b)
-    assert s.degree_part(1) == (a + b).degree_part(1)
+    assert degree_part(s, 1) == degree_part(a + b, 1)
 
 
 def test_exp_ad_matches_conjugation_series():
@@ -207,3 +215,19 @@ def test_lie_from_assoc_rejects_non_lie_elements():
     basis = hall_basis(2, 2)
     with pytest.raises(ArithmeticError):
         basis.lie_from_assoc({(0, 1): Fraction(1)})  # xy alone is not Lie
+
+
+def test_hall_basis_refuses_a_count_that_is_not_witt(monkeypatch):
+    # one necklace too many at degree 2: the Hall set found is one short
+    witt = freelie._witt
+    monkeypatch.setattr(freelie, "_witt", lambda m, d: witt(m, d) + (d == 2))
+    with pytest.raises(AssertionError) as err:
+        HallBasis(2, 3)
+    assert str(err.value) == "Hall count at degree 2 disagrees with Witt"
+
+
+def test_lie_from_assoc_rejects_a_constant_term():
+    # every graded part is empty, so only the constant-term check can fire
+    with pytest.raises(ArithmeticError) as err:
+        hall_basis(2, 3).lie_from_assoc({(): Fraction(1)})
+    assert str(err.value) == "constant term present: not a Lie element"

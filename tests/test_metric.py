@@ -321,9 +321,9 @@ def test_q_values_match_the_quadratic_expansion(name):
     m = MIXED_ST if name == "mixed_st" else TEST_METRICS[name]
     want = []
     for x in m.elements():
-        v = sum((x[i] * x[i] * m.q_gens[i].as_fraction()
+        v = sum((x[i] * x[i] * Fraction(str(m.q_gens[i]))
                  for i in range(m.rank)), Fraction(0))
-        v += sum(x[i] * x[j] * m.gram[i][j].as_fraction()
+        v += sum(x[i] * x[j] * Fraction(str(m.gram[i][j]))
                  for i in range(m.rank) for j in range(i + 1, m.rank))
         want.append(int(v * m.modulus) % m.modulus)
     assert m.q_values.dtype == np.int64

@@ -20,7 +20,6 @@ from orbitlab.orbits import (
     all_characters,
     coadjoint_act,
     coadjoint_matrix,
-    dual_size,
     enumerate_orbits,
     generic_character,
     kernel_lemma_all,
@@ -104,7 +103,7 @@ def test_orbit_census_heisenberg(rings):
     orbits = enumerate_orbits(ring)
     assert len(orbits) == 11  # p^2 + (p - 1)
     assert orbit_histogram(orbits) == {1: 9, 9: 2}
-    assert sum(o.size for o in orbits) == dual_size(ring)
+    assert sum(o.size for o in orbits) == ring.size()
     for o in orbits:
         assert o.size * o.stabilizer.size() == ring.size()
 
@@ -128,7 +127,7 @@ def test_orbit_reps_are_lex_minimal_and_disjoint(rings):
         assert min(members) == o.rep.nums
         assert not members & seen
         seen |= members
-    assert len(seen) == dual_size(ring)
+    assert len(seen) == ring.size()
 
 
 def test_orbit_cap_enforced():
@@ -261,7 +260,7 @@ def class2_ring(name, p, dv, dz, seed):
 
 
 CENSUS_RINGS = sorted(name for name, ring in lazard_catalog().items()
-                      if dual_size(ring) <= 5 ** 5)
+                      if ring.size() <= 5 ** 5)
 CLASS2_SHAPES = [("c2_h5_p5", 5, 4, 1), ("c2_v3z2_p7", 7, 3, 2),
                  ("c2_v3z1_p5", 5, 3, 1)]
 
@@ -366,7 +365,7 @@ def test_radicals_take_one_batched_path_for_every_k(monkeypatch, make):
                          (arith, "howell")):
         monkeypatch.setattr(module, name, refuse)
     assert len(enumerate_orbits(ring)) == {9: 105, 25: 745}[ring.pk]
-    assert kernel_lemma_all(ring)["characters"] == dual_size(ring)
+    assert kernel_lemma_all(ring)["characters"] == ring.size()
 
 
 def test_batched_bracket_closure_names_its_character(monkeypatch):
@@ -397,7 +396,7 @@ def test_all_characters_match_per_character_checks(rings, name):
     cases = 0
     for chi in all_characters(ring):
         cases += kernel_lemma_check(ring, chi)["perp_cases"]
-    assert report == {"characters": dual_size(ring),
+    assert report == {"characters": ring.size(),
                       "orbits": len(enumerate_orbits(ring)),
                       "perp_cases": cases}
 

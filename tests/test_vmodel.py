@@ -188,7 +188,7 @@ def _gamma_monomial(d, g):
     for beta in d.b_elements:
         gs = exp_mul(ring, g, d.s[beta])
         target_beta[beta] = d.project(gs)
-        coeff[beta] = ring.sub(gs, d.s[target_beta[beta]])
+        coeff[beta] = ring.add(gs, ring.neg(d.s[target_beta[beta]]))
         assert d.a.contains(coeff[beta])
     perm, expo = [], []
     for alpha, beta in d.pairs:
@@ -233,7 +233,8 @@ def _eta_monomial_oracle(d):
     expo = [0] * d.dim()
     for i, (alpha, beta) in enumerate(d.pairs):
         ab = exp_mul(d.b, alpha, beta)
-        delta = ring.sub(exp_mul(ring, d.s[alpha], d.s[beta]), d.s[ab])
+        delta = ring.add(exp_mul(ring, d.s[alpha], d.s[beta]),
+                         ring.neg(d.s[ab]))
         if not d.a.contains(delta):
             raise VModelError(
                 "twist-data",
@@ -571,6 +572,42 @@ def test_theorem1_catches_non_class_coefficients(monkeypatch):
     witness = _theorem1_witness(verify_ribbon(d))
     assert witness == want
     assert all(type(x) is int for part in witness.values() for x in part)
+
+
+def _count_conjugates(monkeypatch):
+    """The row counts of every vmodel._conjugates call, in call order."""
+    conjugates, rows = vmodel._conjugates, []
+
+    def counted(ring, G, X):
+        rows.append(len(G))
+        return conjugates(ring, G, X)
+
+    monkeypatch.setattr(vmodel, "_conjugates", counted)
+    return rows
+
+
+@pytest.mark.parametrize("model", [lambda: build_hyperbolic(5, 1, 1),
+                                   cotangent_h3], ids=["hyp511", "T*h3"])
+def test_conjugation_table_is_built_once(monkeypatch, model):
+    # validate_data's invariance axiom builds the table that theorem1's
+    # class-function check reads; verify_ribbon adds only the b x b table
+    d = model()
+    rows = _count_conjugates(monkeypatch)
+    validate_data(d)
+    assert rows == [d.ring.rank * d.ring.size()]
+    rows.clear()
+    assert verify_ribbon(d)["pass"]
+    assert rows == [len(d.b_elements) ** 2]
+
+
+def test_conjugation_table_builds_without_validation(monkeypatch):
+    # a model marked valid without validate_data still gets its table
+    d = cotangent_h3()
+    rows = _count_conjugates(monkeypatch)
+    d._validated = True
+    assert verify_ribbon(d)["pass"]
+    assert sorted(rows) == sorted([len(d.b_elements) ** 2,
+                                   d.ring.rank * d.ring.size()])
 
 
 def test_equivariance_catches_eta_changed_outside_u(monkeypatch):
