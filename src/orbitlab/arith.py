@@ -173,17 +173,15 @@ class QpModZp:
 def howell(rows: Sequence[Sequence[int]], modulus: Modulus):
     """Canonical Howell rows (nonzero only) of the span of `rows`.
 
-    Row-reduces a padded copy in place: ncols spare zero rows absorb
-    annihilator rows as invertible 'add to zero row' operations.
+    Row-reduces a copy in place.  A pivot of valuation v > 0 leaves the
+    annihilator p^(k-v) times its row in the span; it is appended as a new
+    row and moved just below the pivot, so no spare rows are carried.
     """
     p, k, pk = modulus.p, modulus.k, modulus.pk
-    rows = [[x % pk for x in r] for r in rows]
-    if not rows:
+    a = [[x % pk for x in r] for r in rows]
+    if not a:
         return ()
-    ncols = len(rows[0])
-    a = rows + [[0] * ncols for _ in range(ncols)]
-    n = len(a)
-    spare_used = 0
+    ncols = len(a[0])
 
     def addmul(dst, src, c):
         a[dst] = [(x + c * y) % pk for x, y in zip(a[dst], a[src])]
@@ -191,7 +189,7 @@ def howell(rows: Sequence[Sequence[int]], modulus: Modulus):
     r = 0
     for col in range(ncols):
         piv, pv = None, k
-        for i in range(r, n):
+        for i in range(r, len(a)):
             x = a[i][col]
             if x:
                 v = valuation(x, p)
@@ -206,22 +204,17 @@ def howell(rows: Sequence[Sequence[int]], modulus: Modulus):
         u = pow(a[r][col] // p**pv, -1, pk)
         a[r] = [x * u % pk for x in a[r]]
         step = p**pv
-        for i in range(r + 1, n):
+        for i in range(r + 1, len(a)):
             if a[i][col]:
                 addmul(i, r, -(a[i][col] // step))
         for i in range(r):
             if a[i][col] >= step:
                 addmul(i, r, -(a[i][col] // step))
         if pv > 0:
-            z = len(rows) + spare_used
-            spare_used += 1
-            addmul(z, r, pk // step)
+            a.append([x * (pk // step) % pk for x in a[r]])
             # keep the fresh annihilator row inside the active region
-            if z != r + 1:
-                a[r + 1], a[z] = a[z], a[r + 1]
+            a[r + 1], a[-1] = a[-1], a[r + 1]
         r += 1
-        if r >= n:
-            break
     return tuple(tuple(r) for r in a if any(r))
 
 
@@ -297,8 +290,9 @@ def mat_inverse(rows: Sequence[Sequence[int]], modulus: Modulus):
 
 
 def kernel(rows: Sequence[Sequence[int]], modulus: Modulus):
-    """Generators of {x : x*m = 0}, m given by its rows, canonical: the
-    Howell rows of [m | I] whose left block vanishes."""
+    """Howell rows of {x : x*m = 0}, m given by its rows: the Howell rows of
+    [m | I] whose left block vanishes, themselves a Howell form (Howell
+    1986; Storjohann-Mulders 1998), so howell leaves them as they are."""
     left = len(rows[0]) if rows else 0
     return tuple(r[left:] for r in _augmented_howell(rows, modulus)
                  if not any(r[:left]))

@@ -581,8 +581,18 @@ class Subring:
     def full(cls, ring):
         return cls(ring, [ring.basis(i) for i in range(ring.rank)])
 
+    @classmethod
+    def kernel_of(cls, ring, rows):
+        """The Subring {x : x m = 0}, m given by its ring.rank rows.  The
+        rows of arith.kernel are already Howell rows, so they are kept as
+        they are instead of being reduced by howell a second time."""
+        sub = cls.__new__(cls)
+        sub.ring, sub.rows = ring, kernel(rows, ring.modulus)
+        sub.pivots = howell_pivots(sub.rows, ring.p)
+        return sub
+
     def generators(self):
-        return tuple(tuple(r) for r in self.rows)
+        return self.rows
 
     def size(self):
         return math.prod(self.ring.pk // self.ring.p**v for _, v in self.pivots)
@@ -660,7 +670,7 @@ def orthogonal(ring, gram, gens):
         return Subring.full(ring)
     cols = [[sum(b * c for b, c in zip(row, g)) for g in gens]
             for row in gram]
-    return Subring(ring, kernel(cols, ring.modulus))
+    return Subring.kernel_of(ring, cols)
 
 
 def quotient_ring(ring, ideal, name=None):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import QpModZp, kernel
+from .arith import QpModZp
 from .lazard import (Subring, _cached, _reduced, all_elements, batch_bracket,
                      batch_conjugate, conjugate, element_index, unit_inverses)
 
@@ -128,7 +128,7 @@ def radical(form):
     if form._radical is not None:
         return form._radical
     ring = form.ring
-    sub = Subring(ring, kernel(form.nums, ring.modulus))
+    sub = Subring.kernel_of(ring, form.nums)
     if not sub.is_lie_subring():
         raise OrbitError(
             f"radical of chi = {form.chi} is not closed under bracket")
@@ -137,32 +137,45 @@ def radical(form):
 
 
 class CoadjointOrbit:
-    """Orbit record: lexicographically minimal representative, size, and
-    the radical of B_rep standing in for the stabilizer (the exhaustive
-    oracle is separate), a Subring built on first access."""
+    """Orbit record: the numerators of the lexicographically minimal
+    representative, size, and the radical of B_rep standing in for the
+    stabilizer (the exhaustive oracle is separate).  The representative's
+    Character and the stabilizer's Subring are built on first access."""
 
-    def __init__(self, rep, size, radical_rows):
-        self.rep, self.size, self._rows = rep, size, radical_rows
+    def __init__(self, ring, nums, size, radical_rows):
+        self.ring, self._nums, self.size = ring, nums, size
+        self._rows = radical_rows
+
+    @cached_property
+    def rep(self):
+        return Character(self.ring, self._nums)
 
     @cached_property
     def stabilizer(self):
-        return Subring(self.rep.ring, self._rows)
+        return Subring(self.ring, self._rows)
 
     def __repr__(self):
         return f"CoadjointOrbit(rep={self.rep!r}, size={self.size})"
 
 
 def _perms(ring):
-    """perms[t][i]: the index of Exp(e_t) acting on the i-th character: the
-    index i plus, in each coordinate j that Exp(e_t) moves (row j of its
-    matrix is not e_j), the change in chi_j times the weight p^(k(n-1-j))."""
+    """perms[t][i]: the index of Exp(e_t) acting on the i-th character of
+    the grid (p^k,)^n, chi_j along axis j: i plus, in each coordinate j
+    that Exp(e_t) moves (row j of its matrix is not e_j), the change in
+    chi_j times p^(k(n-1-j)), broadcast over only the axes it reads."""
     def build(ring):
-        chis, n = all_elements(ring), ring.rank
-        weights = ring.pk ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        for m in map(np.array, _basis_matrices(ring)):
-            j = np.flatnonzero((m != np.eye(n, dtype=m.dtype)).any(axis=1))
-            yield np.arange(len(chis)) + (
-                chis @ m[j].T % ring.pk - chis[:, j]) @ weights[j]
+        n, pk = ring.rank, ring.pk
+        axes = np.ix_(*[np.arange(pk)] * n)
+        grid = np.arange(ring.size()).reshape((pk,) * n)
+        for m in _basis_matrices(ring):
+            index = grid
+            for j in range(n):
+                if any(c != (i == j) for i, c in enumerate(m[j])):
+                    # n products of two residues, as in a matmul of the
+                    # characters by m: far inside int64 under the cap
+                    new = sum(c * axes[i] for i, c in enumerate(m[j]) if c)
+                    index = index + (new % pk - axes[j]) * pk ** (n - 1 - j)
+            yield index.ravel()
     return _cached(ring, "perms", lambda ring: list(build(ring)))
 
 
@@ -251,7 +264,7 @@ def enumerate_orbits(ring, cap=DUAL_CAP):
         raise OrbitError(
             f"orbit size {sizes[i]} times stabilizer size {rad_sizes[i]} "
             f"is not |G| = {ring.size()} at rep {Character(ring, chis[i])}")
-    return [CoadjointOrbit(Character(ring, nums), size, rows)
+    return [CoadjointOrbit(ring, nums, size, rows)
             for nums, size, rows in zip(chis.tolist(), sizes.tolist(),
                                         gens.tolist())]
 
@@ -449,11 +462,13 @@ def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
     bit = [1 << i for i in range(ring.rank)]
     for b, moved, pairing, stable in cases:
         # bit masks of the coordinates where b.chi and chi differ and where
-        # B_chi(b, .) is nonzero; _perp_cases names the case that fails
+        # B_chi(b, .) is nonzero (equal masks agree on every subalgebra);
+        # _perp_cases names the case that fails
         moves = sum(itertools.compress(bit, map(operator.ne, moved,
                                                 chi.nums)))
         pairs = sum(itertools.compress(bit, pairing))
-        if any(bool(moves & bits) != bool(pairs & bits) for _, bits in stable):
+        if moves != pairs and any(bool(moves & bits) != bool(pairs & bits)
+                                  for _, bits in stable):
             _perp_cases(ring, b, np.array([chi.nums]), np.array([moved]),
                         np.array([pairing]), stable)
     return {

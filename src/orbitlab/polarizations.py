@@ -15,7 +15,7 @@ from math import isqrt
 
 from .arith import howell
 from .lazard import Subring, bracket_span, orthogonal
-from .orbits import SkewForm, radical
+from .orbits import radical
 
 
 class PolarizationError(ValueError):

@@ -19,6 +19,8 @@ from orbitlab.arith import (
     span_size,
     valuation,
 )
+from orbitlab.lazard import Subring, catalog
+from orbitlab.orbits import SkewForm, generic_character
 
 
 def brute_span(rows, modulus, n):
@@ -278,3 +280,96 @@ def test_kernel_is_left_annihilator():
     assert span_size(k, mod) == 3
     # unreduced entries give the same canonical rows
     assert kernel(((12, -9), (9, 10)), mod) == k
+
+
+def _padded_howell(rows, modulus):
+    """The Howell elimination with ncols spare zero rows appended up front,
+    annihilator rows written into the next spare one: the reference the
+    unpadded howell must reproduce row for row."""
+    p, k, pk = modulus.p, modulus.k, modulus.pk
+    rows = [[x % pk for x in r] for r in rows]
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    a = rows + [[0] * ncols for _ in range(ncols)]
+    spare_used = 0
+
+    def addmul(dst, src, c):
+        a[dst] = [(x + c * y) % pk for x, y in zip(a[dst], a[src])]
+
+    r = 0
+    for col in range(ncols):
+        piv, pv = None, k
+        for i in range(r, len(a)):
+            x = a[i][col]
+            if x:
+                v = valuation(x, p)
+                if v < pv:
+                    piv, pv = i, v
+                    if v == 0:
+                        break
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        u = pow(a[r][col] // p**pv, -1, pk)
+        a[r] = [x * u % pk for x in a[r]]
+        step = p**pv
+        for i in range(r + 1, len(a)):
+            if a[i][col]:
+                addmul(i, r, -(a[i][col] // step))
+        for i in range(r):
+            if a[i][col] >= step:
+                addmul(i, r, -(a[i][col] // step))
+        if pv > 0:
+            z = len(rows) + spare_used
+            spare_used += 1
+            addmul(z, r, pk // step)
+            if z != r + 1:
+                a[r + 1], a[z] = a[z], a[r + 1]
+        r += 1
+    return tuple(tuple(r) for r in a if any(r))
+
+
+def _seeded_matrices(seed, count):
+    """Matrices over Z/p^k, k >= 2, with entries that are mostly multiples
+    of p so that pivots of positive valuation (annihilator rows) arise;
+    tall, square, wide and all-zero shapes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = int(rng.choice([2, 3, 5, 7]))
+        k = int(rng.integers(2, 5))
+        mod = Modulus(p, k)
+        nrows, ncols = (int(x) for x in rng.integers(1, 7, size=2))
+        scale = p ** rng.integers(0, k + 1, size=(nrows, ncols))
+        m = rng.integers(0, mod.pk, size=(nrows, ncols)) * scale % mod.pk
+        if rng.integers(0, 8) == 0:
+            m[:] = 0
+        yield m.tolist(), mod
+
+
+def test_howell_matches_padded_reference():
+    positive = 0
+    for m, mod in _seeded_matrices(28, 1500):
+        h = howell(m, mod)
+        assert h == _padded_howell(m, mod), (m, mod)
+        positive += any(v for _, v in howell_pivots(h, mod.p))
+    # the annihilator branch ran on a good share of the inputs
+    assert positive > 300
+    assert howell([[0, 0, 0]], Modulus(3, 2)) == ()
+    wide = [[9, 3, 0, 6, 0, 18]]
+    assert howell(wide, Modulus(3, 3)) == _padded_howell(wide, Modulus(3, 3))
+
+
+def test_kernel_rows_are_howell_rows():
+    for m, mod in _seeded_matrices(29, 1500):
+        rows = kernel(m, mod)
+        assert howell(rows, mod) == rows, (m, mod)
+
+
+def test_subring_kernel_of_matches_howell_of_kernel():
+    for name, ring in catalog().items():
+        nums = SkewForm(generic_character(ring)).nums
+        sub = Subring.kernel_of(ring, nums)
+        assert sub.rows == Subring(ring, kernel(nums, ring.modulus)).rows, name
+        assert sub.pivots == howell_pivots(sub.rows, ring.p), name

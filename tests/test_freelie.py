@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from orbitlab import freelie
 from orbitlab.freelie import (
-    CertificationError,
     HallBasis,
     LiePoly,
     apply_series,

@@ -14,7 +14,6 @@ from orbitlab.lazard import catalog as lazard_catalog
 from orbitlab.orbits import (
     CapError,
     Character,
-    CoadjointOrbit,
     OrbitError,
     SkewForm,
     all_characters,
