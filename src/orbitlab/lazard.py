@@ -472,14 +472,16 @@ def log_group(mul, p, k, rank, samples=2000, seed=0):
 
     Writes the law as mul(x^m, y^m) = sum_d m^d T_d(x, y) and peels the
     graded pieces with a Vandermonde solve over m = 1..c (unit determinant
-    since c < p).  T_1 must match coordinate addition, which pins the
-    carrier as exponential coordinates; the bracket is 2 T_2 on basis
-    pairs.  Returns (ring, report) after checking Exp(ring) reproduces mul
-    pointwise: exhaustively when the group is small, on tuple pairs that
+    since c < p); only degrees 1 and 2 are read.  T_1 must match
+    coordinate addition, which pins the carrier as exponential
+    coordinates; the bracket is 2 T_2 on basis pairs.  Returns (ring,
+    report) after checking Exp(ring) reproduces mul pointwise:
+    exhaustively when the group is small, on tuple pairs that
     itertools.product gives in all_elements' lexicographic order,
     otherwise on samples pairs drawn from seed, which the report names.
-    The recovered side is one batch_exp_mul; mul is still called pair by
-    pair, up to the first mismatch.
+    The recovered side is one batch_exp_mul, read as one flat list; mul
+    is called once per pair, up to and including the first mismatch, and
+    its outputs are compared with the batch rows in C-level loops.
     The graded parts take 3c - 2 calls of mul per pair: x^m = x^(m-1) x.
     """
     mod = Modulus(p, k)
@@ -491,8 +493,9 @@ def log_group(mul, p, k, rank, samples=2000, seed=0):
     if mul(zero, zero) != zero:
         raise LazardError("the zero tuple is not the group identity")
 
+    # rows 0 and 1 of the inverse give degrees 1 and 2, all that is read
     vinv = mat_inverse([[pow(m, d, pk) for d in range(1, c + 1)]
-                        for m in range(1, c + 1)], mod)
+                        for m in range(1, c + 1)], mod)[:2]
 
     def powers(x):
         """x^1 .. x^c, each one mul from the last."""
@@ -526,15 +529,18 @@ def log_group(mul, p, k, rank, samples=2000, seed=0):
             parts = check_addition(basis[i], basis[j])
             if c >= 2:
                 brackets[(i, j)] = tuple(2 * v % pk for v in parts[1])
-    for _ in range(16):
-        x = tuple(int(v) for v in rng.integers(0, pk, size=rank))
-        y = tuple(int(v) for v in rng.integers(0, pk, size=rank))
-        check_addition(x, y)
+    # 16 random pairs, x then y of each, in one draw
+    for x, y in rng.integers(0, pk, size=(16, 2, rank)).tolist():
+        check_addition(tuple(x), tuple(y))
 
     try:
         ring = LieRing(p, k, rank, brackets, name="recovered")
     except ValueError as e:
         raise LazardError(f"recovered constants are not a Lie ring: {e}") from e
+
+    def rows(a):
+        """The rows of the 2-D array a, as tuples of Python ints."""
+        return zip(*[iter(a.ravel().tolist())] * rank)
 
     total = pk ** rank
     if total * total <= 65536:
@@ -547,15 +553,20 @@ def log_group(mul, p, k, rank, samples=2000, seed=0):
         # the same draws, in the same order, as x then y per pair
         XY = rng.integers(0, pk, size=(samples, 2, rank))
         X, Y = XY[:, 0], XY[:, 1]
-        pairs = ((tuple(x), tuple(y)) for x, y in XY.tolist())
+        pairs = zip(rows(X), rows(Y))
         exhaustive = False
     got_all = batch_exp_mul(ring, X, Y)
-    for (x, y), got in zip(pairs, map(tuple, got_all.tolist())):
-        want = mul(x, y)
-        if got != want:
-            raise LazardError(
-                f"Exp of the recovered ring disagrees with the law at "
-                f"x={x}, y={y}: {got} vs {want}")
+    # compress pulls each law output before its comparison and stops at the
+    # first mismatch, so mul runs once per pair up to and including it
+    outs, seen = itertools.tee(itertools.starmap(mul, pairs))
+    bad = next(itertools.compress(zip(itertools.count(), seen),
+                                  map(operator.ne, rows(got_all), outs)), None)
+    if bad is not None:
+        i, want = bad
+        x, y, got = (tuple(a[i].tolist()) for a in (X, Y, got_all))
+        raise LazardError(
+            f"Exp of the recovered ring disagrees with the law at "
+            f"x={x}, y={y}: {got} vs {want}")
     report = {"class": ring.cls, "pairs_checked": len(X),
               "exhaustive": exhaustive, "seed": seed}
     return ring, report

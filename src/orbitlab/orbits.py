@@ -139,8 +139,9 @@ def radical(form):
 class CoadjointOrbit:
     """Orbit record: the numerators of the lexicographically minimal
     representative, size, and the radical of B_rep standing in for the
-    stabilizer (the exhaustive oracle is separate).  The representative's
-    Character and the stabilizer's Subring are built on first access."""
+    stabilizer (the exhaustive oracle is separate), kept as its (n, n)
+    array of rows.  The representative's Character and the stabilizer's
+    Subring are built on first access."""
 
     def __init__(self, ring, nums, size, radical_rows):
         self.ring, self._nums, self.size = ring, nums, size
@@ -152,7 +153,7 @@ class CoadjointOrbit:
 
     @cached_property
     def stabilizer(self):
-        return Subring(self.ring, self._rows)
+        return Subring(self.ring, self._rows.tolist())
 
     def __repr__(self):
         return f"CoadjointOrbit(rep={self.rep!r}, size={self.size})"
@@ -258,15 +259,15 @@ def enumerate_orbits(ring, cap=DUAL_CAP):
     lab = _labels(ring, cap)
     reps = np.flatnonzero(lab == np.arange(len(lab)))
     sizes = np.bincount(lab)[reps]
-    chis = all_elements(ring)[reps]
+    # the representatives' rows: their grid positions read in base p^k
+    chis = np.stack(np.unravel_index(reps, (ring.pk,) * ring.rank), axis=1)
     gens, rad_sizes, _ = _radicals(ring, chis)
     for i in np.flatnonzero(sizes * rad_sizes != ring.size())[:1]:
         raise OrbitError(
             f"orbit size {sizes[i]} times stabilizer size {rad_sizes[i]} "
             f"is not |G| = {ring.size()} at rep {Character(ring, chis[i])}")
     return [CoadjointOrbit(ring, nums, size, rows)
-            for nums, size, rows in zip(chis.tolist(), sizes.tolist(),
-                                        gens.tolist())]
+            for nums, size, rows in zip(chis.tolist(), sizes.tolist(), gens)]
 
 
 def orbit_histogram(orbits):

@@ -577,11 +577,21 @@ LOG_GROUP_WITNESSES = [
 ]
 
 
+# 1 for the identity and 3c - 2 for each of 19 graded pairs, then 1 per
+# checked pair up to and including the first bad one: pair 584 of 729
+# (h3_p3), 1234 of the 2000 seed-0 draws (h3_p7) and 4096 of 15625 (h3_p5)
+LOG_GROUP_WITNESS_CALLS = {"h3_p3": 1 + 19 * 4 + 585,
+                           "h3_p7": 1 + 19 * 16 + 1235,
+                           "h3_p5": 1 + 19 * 10 + 4097}
+
+
 @pytest.mark.parametrize("name, bad, message", LOG_GROUP_WITNESSES)
 def test_log_group_witness_is_first_bad_pair(rings, name, bad, message):
     ring = rings[name]
+    seen = []
 
     def law(x, y):
+        seen.append((x, y))
         out = exp_mul(ring, x, y)
         if (x, y) in bad:
             out = out[:2] + ((out[2] + 1) % ring.pk,)
@@ -590,6 +600,38 @@ def test_log_group_witness_is_first_bad_pair(rings, name, bad, message):
     with pytest.raises(LazardError) as err:
         log_group(law, ring.p, ring.k, ring.rank)
     assert str(err.value) == message
+    # the law is called once per pair, and not again after the mismatch
+    assert len(seen) == LOG_GROUP_WITNESS_CALLS[name]
+    assert seen[-1] in bad
+
+
+@pytest.mark.parametrize("name, samples", [("h3_p3", 2000), ("h3_p7", 300)])
+def test_log_group_names_a_mismatch_at_the_last_pair(rings, name, samples):
+    # the last exhaustive pair (index |G|^2 - 1) or the last sampled one:
+    # x, y and the recovered value come from the ends of the flat batch
+    ring = rings[name]
+    calls = []
+
+    def law(x, y):
+        calls.append((x, y))
+        out = exp_mul(ring, x, y)
+        if len(calls) == last:
+            out = out[:2] + ((out[2] + 1) % ring.pk,)
+        return out
+
+    # c = p - 1 on both rings: 3c - 2 calls per graded pair
+    last = 1 + 19 * (3 * (ring.p - 1) - 2) + min(ring.size() ** 2, samples)
+    with pytest.raises(LazardError) as err:
+        log_group(law, ring.p, ring.k, ring.rank, samples=samples)
+    assert len(calls) == last
+    x, y = calls[-1]
+    if name == "h3_p3":
+        assert (x, y) == ((2, 2, 2), (2, 2, 2))
+    got = exp_mul(ring, x, y)
+    want = got[:2] + ((got[2] + 1) % ring.pk,)
+    assert str(err.value) == (
+        f"Exp of the recovered ring disagrees with the law at x={x}, "
+        f"y={y}: {got} vs {want}")
 
 
 @pytest.mark.parametrize("name, samples, calls", [
@@ -613,7 +655,8 @@ def test_log_group_calls_the_law_once_per_pair(rings, name, samples, calls):
 def test_log_group_reads_numpy_law_outputs_without_overflow():
     # a law returning np.int64 at p = 2^31 - 1: the graded parts sum
     # products of residues near 2^31, which wrap in int64 unless the law's
-    # outputs are read as Python ints
+    # outputs are read as Python ints; the pointwise check compares its
+    # np.int64 tuples with the batch's Python ints by value
     big = LieRing(2147483647, 1, 3, {(0, 1): (0, 0, 1)})
 
     def law(x, y):

@@ -181,6 +181,20 @@ def test_gauss_sum_norm_identity():
         assert norm.rational_value() == p
 
 
+def test_gauss_sum_catches_a_corrupted_q_histogram():
+    # G conj(G) = |p| is a theorem for nondegenerate q, so only q values
+    # that q does not take reach the check: q(1) read as 0 moves one count
+    # of the histogram from 1 to 0
+    m = quadratic_metric(5)
+    assert m.q_values.tolist() == [0, 1, 4, 4, 1]
+    m.q_values = np.array([0, 0, 4, 4, 1])
+    with pytest.raises(MetricError) as err:
+        gauss_sum(m)
+    assert str(err.value) == (
+        "Gauss sum modulus broken: G conj(G) = 3*z^0 + -4*z^2 + -4*z^3, "
+        "expected 5")
+
+
 def test_gauss_sum_hyperbolic_is_lagrangian_card():
     for args in ((3, 1, 1), (5, 1, 1), (3, 2, 1), (3, 1, 2)):
         m = hyperbolic_metric(*args)

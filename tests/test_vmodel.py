@@ -313,6 +313,29 @@ def test_action_check_catches_one_wrong_exponent():
     assert g in (h, exp_mul(d.ring, e_t, h))
 
 
+@pytest.mark.parametrize("corrupt", ["exponent", "permutation"])
+def test_action_check_catches_gamma_of_zero_not_identity(monkeypatch, corrupt):
+    # gamma(0) = id is a theorem for valid data, so only a corrupted row 0
+    # of the gamma arrays reaches the ("unit",) witness; the permutation
+    # swaps two basis vectors of one coset, so gu keeps its support
+    d = build_hyperbolic(3, 1, 1)
+    validate_data(d)
+    perm, expo = (a.copy() for a in vmodel._gamma_arrays(d))
+    if corrupt == "exponent":
+        expo[0, 0] = 1
+    else:
+        nb = len(d.b_elements)
+        perm[0, [0, nb]] = perm[0, [nb, 0]]
+    monkeypatch.setattr(vmodel, "_gamma_arrays", lambda d: (perm, expo))
+    report = verify_ribbon(d)
+    action = report["checks"][0]
+    assert (action["check"], action["status"]) == ("action", "FAIL")
+    assert action["detail"] == (
+        "unit and composition, exhaustive (2 generators x 9 elements)")
+    assert report["counterexamples"][0] == {"check": "action",
+                                            "witness": ("unit",)}
+
+
 def _dict_u(d):
     """u = sum_alpha 1_{alpha,0} as a dict over basis pairs."""
     one = CycNumber.one(d.metric.p, d.metric.level)
