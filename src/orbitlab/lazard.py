@@ -13,7 +13,9 @@ two independent entry points.  The scalar one is a straight-line Python
 function emitted from the program and the ring's nonzero structure
 constants on its first call, one local per coordinate; it is memoized by
 those integers, so rings with equal brackets share it.  The batch one
-walks the same steps on numpy arrays.
+interprets the same steps over ring.structure on numpy arrays, without
+the emitted code; it holds a bracket as the coordinate rows it can reach
+and reduces each product of residues before adding it (_bracket_rows).
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ class _Program:
     scalar is a Python function (x, y) -> coordinate tuple, emitted by
     _emit from the steps, the terms and the ring's nonzero structure
     constants on its first read and a plain attribute after that; batch
-    evaluates the same steps on numpy arrays.  The program holds no
-    reference to its ring, only the integers the emitted code is built
+    interprets the same steps over the ring's structure on numpy arrays,
+    without _emit, so the two stay independent routes.  The program holds
+    no reference to its ring, only the integers the emitted code is built
     from.
     """
 
@@ -266,29 +269,26 @@ class _Program:
         return _emit(*self._key)
 
     def batch(self, ring, X, Y):
-        """Row-wise values at arrays of residues of ring.modulus.dtype,
-        reduced after every product.  A slot's term is added when the slot
-        is computed, and the slot is released after its last use."""
+        """Row-wise values at (N, rank) arrays of residues of
+        ring.modulus.dtype.  The terms of slots 0 and 1 are added on whole
+        arrays; a bracket slot's term only into the columns it reaches."""
         pk = ring.pk
         coeff = dict(self.terms)
-        out = np.zeros_like(X)
-        vals = {0: X, 1: Y}
-        del X, Y  # so that releasing slots 0 and 1 frees them
-
-        def take(slot):
-            c = coeff.get(slot)
-            if c:
-                np.add(out, vals[slot] if c == 1 else c * vals[slot], out=out)
-                np.remainder(out, pk, out=out)
-
-        take(0)
-        take(1)
+        linear = [A if c == 1 else _mod(c * A, pk)
+                  for A, c in ((X, coeff.get(0)), (Y, coeff.get(1))) if c]
+        out = _mod(sum(linear[1:], linear[0]), pk) if linear else np.zeros_like(X)
+        if not self.steps:
+            return out
+        vals = {0: dict(enumerate(X.T)), 1: dict(enumerate(Y.T))}
         for (dst, a, b), dead in zip(self.steps, self.dead):
-            vals[dst] = _brackets(ring, vals[a], vals[b])
-            take(dst)
+            vals[dst] = _bracket_rows(ring, vals[a], vals[b])
+            c = coeff.get(dst)
+            for l, row in vals[dst].items() if c else ():
+                out.T[l] += row if c == 1 else _mod(c * row, pk)
             for slot in dead:
                 del vals[slot]
-        return out
+        # an entry is a sum of residues, at most one per slot
+        return _mod(out, pk)
 
 
 @functools.lru_cache(maxsize=256)
@@ -394,26 +394,43 @@ def conjugate(ring, g, x):
 
 # vectorized versions for bulk checks; rows of X, Y are coordinate tuples
 
-def _brackets(ring, X, Y):
-    """Row-wise brackets of arrays of residues of ring.modulus.dtype: one
-    column update per nonzero structure constant.  Every product is of two
-    residues and is reduced before the next one, which is what the dtype
-    bounds."""
+def _bracket_rows(ring, u, v):
+    """[u, v] on coordinate rows {l: 1-D row of residues}, a missing l
+    being zero: only the structure pairs (i, j) with rows u[i] and v[j],
+    or u[j] and v[i], are visited, and each product of two residues is
+    reduced before it is added, which is what ring.modulus.dtype bounds."""
     pk = ring.pk
-    out = np.zeros_like(X)
+    terms = {}
     for i, j, nonzero in ring.structure:
-        xy = (X[:, i] * Y[:, j] - X[:, j] * Y[:, i]) % pk
-        for l, c in nonzero:
-            out[:, l] = (out[:, l] + c * xy) % pk
-    return out
+        left, right = i in u and j in v, j in u and i in v
+        if left or right:
+            xy = _mod((u[i] * v[j] if left else 0)
+                      - (u[j] * v[i] if right else 0), pk)
+            for l, c in nonzero:
+                terms.setdefault(l, []).append(
+                    xy if c == 1 else _mod(c * xy, pk))
+    return {l: t[0] if len(t) == 1 else _mod(sum(t[1:], t[0]), pk)
+            for l, t in terms.items()}
+
+
+def _mod(A, pk):
+    """A % pk; on int64 as A - A // pk * pk, since numpy's floor division
+    of an int64 array by a scalar is several times faster than %."""
+    return A % pk if A.dtype == object else A - A // pk * pk
 
 
 def _residues(ring, X):
-    return np.asarray(X, dtype=ring.modulus.dtype) % ring.pk
+    return _mod(np.asarray(X, dtype=ring.modulus.dtype), ring.pk)
 
 
 def batch_bracket(ring, X, Y):
-    return _brackets(ring, _residues(ring, X), _residues(ring, Y))
+    """Row-wise brackets by _bracket_rows, the series programs' kernel."""
+    X, Y = _residues(ring, X), _residues(ring, Y)
+    out = np.zeros_like(X)
+    for l, row in _bracket_rows(ring, dict(enumerate(X.T)),
+                                dict(enumerate(Y.T))).items():
+        out.T[l] = row
+    return out
 
 
 def batch_exp_mul(ring, X, Y):
@@ -647,9 +664,9 @@ class Subring:
         return sorted(map(tuple, self.members().tolist()))
 
     def is_lie_subring(self):
-        gens = self.generators()
-        return bool(self.contains_rows(
-            [self.ring.bracket(a, b) for a in gens for b in gens]).all())
+        """Closure under the bracket, on generator pairs i < j only."""
+        return bool(self.contains_rows(list(itertools.starmap(
+            self.ring.bracket, itertools.combinations(self.rows, 2)))).all())
 
     def is_ideal(self):
         ring = self.ring
@@ -665,12 +682,14 @@ class Subring:
 
 
 def bracket_span(a, b):
-    """[A, B] as a submodule: the span of pairwise generator brackets."""
+    """[A, B] as a submodule: the span of the nonzero generator brackets,
+    over the pairs i < j only for [A, A] ([x, x] = 0, [y, x] = -[x, y])."""
     if a.ring is not b.ring:
         raise ValueError("subrings of different rings")
-    ring = a.ring
-    return Subring(ring, [ring.bracket(x, y)
-                          for x in a.generators() for y in b.generators()])
+    pairs = (itertools.combinations(a.rows, 2) if a is b
+             else itertools.product(a.rows, b.rows))
+    return Subring(a.ring, [v for v in itertools.starmap(a.ring.bracket, pairs)
+                            if any(v)])
 
 
 def orthogonal(ring, gram, gens):

@@ -235,6 +235,12 @@ BIG_PRIME = 2**31 - 1
 U4 = {(0, 1): (0, 0, 0, 1, 0, 0), (1, 2): (0, 0, 0, 0, 1, 0),
       (0, 4): (0, 0, 0, 0, 0, 1), (2, 3): (0, 0, 0, 0, 0, -1)}
 
+# u4 in the reversed basis e14, e24, e13, e34, e23, e12: a bracket slot's
+# coordinates come first, so in [x, [x, y]] the structure pair (1, 5) has
+# rows for u[5] and v[1] only, the kernel's one-sided second term
+U4_REVERSED = {(4, 5): (0, 0, -1, 0, 0, 0), (3, 4): (0, -1, 0, 0, 0, 0),
+               (1, 5): (-1, 0, 0, 0, 0, 0), (2, 3): (1, 0, 0, 0, 0, 0)}
+
 # (ring, element type of its batch arrays): int64 while (p^k)^2 < 2^63,
 # which still holds over 2^31 - 1, and Python ints over (2^31 - 1)^2
 BATCH_RINGS = [
@@ -246,6 +252,7 @@ BATCH_RINGS = [
     (LieRing(BIG_PRIME, 1, 6, U4, name="u4"), np.int64),
     (heis(BIG_PRIME, k=2), object),
     (LieRing(BIG_PRIME, 2, 6, U4, name="u4"), object),
+    (LieRing(5, 1, 6, U4_REVERSED, name="u4_reversed"), np.int64),
 ]
 
 
@@ -265,6 +272,95 @@ def test_batch_kernels_match_scalar(data):
              lambda x, y: conjugate(ring, x, y))):
         for x, y, row in zip(X, Y, got):
             assert tuple(int(v) for v in row) == want(x, y)
+
+
+# the batch entry points, each with the scalar route it must match
+BATCH_ROUTES = [
+    (batch_bracket, lambda ring, x, y: ring.bracket(x, y)),
+    (batch_exp_mul, exp_mul),
+    (batch_conjugate, conjugate),
+]
+
+
+def _assert_rows_match(ring, X, Y):
+    """Every batch entry point on X, Y against its scalar route, with the
+    output's shape and dtype, and the inputs left as they were."""
+    before = [np.array(A, copy=True) for A in (X, Y)]
+    for batch, scalar in BATCH_ROUTES:
+        got = batch(ring, X, Y)
+        assert got.shape == (len(X), ring.rank)
+        assert got.dtype == ring.modulus.dtype
+        want = [scalar(ring, tuple(x.tolist()), tuple(y.tolist()))
+                for x, y in zip(X, Y)]
+        assert [tuple(int(v) for v in row) for row in got] == want
+        for A, old in zip((X, Y), before):
+            assert np.array_equal(A, old)
+
+
+# the largest prime whose square is below 2^63: int64 still, but two
+# unreduced products of residues overflow it
+TOP_PRIME = 3037000493
+# [e0, e1] = [e2, e3] = -e4, so two such products meet in one coordinate
+H5 = {(0, 1): (0, 0, 0, 0, -1), (2, 3): (0, 0, 0, 0, -1)}
+
+
+@pytest.mark.parametrize("ring, dtype", [
+    (LieRing(BIG_PRIME, 1, 6, U4, name="u4"), np.int64),
+    (LieRing(BIG_PRIME, 2, 6, U4, name="u4"), object),
+    (LieRing(TOP_PRIME, 1, 5, H5, name="h5"), np.int64),
+    (LieRing(TOP_PRIME, 1, 6, U4, name="u4"), np.int64),
+], ids=["u4-int64", "u4-object", "h5-int64", "u4-top-int64"])
+def test_batch_kernels_at_the_largest_residues(ring, dtype):
+    # entries p^k - 1 (and 1) make the largest products the kernels form;
+    # random rows make large brackets, whose multiples by the series
+    # coefficients are near (p^k)^2 as well
+    top, r = ring.pk - 1, ring.rank
+    assert ring.modulus.dtype == dtype
+    rng = random.Random(3)
+    rows = [(top,) * r, (top, 0) * 3, (0, top) * 3, (top, 1) * 3, (1, 0) * 3]
+    rows += [tuple(rng.randrange(ring.pk) for _ in range(r)) for _ in range(3)]
+    X = np.array([x[:r] for x in rows for _ in rows], dtype=dtype)
+    Y = np.array([y[:r] for _ in rows for y in rows], dtype=dtype)
+    _assert_rows_match(ring, X, Y)
+    # the program on residues, as vmodel calls it
+    got = series_program(ring, "bch").batch(ring, X, Y)
+    assert np.array_equal(got, batch_exp_mul(ring, X, Y))
+
+
+@pytest.mark.parametrize("name", ["h3_p3", "u4_p5", "h3_z9"])
+def test_batch_kernels_on_views_and_few_rows(rings, name):
+    ring = rings[name]
+    rng = np.random.default_rng(5)
+    X, Y = (rng.integers(0, ring.pk, size=(12, ring.rank)) for _ in range(2))
+    for n in (0, 1):
+        _assert_rows_match(ring, X[:n], Y[:n])
+    # a transposed view, strided and reversed slices, and a gather of rows
+    # of a 3-D array, as orbits._radicals passes them
+    _assert_rows_match(ring, np.ascontiguousarray(X.T).T,
+                       np.ascontiguousarray(Y.T).T)
+    _assert_rows_match(ring, X[::2], Y[1::2])
+    _assert_rows_match(ring, X[::-1], Y[::-1])
+    stack = np.stack([X, Y])
+    c, r = np.array([0, 1, 1, 0]), np.array([3, 3, 7, 11])
+    _assert_rows_match(ring, stack[c, r], stack[1 - c, r[::-1]])
+
+
+@pytest.mark.parametrize("ring", [catalog()["u4_p5"],
+                                  LieRing(BIG_PRIME, 1, 6, U4, name="u4"),
+                                  LieRing(BIG_PRIME, 2, 6, U4, name="u4")],
+                         ids=["u4_p5", "int64", "object"])
+def test_batch_kernels_reduce_any_integers(ring):
+    # inputs are reduced mod p^k first, down to the int64 extremes
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    big = [lo, hi, -1, ring.pk, -ring.pk - 1, 2 * ring.pk + 3]
+    if ring.modulus.dtype is object:
+        big += [10**40 + 7, -(10**40) - 7]
+    X = [[big[(i + j) % len(big)] for j in range(6)] for i in range(len(big))]
+    Y = X[::-1]
+    Xr = [[v % ring.pk for v in row] for row in X]
+    Yr = [[v % ring.pk for v in row] for row in Y]
+    for batch, _ in BATCH_ROUTES:
+        assert np.array_equal(batch(ring, X, Y), batch(ring, Xr, Yr))
 
 
 def dense_bracket(ring, x, y):
