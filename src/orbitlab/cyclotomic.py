@@ -9,10 +9,13 @@ comparisons and every identity checked against these numbers is exact.
 The embedding psi of Q_p/Z_p sends a/p^l to CycNumber.root(p, M,
 a * p^(M-l)); MetricGroup.qt forms that exponent itself.
 
-Each conductor p^M gets one context, built on first use: the sizes, the
-power-basis numerators of zeta^e for 0 <= e < n, and the index tables of
-the Galois automorphisms. Ring operations work on the extended basis
-1, ..., zeta^(n-1) and fold it back into the power basis in one pass.
+Each conductor p^M gets one context, built on first use: the sizes, zero
+and zeta^e for 0 <= e < n as one CycNumber each, and the index tables of
+the Galois automorphisms.  CycNumbers are immutable, so CycNumber.zero,
+one and root return those shared objects, and a list comparison of such
+constants stops at the identity test.  Ring operations work on the
+extended basis 1, ..., zeta^(n-1) and fold it back into the power basis
+in one pass.
 
 Sums of many roots of unity use the exponent format instead: an integer
 array h whose last axis has length n, with one denominator D, stands for
@@ -61,10 +64,11 @@ class _Conductor:
         self.n = p**m
         self.phi = (p - 1) * p ** (m - 1)
         self.pad = (0,) * (self.n - self.phi)
-        self.zero = (0,) * self.phi
+        self.zero = _make(self, (0,) * self.phi, 1)
         unit = (1,) + (0,) * (self.n - 1)
-        self.roots = tuple(self.fold(unit[self.n - e:] + unit[:self.n - e])
-                           for e in range(self.n))
+        self.roots = tuple(
+            _make(self, self.fold(unit[self.n - e:] + unit[:self.n - e]), 1)
+            for e in range(self.n))
         self._galois = {}
         self._primes = []
 
@@ -175,25 +179,23 @@ class CycNumber:
 
     @classmethod
     def zero(cls, p: int, m: int) -> "CycNumber":
-        ctx = _conductor(p, m)
-        return _make(ctx, ctx.zero, 1)
+        return _conductor(p, m).zero
 
     @classmethod
     def one(cls, p: int, m: int) -> "CycNumber":
-        ctx = _conductor(p, m)
-        return _make(ctx, ctx.roots[0], 1)
+        return _conductor(p, m).roots[0]
 
     @classmethod
     def rational(cls, p: int, m: int, x) -> "CycNumber":
         ctx = _conductor(p, m)
         x = Fraction(x)
-        return _make(ctx, (x.numerator,) + ctx.zero[1:], x.denominator)
+        return _make(ctx, (x.numerator,) + ctx.zero._num[1:], x.denominator)
 
     @classmethod
     def root(cls, p: int, m: int, e: int) -> "CycNumber":
         """zeta^e, reduced into the power basis."""
         ctx = _conductor(p, m)
-        return _make(ctx, ctx.roots[e % ctx.n], 1)
+        return ctx.roots[e % ctx.n]
 
     # -- ring operations ---------------------------------------------------
 
@@ -238,7 +240,7 @@ class CycNumber:
         if zeros_a < zeros_b:
             a, b, zeros_a = b, a, zeros_b
         if zeros_a == phi:
-            return _make(ctx, ctx.zero, 1)
+            return ctx.zero
         acc = [0] * (2 * phi - 1)
         for i, c in enumerate(a):
             if c:

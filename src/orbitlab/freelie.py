@@ -6,11 +6,17 @@ through one engine: expand a tree into the truncated free associative algebra
 rewrite back onto the Hall basis by an exact linear solve. A nonzero
 associative remainder in the rewrite means the input was not a Lie element;
 that is always a hard error, never a truncation.
+
+Hall bases are interned per (generators, class), and the series bch,
+exp_ad and phi_series are built once per class and then shared (LiePoly
+operations return new polynomials), so a fresh ring compiling its
+programs (lazard.series_program) rebuilds none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 from typing import Union
 
@@ -311,30 +317,18 @@ class LiePoly:
         return " + ".join(f"{c}*{tree_str(t)}" for t, c in items)
 
 
-_basis_cache: dict = {}
-
-
+@cache
 def hall_basis(m: int, c: int) -> HallBasis:
     """Interned Hall bases so expansion/rewrite caches are shared."""
-    got = _basis_cache.get((m, c))
-    if got is None:
-        got = _basis_cache[(m, c)] = HallBasis(m, c)
-    return got
+    return HallBasis(m, c)
 
 
 # -- the series --------------------------------------------------------------
 
-_bch_cache: dict = {}
-
-
+@cache
 def bch(c: int) -> LiePoly:
     """Campbell-Hausdorff series log(e^x e^y) through class c, on the Hall basis."""
-    got = _bch_cache.get(c)
-    if got is None:
-        basis = hall_basis(2, c)
-        got = basis.lie_from_assoc(log_exp_xy_assoc(c))
-        _bch_cache[c] = got
-    return got
+    return hall_basis(2, c).lie_from_assoc(log_exp_xy_assoc(c))
 
 
 def _eval_tree(t: Tree, leaves, memo) -> LiePoly:
@@ -377,6 +371,7 @@ def _generators(c: int):
     return LiePoly.generator(basis, 0), LiePoly.generator(basis, 1)
 
 
+@cache
 def exp_ad(c: int) -> LiePoly:
     """e^(ad x)(y) = y + [x,y] + (1/2)[x,[x,y]] + ... through class c."""
     return exp_ad_apply(*_generators(c))
@@ -388,6 +383,7 @@ def exp_ad_apply(a: LiePoly, b: LiePoly) -> LiePoly:
                    a, b)
 
 
+@cache
 def phi_series(c: int) -> LiePoly:
     """Phi(x,y) = sum_n (-1)^n/(n+1)! (ad y)^n(x) through class c."""
     x, y = _generators(c)

@@ -195,18 +195,22 @@ def _transform(m, H, sign):
     sum over a of H[..., a, :] zeta^(sign chi_b(a)) at each b, same shape:
     |G| N sum_i p^k_i integer adds per leading index, one axis at a time
     (row-column transform; Good 1958, Clausen-Baum 1993), chi_b(a) =
-    sum_i a_i b_i p^(level - k_i) the standard duality."""
+    sum_i a_i b_i p^(level - k_i) the standard duality.  Along an axis of
+    order K the exponent e of row a lands on e + sign a b p^(level - k)
+    at b, which depends on a b mod K alone: row a adds one gather of
+    H[..., a, :] over a (K, N) index, so no temporary exceeds H's size."""
     shape, N = H.shape, m.modulus
     H = H.reshape(shape[:-2] + m.orders + (N,))
-    e = np.arange(N)
     for axis, k in enumerate(m.exponents, len(shape) - 2):
-        X = np.moveaxis(H, axis, 0)
-        Y = np.zeros_like(X)
-        wb = m.p ** (m.level - k) * np.arange(X.shape[0])[:, None]
-        for a in range(X.shape[0]):
-            # zeta^j of X[a] lands on zeta^(j + sign a b p^(level - k))
-            Y += np.moveaxis(X[a][..., (e - sign * a * wb) % N], -2, 0)
-        H = np.moveaxis(Y, 0, axis)
+        K = m.p ** k
+        c = np.arange(K)
+        shifted = (np.arange(N) - sign * m.p ** (m.level - k) * c[:, None]) % N
+        ab = np.multiply.outer(c, c) % K
+        X = np.moveaxis(H, axis, -2)
+        Y = X[..., 0, shifted[ab[0]]]
+        for a in range(1, K):
+            Y += X[..., a, shifted[ab[a]]]
+        H = np.moveaxis(Y, -2, axis)
     return H.reshape(shape)
 
 

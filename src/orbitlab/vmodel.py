@@ -329,7 +329,10 @@ def verify_ribbon(d, eta_override=None):
     that q-hat u misses.  eta_override, a dense CycNumber matrix, is a
     foreign twist for negative controls: once eta = q-hat is proved, it is
     compared row by row with eta, and the witness is its first mismatch in
-    row-major order, with q-hat's value there.
+    row-major order, with q-hat's value there.  Each row is first compared
+    by list == with eta's row, built from the shared CycNumber zero and
+    roots (CycNumbers are in lowest terms, so equal values compare equal);
+    only the first row that differs is read in the exponent format.
     """
     _require_valid(d)
     ring, m = d.ring, d.metric
@@ -441,8 +444,17 @@ def verify_ribbon(d, eta_override=None):
               f"{len(elements)} elements), eta u = q-hat u ({n} entries)")
     if bad is None and eta_override is not None:
         detail += f", then the override against eta ({n} x {n})"
+        zero, entries = CycNumber.zero(p, level), [[] for _ in range(n)]
+        for j, (i, e) in enumerate(zip(*eta_op)):
+            entries[i].append((j, CycNumber.root(p, level, e)))
         for i in range(n):
-            # row by row, so that no dense copy of the override is held
+            # row by row, so that no dense copy of either matrix is held;
+            # a row equal to eta's as a list has equal values
+            eta_row = [zero] * n
+            for j, v in entries[i]:
+                eta_row[j] = v
+            if list(eta_override[i]) == eta_row:
+                continue
             row, lden = to_rows(eta_override[i], p, level)
             want = np.zeros((n, N), dtype=np.int64)
             cols = np.flatnonzero(ep == i)

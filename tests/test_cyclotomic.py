@@ -450,3 +450,21 @@ def test_copies_keep_their_conductor():
     for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert y == x and hash(y) == hash(x)
         assert y + x == x.scale(2)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 2), (7, 1)])
+def test_constants_are_one_object_per_value(p, m):
+    n = p**m
+    for e in (0, 1, n - 1):
+        x = CycNumber.root(p, m, e)
+        assert x is CycNumber.root(p, m, e + n)
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x)
+        # a fresh object of the same value is equal, not identical
+        fresh = CycNumber(p, m, x.coeffs)
+        assert fresh == x and hash(fresh) == hash(x) and fresh is not x
+    assert CycNumber.one(p, m) is CycNumber.root(p, m, 0)
+    assert CycNumber.zero(p, m) is CycNumber.zero(p, m)
+    assert CycNumber.zero(p, m) == CycNumber(p, m, [0] * (n - n // p))
+    assert CycNumber.root(p, m, 1) * CycNumber.zero(p, m) is CycNumber.zero(
+        p, m)

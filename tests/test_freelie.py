@@ -151,6 +151,15 @@ def test_phi_series_coefficients():
     assert phi_series(c) == want
 
 
+@pytest.mark.parametrize("c", range(1, 7))
+def test_series_are_built_once_per_class(c):
+    assert exp_ad(c) is exp_ad(c)
+    assert exp_ad(c) == exp_ad_apply(*freelie._generators(c))
+    assert phi_series(c) is phi_series(c)
+    assert phi_series(c) == phi_series.__wrapped__(c)
+    assert bch(c) is bch(c)
+
+
 def test_lambda_coefficients_generating_function():
     # t/(1 - e^(-t)) = sum B_n t^n: 1, 1/2, 1/12, 0, -1/720, 0, 1/30240
     got = lambda_coefficients(6)

@@ -399,6 +399,41 @@ def test_st_matrices_match_definition(m):
         assert t[i] == [m.qt(a) if j == i else zero for j in range(len(elems))]
 
 
+def transform_loop(m, H, sign):
+    """metric._transform as its character sum, one exponent row at a time:
+    row a of H, rolled by sign chi_b(a), is added to row b."""
+    out = np.zeros_like(H)
+    elems = list(m.elements())
+    for j, b in enumerate(elems):
+        for i, a in enumerate(elems):
+            out[..., j, :] += np.roll(H[..., i, :],
+                                      sign * _char_exponent(m, b, a), axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("square", [False, True], ids=["rows", "square"])
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("m", [MIXED_ST, quadratic_metric(7),
+                               hyperbolic_metric(3, 2, 1)],
+                         ids=["mixed", "x2_7", "hyp321"])
+def test_transform_matches_character_sum(m, sign, square, dtype):
+    # (|G|, N) rows as q-hat and the Fourier transforms pass them, or the
+    # (|G|, |G|, N) stack of st_matrices; object rows hold numerators
+    # beyond int64
+    n, N = m.size(), m.modulus
+    shape = (n,) * (1 + square) + (N,)
+    top = 10**30 if dtype is object else 1000
+    rng = random.Random(f"{m.exponents}{sign}{square}")
+    H = np.array([rng.randint(-top, top) for _ in range(prod(shape))],
+                 dtype=dtype).reshape(shape)
+    before = H.copy()
+    got = metric._transform(m, H, sign)
+    assert got.shape == H.shape and got.dtype == H.dtype
+    assert (got == transform_loop(m, H, sign)).all()
+    assert (H == before).all()
+
+
 def test_st_matrices_relations_on_dense_oracle():
     m = hyperbolic_metric(3, 1, 1)
     s, t = st_matrices(m)

@@ -531,6 +531,45 @@ def test_forged_half_gives_exact_witness(args, seed):
         "eta": forged[i][j].serialize(), "qhat": want.serialize()}}]
 
 
+def _without_seconds(report):
+    return {**report, "checks": [{k: v for k, v in c.items() if k != "seconds"}
+                                 for c in report["checks"]]}
+
+
+def test_override_of_fresh_equal_numbers_passes():
+    # equal values in objects of their own: rows compare by value, not
+    # by identity with the shared constants
+    d = build_hyperbolic(3, 2, 1, section_seed=4)
+    p, level = d.metric.p, d.metric.level
+    fresh = [[CycNumber(p, level, v.coeffs) for v in row]
+             for row in eta_matrix(d)]
+    assert fresh[0][0] is not eta_matrix(d)[0][0]
+    report = verify_ribbon(d, eta_override=fresh)
+    assert report["pass"] and report["counterexamples"] == []
+    assert _without_seconds(report) == _without_seconds(
+        verify_ribbon(d, eta_override=eta_matrix(d)))
+
+
+def test_override_rows_may_be_tuples():
+    d = build_hyperbolic(5, 1, 1, section_seed=2)
+    forged = eta_matrix(d)
+    forged[7][3] = forged[7][3] + CycNumber.rational(5, 1, Fraction(1, 2))
+    as_lists = verify_ribbon(d, eta_override=forged)
+    as_tuples = verify_ribbon(d, eta_override=[tuple(r) for r in forged])
+    assert as_tuples["counterexamples"] == as_lists["counterexamples"]
+    assert as_lists["counterexamples"][0]["witness"]["row"] == d.pairs[7]
+
+
+def test_override_of_another_conductor_after_the_mismatch_raises():
+    # the first row that differs is read whole, as before
+    d = build_hyperbolic(3, 1, 1)
+    forged = eta_matrix(d)
+    forged[2][0] = forged[2][0] + CycNumber.one(3, 1)
+    forged[2][5] = CycNumber.one(5, 1)
+    with pytest.raises(ValueError, match="mixed conductors"):
+        verify_ribbon(d, eta_override=forged)
+
+
 def test_forged_eta_detected_with_witness():
     d = build_hyperbolic(3, 1, 1)
     forged = [row[:] for row in eta_matrix(d)]
