@@ -22,8 +22,6 @@ from orbitlab.polarizations import Polarization, perp, heisenberg_chain, lagrang
 from orbitlab.metric import (
     MetricGroup,
     gauss_sum,
-    fourier,
-    fourier_inverse,
     ribbon_qhat,
     st_matrices,
 )
@@ -36,6 +34,6 @@ __all__ = [
     "Character", "SkewForm", "coadjoint_act", "enumerate_orbits", "radical",
     "stabilizer_oracle", "kernel_lemma_check", "kernel_lemma_all",
     "Polarization", "perp", "heisenberg_chain", "lagrangian_extend",
-    "MetricGroup", "gauss_sum", "fourier", "fourier_inverse", "ribbon_qhat",
-    "st_matrices", "VModelData", "validate_data", "verify_ribbon",
+    "MetricGroup", "gauss_sum", "ribbon_qhat", "st_matrices",
+    "VModelData", "validate_data", "verify_ribbon",
 ]

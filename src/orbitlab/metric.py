@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import (Modulus, QpModZp, is_prime, kernel, reduce_rows,
                     span_size)
-from .cyclotomic import CycNumber, from_rows, same_values, to_rows
+from .cyclotomic import CycNumber, from_rows, same_values
 from .lazard import (CrossCheckError, LieRing, Subring, read_format,
                      unit_inverses)
 
@@ -214,28 +214,6 @@ def _transform(m, H, sign):
     return H.reshape(shape)
 
 
-def _transform_dict(m, values, sign, scale):
-    """_transform on {element: CycNumber}, missing elements zero, divided
-    by scale; returns {b: CycNumber} over every b."""
-    zero = CycNumber.zero(m.p, m.level)
-    h, den = to_rows([values.get(x, zero) for x in m.elements()], m.p,
-                     m.level, terms=m.size() * m.modulus)
-    return dict(zip(m.elements(), from_rows(_transform(m, h, sign),
-                                            den * scale, m.p, m.level)))
-
-
-def fourier(m, e):
-    """Group-algebra element to function on the dual: phi |-> sum of
-    coefficient(a) phi(a)^{-1}."""
-    return _transform_dict(m, e, -1, 1)
-
-
-def fourier_inverse(m, h):
-    """Function on the dual back to the group algebra:
-    coefficient(a) = 1/|p| sum over phi of h(phi) phi(a)."""
-    return _transform_dict(m, h, 1, m.size())
-
-
 def _b_characters(m):
     """The B-isomorphism of G onto its dual: for each a in elements() order,
     the index in elements() of the b with chi_b = B(., a), whose coordinates
@@ -303,8 +281,6 @@ def st_matrices(m):
         raise MetricError(f"|p| = {n} is not a perfect square")
     if not m.nondegenerate:
         raise MetricError("modular data needs a nondegenerate form")
-    elems = list(m.elements())
-    idx = {a: i for i, a in enumerate(elems)}
     p, level, N = m.p, m.level, m.modulus
     chars = _b_characters(m)
     q = m.q_values
@@ -313,7 +289,10 @@ def st_matrices(m):
     times_t = lambda R: np.take_along_axis(R, shift[None], axis=-1)
     one = np.zeros((n, n, N), dtype=np.int64)
     one[np.arange(n), np.arange(n), 0] = 1
-    negs = [idx[m.neg(a)] for a in elems]
+    # typed, so that the trivial group's empty rows index as int64 too
+    orders, strides = (np.array(v, dtype=np.int64)
+                       for v in (m.orders, m._strides))
+    negs = (-m._element_rows % orders) @ strides
 
     s = times_s(one)
     same = lambda a, den, b: same_values(a, den, b, 1, p, level).all()

@@ -1,17 +1,31 @@
+import time
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from orbitlab.arith import Modulus, QpModZp, howell
-from orbitlab.cyclotomic import _conductor
-from orbitlab.lazard import LieRing, Subring, catalog
+from orbitlab.cyclotomic import CycNumber, _conductor, from_rows, to_rows
+from orbitlab.lazard import (CrossCheckError, LieRing, Subring, catalog,
+                             exp_mul, series_program)
 from orbitlab import vmodel
-from orbitlab.metric import MetricGroup
-from orbitlab.vmodel import VModelData
+from orbitlab.metric import MetricGroup, _transform
+from orbitlab.vmodel import VModelData, VModelError
 
 
 @pytest.fixture(scope="session")
 def rings():
     return catalog()
+
+
+@contextmanager
+def budget(seconds):
+    """Wall-clock limit on the block, asserted after it has run, so that a
+    slow run never masks a wrong answer."""
+    t0 = time.monotonic()
+    yield
+    elapsed = time.monotonic() - t0
+    assert elapsed < seconds, f"ran {elapsed:.2f}s, budget {seconds}s"
 
 
 def hyperbolic_metric(p, k, r, name=None):
@@ -54,6 +68,17 @@ def cotangent_h3(q_e2=0):
     metric = MetricGroup(3, (1,) * 6, q_gens, gram, name="T*h3 pairing")
     a = Subring(ring, [ring.basis(i) for i in (3, 4, 5)])
     return VModelData(ring, a, metric, name="T*h3/Z3")
+
+
+def transform_values(m, values, sign, scale=1):
+    """metric._transform on {element: CycNumber}, missing elements zero,
+    divided by scale: {b: CycNumber} over every b.  sign -1 is the Fourier
+    transform, sign 1 with scale |p| its inverse."""
+    zero = CycNumber.zero(m.p, m.level)
+    h, den = to_rows([values.get(x, zero) for x in m.elements()], m.p,
+                     m.level, terms=m.size() * m.modulus)
+    return dict(zip(m.elements(), from_rows(_transform(m, h, sign),
+                                            den * scale, m.p, m.level)))
 
 
 def cyc_rank(rows):
@@ -102,6 +127,35 @@ def fl_rank(h, p, m):
         best = max(best, len(howell(rows, Modulus(ell, 1))))
         prod *= ell
     return best
+
+
+def eta_monomial_oracle(d):
+    """The twist on the scalar series path, one basis vector at a time:
+    the oracle for the batch-built vmodel._eta_monomial, with its error
+    texts and order."""
+    ring, m = d.ring, d.metric
+    phi = series_program(d.b, "phi").scalar
+    perm = [0] * d.dim()
+    expo = [0] * d.dim()
+    for i, (alpha, beta) in enumerate(d.pairs):
+        ab = exp_mul(d.b, alpha, beta)
+        delta = ring.add(exp_mul(ring, d.s[alpha], d.s[beta]),
+                         ring.neg(d.s[ab]))
+        if not d.a.contains(delta):
+            raise VModelError(
+                "twist-data",
+                f"s(alpha) s(beta) - s(alpha beta) = {delta} is outside "
+                f"the ideal for alpha={alpha}, beta={beta}")
+        w = phi(alpha, ab)
+        perm[i] = d.index[(alpha, ab)]
+        expo[i] = (m.b_num(delta, d.s[w]) - m.q_num(d.s[alpha])) % m.modulus
+        if beta == d.b.zero():
+            if any(delta) or ab != alpha or \
+                    expo[i] != -m.q_num(d.s[alpha]) % m.modulus:
+                raise CrossCheckError(
+                    "twist-beta0", f"twist formula fails its beta = 0 "
+                    f"specialization at alpha={alpha}")
+    return tuple(perm), tuple(expo)
 
 
 def move_qhat_coefficient(monkeypatch, g):

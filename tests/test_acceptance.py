@@ -5,14 +5,13 @@ tolerances are the per-criterion wall-clock budgets, asserted at the end of
 each test so a correctness failure is never masked by a slow run.
 """
 import random
-import time
-from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, isqrt
 
 import pytest
 
-from conftest import cotangent_h3, hyperbolic_metric, quadratic_metric
+from conftest import (budget, cotangent_h3, hyperbolic_metric,
+                      quadratic_metric, transform_values)
 from orbitlab.cyclotomic import CycNumber
 from orbitlab.freelie import (
     LiePoly,
@@ -31,7 +30,7 @@ from orbitlab.lazard import (
     exp_mul,
     log_group,
 )
-from orbitlab.metric import fourier, gauss_sum, ribbon_qhat
+from orbitlab.metric import gauss_sum, ribbon_qhat
 from orbitlab.orbits import (
     SkewForm,
     all_characters,
@@ -51,14 +50,6 @@ from orbitlab.vmodel import (
     validate_data,
     verify_ribbon,
 )
-
-
-@contextmanager
-def budget(seconds):
-    t0 = time.monotonic()
-    yield
-    elapsed = time.monotonic() - t0
-    assert elapsed < seconds, f"ran {elapsed:.2f}s, budget {seconds}s"
 
 
 def contained(a, b):
@@ -201,7 +192,7 @@ def test_criterion_08_qhat_two_paths():
             assert qhat[zero] == g.scale(Fraction(1, m.size()))
             # independent restatement: the transform of q-hat is q-tilde
             # pushed through the B-isomorphism
-            transform = fourier(m, qhat)
+            transform = transform_values(m, qhat, -1)
             for a in m.elements():
                 b = tuple(m.b_num(gi, a) // m.p ** (m.level - k) % m.p ** k
                           for gi, k in zip(

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import hyperbolic_metric, quadratic_metric
+from conftest import hyperbolic_metric, quadratic_metric, transform_values
 from orbitlab import metric
 from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber, to_rows
 from orbitlab.metric import (
     MetricError,
     MetricGroup,
-    fourier,
-    fourier_inverse,
     gauss_sum,
     isotropic_subgroups,
     lagrangians,
@@ -278,21 +276,22 @@ def test_fourier_matches_cyclotomic_loop(name, big):
     e = _random_values(m, rng, big)
     h, _ = to_rows(list(e.values()), m.p, m.level, terms=m.size() * m.modulus)
     assert (h.dtype == object) == big
-    assert fourier(m, e) == fourier_oracle(m, e)
-    assert fourier_inverse(m, e) == fourier_inverse_oracle(m, e)
+    assert transform_values(m, e, -1) == fourier_oracle(m, e)
+    assert transform_values(m, e, 1, m.size()) == fourier_inverse_oracle(m, e)
     # a sparse dict: the missing elements count as zero
     some = dict(itertools.islice(e.items(), 0, None, 2))
-    assert fourier_inverse(m, some) == fourier_inverse_oracle(m, some)
+    assert (transform_values(m, some, 1, m.size())
+            == fourier_inverse_oracle(m, some))
 
 
 def test_fourier_round_trip():
     m = hyperbolic_metric(3, 1, 1)
     e = {x: CycNumber.rational(3, 1, Fraction(i - 4, 3))
          for i, x in enumerate(m.elements())}
-    h = fourier(m, e)
-    back = fourier_inverse(m, h)
+    h = transform_values(m, e, -1)
+    back = transform_values(m, h, 1, m.size())
     assert back == e
-    assert fourier(m, back) == h
+    assert transform_values(m, back, -1) == h
 
 
 def test_fourier_turns_convolution_into_product():
@@ -309,8 +308,8 @@ def test_fourier_turns_convolution_into_product():
         for y in elems:
             s = m.add(x, y)
             conv[s] = conv[s] + e1[x] * e2[y]
-    lhs = fourier(m, conv)
-    f1, f2 = fourier(m, e1), fourier(m, e2)
+    lhs = transform_values(m, conv, -1)
+    f1, f2 = transform_values(m, e1, -1), transform_values(m, e2, -1)
     rhs = {b: f1[b] * f2[b] for b in elems}
     assert lhs == rhs
 
@@ -386,7 +385,8 @@ MIXED_ST = MetricGroup(3, (2, 1, 1), ["1/9", "0/1", "0/1"],
 @pytest.mark.parametrize("m", [
     hyperbolic_metric(3, 1, 1), hyperbolic_metric(5, 1, 1),
     hyperbolic_metric(3, 2, 1), hyperbolic_metric(3, 1, 2), MIXED_ST,
-], ids=["hyp311", "hyp511", "hyp321", "hyp312", "mixed"])
+    TEST_METRICS["trivial"],
+], ids=["hyp311", "hyp511", "hyp321", "hyp312", "mixed", "trivial"])
 def test_st_matrices_match_definition(m):
     # st_matrices reads B through the Gram matrix; b_num is the definition
     s, t = st_matrices(m)
@@ -466,8 +466,8 @@ def _sign_flipped(monkeypatch, m):
 
 
 def _negation_moved(monkeypatch, m):
-    neg = m.neg
-    monkeypatch.setattr(m, "neg", lambda x: (0, 0) if x == (2, 1) else neg(x))
+    # strides reversed: the negation index points a at (-a_1, -a_0)
+    monkeypatch.setattr(m, "_strides", m._strides[::-1])
 
 
 @pytest.mark.parametrize("mutate, relation", [

@@ -5,8 +5,8 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from conftest import (cotangent_h3, cyc_rank, hyperbolic_metric,
-                      move_qhat_coefficient)
+from conftest import (cotangent_h3, cyc_rank, eta_monomial_oracle,
+                      hyperbolic_metric, move_qhat_coefficient)
 from orbitlab import vmodel
 from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber, from_rows
@@ -223,35 +223,6 @@ def test_gamma_arrays_match_scalar_oracle_nonabelian():
         d, random.Random(0).sample(range(d.ring.size()), 20))
 
 
-def _eta_monomial_oracle(d):
-    """The twist on the scalar series path, one basis vector at a time:
-    the oracle for the batch-built vmodel._eta_monomial, with its error
-    texts and order."""
-    ring, m = d.ring, d.metric
-    phi = series_program(d.b, "phi").scalar
-    perm = [0] * d.dim()
-    expo = [0] * d.dim()
-    for i, (alpha, beta) in enumerate(d.pairs):
-        ab = exp_mul(d.b, alpha, beta)
-        delta = ring.add(exp_mul(ring, d.s[alpha], d.s[beta]),
-                         ring.neg(d.s[ab]))
-        if not d.a.contains(delta):
-            raise VModelError(
-                "twist-data",
-                f"s(alpha) s(beta) - s(alpha beta) = {delta} is outside "
-                f"the ideal for alpha={alpha}, beta={beta}")
-        w = phi(alpha, ab)
-        perm[i] = d.index[(alpha, ab)]
-        expo[i] = (m.b_num(delta, d.s[w]) - m.q_num(d.s[alpha])) % m.modulus
-        if beta == d.b.zero():
-            if any(delta) or ab != alpha or \
-                    expo[i] != -m.q_num(d.s[alpha]) % m.modulus:
-                raise CrossCheckError(
-                    "twist-beta0", f"twist formula fails its beta = 0 "
-                    f"specialization at alpha={alpha}")
-    return tuple(perm), tuple(expo)
-
-
 @pytest.mark.parametrize("make", [
     lambda: build_hyperbolic(3, 1, 1),
     lambda: build_hyperbolic(5, 1, 1, section_seed=7),
@@ -264,7 +235,7 @@ def test_eta_monomial_matches_scalar_oracle(make):
     d = make()
     validate_data(d)
     got = vmodel._eta_monomial(d)
-    assert got == _eta_monomial_oracle(d)
+    assert got == eta_monomial_oracle(d)
     assert all(type(x) is int for part in got for x in part)
 
 
@@ -290,7 +261,7 @@ def test_eta_monomial_errors_match_scalar_oracle(section_of):
     d0 = build_hyperbolic(3, 1, 1)
     d = VModelData(d0.ring, d0.a, d0.metric, section={
         beta: section_of(d0, beta) for beta in d0.b_elements})
-    want = _twist_error(_eta_monomial_oracle, d)
+    want = _twist_error(eta_monomial_oracle, d)
     assert _twist_error(vmodel._eta_monomial, d) == want
 
 
