@@ -127,6 +127,13 @@ class QpModZp:
             raise ValueError(f"denominator {den} is not a power of {p}")
         return cls(p, x.numerator, lev)
 
+    @classmethod
+    def coerce(cls, p: int, v) -> "QpModZp":
+        """v as given: a QpModZp, text for parse, or a Fraction or int."""
+        if isinstance(v, str):
+            return cls.parse(p, v)
+        return v if isinstance(v, QpModZp) else cls.from_fraction(p, v)
+
     def __add__(self, other: "QpModZp") -> "QpModZp":
         if self.p != other.p:
             raise ValueError("mixed primes")

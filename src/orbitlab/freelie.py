@@ -143,6 +143,8 @@ class HallBasis:
 
     Convention: [a,b] is Hall iff a < b and (b a generator or left(b) <= a),
     ordered by degree then lexicographically; generators x < y < z.
+    expand and _rewriter are cached per basis; hall_basis interns the
+    bases, so the caches keep alive no basis that it does not.
     """
 
     def __init__(self, m: int, cls: int):
@@ -170,29 +172,23 @@ class HallBasis:
         self.by_degree = by_degree
         self.elements = tuple(t for d in range(1, cls + 1) for t in by_degree[d])
         self.index = {t: i for i, t in enumerate(self.elements)}
-        self._expand_cache: dict = {}
-        self._rewriters: dict = {}
 
     def __len__(self):
         return len(self.elements)
 
+    @cache
     def expand(self, t: Tree) -> dict:
         """Associative expansion of a Hall tree (nested commutators)."""
         if isinstance(t, int):
             return {(t,): _F1}
-        got = self._expand_cache.get(t)
-        if got is None:
-            a, b = self.expand(t[0]), self.expand(t[1])
-            got = assoc_mul(a, b, self.cls)
-            _assoc_addmul(got, assoc_mul(b, a, self.cls), -_F1)
-            self._expand_cache[t] = got
+        a, b = self.expand(t[0]), self.expand(t[1])
+        got = assoc_mul(a, b, self.cls)
+        _assoc_addmul(got, assoc_mul(b, a, self.cls), -_F1)
         return got
 
+    @cache
     def _rewriter(self, d: int):
         """Gauss-Jordan pivot table for degree-d Hall expansions."""
-        got = self._rewriters.get(d)
-        if got is not None:
-            return got
         pivots = []  # (word, row dict, hall-combo dict), mutually reduced
         for h in self.by_degree[d]:
             row = dict(self.expand(h))
@@ -216,9 +212,7 @@ class HallBasis:
                     for t, v in combo.items():
                         pcombo[t] = pcombo.get(t, _F0) - c * v
             pivots.append((w, row, combo))
-        got = pivots
-        self._rewriters[d] = got
-        return got
+        return pivots
 
     def lie_from_assoc(self, a: dict) -> "LiePoly":
         """Rewrite an associative Lie element onto the Hall basis, exactly."""

@@ -37,10 +37,7 @@ class MetricError(ValueError):
 
 
 def _as_value(p, v, level_cap):
-    if isinstance(v, str):
-        v = QpModZp.parse(p, v)
-    elif not isinstance(v, QpModZp):
-        v = QpModZp.from_fraction(p, v)
+    v = QpModZp.coerce(p, v)
     if v.level > level_cap:
         raise MetricError(f"value {v} has level above {level_cap}")
     return v
@@ -108,10 +105,7 @@ class MetricGroup:
                               == p ** (self.level * self.rank - s))
 
     def size(self):
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
     def elements(self):
         return itertools.product(*(range(o) for o in self.orders))
@@ -178,16 +172,21 @@ class MetricGroup:
 def gauss_sum(m):
     """Sum of q-tilde over the group, folded from the histogram of q's
     values; for nondegenerate q the modulus identity G conj(G) = |p| is a
-    theorem and is enforced."""
-    hist = np.bincount(m.q_values, minlength=m.modulus)
-    total = from_rows(hist, 1, m.p, m.level)
+    theorem and is enforced on exponent rows: G conj(G) has at e the
+    number of pairs (a, b) with q(a) - q(b) = e, the histogram's circular
+    autocorrelation."""
+    N, hist = m.modulus, np.bincount(m.q_values, minlength=m.modulus)
     if m.nondegenerate:
-        norm = total * total.conj()
-        if not (norm.is_rational() and norm.rational_value() == m.size()):
+        lags = np.correlate(hist, hist, "full")
+        norm = lags[N - 1:].copy()
+        norm[1:] += lags[:N - 1]
+        want = np.zeros(N, dtype=np.int64)
+        want[0] = m.size()
+        if not same_values(norm, 1, want, 1, m.p, m.level):
             raise MetricError(
-                f"Gauss sum modulus broken: G conj(G) = {norm}, "
-                f"expected {m.size()}")
-    return total
+                "Gauss sum modulus broken: G conj(G) = "
+                f"{from_rows(norm, 1, m.p, m.level)}, expected {m.size()}")
+    return from_rows(hist, 1, m.p, m.level)
 
 
 def _transform(m, H, sign):
@@ -307,46 +306,38 @@ def st_matrices(m):
     return from_rows(s, card, p, level), from_rows(times_t(one), 1, p, level)
 
 
-def _grow(start, candidates, cap):
-    """Every Subring reached from start by adjoining one element at a time,
-    breadth first, keyed by Howell rows; spans of size >= cap are kept but
-    not grown.  candidates(sub) is an integer array of elements.  Rows in
-    one coset of sub, or unit multiples of each other, give one span, so
-    each is tried once: reduced against sub, scaled to a leading p^v."""
-    ring, pk = start.ring, start.ring.pk
-    seen = {start.rows: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            if sub.size() >= cap:
-                continue
-            R = reduce_rows(candidates(sub), sub.rows, ring.modulus,
-                            sub.pivots)
-            R = R[R.any(axis=1)]
-            lead = R[np.arange(len(R)), (R != 0).argmax(axis=1)]
-            scaled = (R * unit_inverses(ring)[lead][:, None] % pk).tolist()
-            for y in sorted(set(map(tuple, scaled))):
-                new = Subring(ring, sub.rows + (y,))
-                if new.rows not in seen:
-                    seen[new.rows] = new
-                    nxt.append(new)
-        frontier = nxt
-    return list(seen.values())
-
-
 def isotropic_subgroups(m, max_size=None):
-    """All subgroups on which q vanishes identically, grown by adjoining
-    q-null elements orthogonal to the current span's Howell rows."""
+    """All subgroups on which q vanishes identically, grown as a tree of
+    Subrings (reverse search: Avis-Fukuda 1996; McKay 1998).  The parent
+    of a span is the span of its Howell rows after the first: by the
+    Howell property, its members that vanish up to the first pivot column,
+    so again isotropic and smaller.  The children of S adjoin a q-null y
+    orthogonal to S and nonzero before S's first pivot, scaled to a
+    leading p^v and then reduced against S (in that order: scaling a
+    reduced row can unreduce it), so that unit multiples and cosets of S
+    give one row; S + <y> is kept when S is its parent.  Spans of size >=
+    max_size are kept but not grown."""
     if not m.rank:
         return [frozenset([()])]
     ring, w, X, XB = m._isotropic_data
-
-    def candidates(sub):
+    pk, cap, unit = ring.pk, max_size or m.size(), unit_inverses(ring)
+    spans, stack = [], [Subring.zero(ring)]
+    while stack:
+        sub = stack.pop()
+        spans.append(sub)
+        if sub.size() >= cap:
+            continue
+        first = sub.pivots[0][0] if sub.pivots else m.rank
         rows = np.array(sub.rows, dtype=np.int64).reshape(-1, m.rank) // w
-        return X[~(XB @ rows.T % m.modulus).any(axis=1)] * w
-
-    spans = _grow(Subring.zero(ring), candidates, max_size or m.size())
+        Y = X[X[:, :first].any(axis=1)
+              & ~(XB @ rows.T % m.modulus).any(axis=1)] * w
+        lead = Y[np.arange(len(Y)), (Y != 0).argmax(axis=1)]
+        Y = reduce_rows(Y * unit[lead][:, None] % pk, sub.rows,
+                        ring.modulus, sub.pivots)
+        for y in set(map(tuple, Y.tolist())):
+            new = Subring(ring, sub.rows + (y,))
+            if new.rows[1:] == sub.rows:
+                stack.append(new)
     subs = [frozenset(map(tuple, (s.members() // w).tolist())) for s in spans]
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 

@@ -44,10 +44,7 @@ class Character:
     def from_values(cls, ring, values):
         nums = []
         for v in values:
-            if isinstance(v, str):
-                v = QpModZp.parse(ring.p, v)
-            elif not isinstance(v, QpModZp):
-                v = QpModZp.from_fraction(ring.p, v)
+            v = QpModZp.coerce(ring.p, v)
             if v.level > ring.k:
                 raise ValueError(f"character value {v} has level > k = {ring.k}")
             nums.append(v.numerator * ring.p ** (ring.k - v.level))

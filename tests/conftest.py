@@ -8,7 +8,7 @@ from orbitlab.arith import Modulus, QpModZp, howell
 from orbitlab.cyclotomic import CycNumber, _conductor, from_rows, to_rows
 from orbitlab.lazard import (CrossCheckError, LieRing, Subring, catalog,
                              exp_mul, series_program)
-from orbitlab import vmodel
+from orbitlab import metric, vmodel
 from orbitlab.metric import MetricGroup, _transform
 from orbitlab.vmodel import VModelData, VModelError
 
@@ -45,6 +45,26 @@ def hyperbolic_metric(p, k, r, name=None):
 def quadratic_metric(p):
     """Z/p with q(x) = x^2/p, the rank-one nondegenerate example."""
     return MetricGroup(p, (1,), [f"1/{p}"], [[f"2/{p}"]], name=f"x^2/{p}")
+
+
+def zero_metric(p, exponents):
+    """q = B = 0 on the sum of Z/p^k over exponents: every subgroup is
+    isotropic."""
+    n = len(exponents)
+    return MetricGroup(p, exponents, ["0/1"] * n, [["0/1"] * n] * n)
+
+
+def count_subring_builds(monkeypatch):
+    """A list that gains one entry per Subring that metric builds."""
+    builds = []
+
+    class Counted(Subring):
+        def __init__(self, ring, generators):
+            builds.append(None)
+            super().__init__(ring, generators)
+
+    monkeypatch.setattr(metric, "Subring", Counted)
+    return builds
 
 
 def cotangent_h3(q_e2=0):

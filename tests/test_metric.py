@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import hyperbolic_metric, quadratic_metric, transform_values
+from conftest import (count_subring_builds, hyperbolic_metric,
+                      quadratic_metric, transform_values, zero_metric)
 from orbitlab import metric
 from orbitlab.arith import QpModZp
 from orbitlab.cyclotomic import CycNumber, to_rows
@@ -113,8 +114,7 @@ def test_order_cap_refused_before_powers():
         MetricGroup(3, (8,), ["0/1"], [["0/1"]])
     with pytest.raises(MetricError, match="3\\^1000000000"):
         MetricGroup(3, (10**9,), ["0/1"], [["0/1"]])
-    assert MetricGroup(3, (1,) * 7, ["0/1"] * 7,
-                       [["0/1"] * 7] * 7).size() == 3**7
+    assert zero_metric(3, (1,) * 7).size() == 3**7
 
 
 def test_hyperbolic_729_builds_fast():
@@ -542,12 +542,14 @@ def test_lagrangian_count_of_hyperbolic_forms(p, r, count):
 # Oracle for the Subring growth: the frozenset span closure that grew
 # isotropic subgroups element by element.
 
-def grow_spans(zero, candidates, add, exponent, cap):
+def grow_spans(zero, candidates, add, cap):
     """Every subgroup reached from {zero} by adjoining one element at a
     time, breadth first, as a dict from frozenset span to the generators
     it was first reached by; spans of size >= cap are not grown further.
     candidates(gens) lists the elements that may be adjoined to the span
-    of gens; exponent kills every element."""
+    of gens.  span + <y> is the union of the cosets span + j y for j below
+    the order of y modulo span; every element of span + y gives the same
+    span, so it is tried once."""
     start = frozenset([zero])
     seen = {start: []}
     frontier = [start]
@@ -556,17 +558,16 @@ def grow_spans(zero, candidates, add, exponent, cap):
         for span in frontier:
             if len(span) >= cap:
                 continue
-            gens = seen[span]
+            gens, done = seen[span], set(span)
             for y in candidates(gens):
-                if y in span:
+                if y in done:
                     continue
-                new = set(span)
-                for s in span:
-                    v = s
-                    for _ in range(1, exponent):
-                        v = add(v, y)
-                        new.add(v)
-                key = frozenset(new)
+                cosets, v = [], y
+                while v not in span:
+                    cosets.append({add(s, v) for s in span})
+                    v = add(v, y)
+                done |= cosets[0]
+                key = span.union(*cosets)
                 if key not in seen:
                     seen[key] = gens + [y]
                     nxt.append(key)
@@ -580,7 +581,7 @@ def isotropic_oracle(m, max_size=None):
         tuple(0 for _ in range(m.rank)),
         lambda gens: [y for y in nulls
                       if not any(m.b_num(y, g) for g in gens)],
-        m.add, m.modulus, max_size or m.size())
+        m.add, max_size or m.size())
     return sorted(spans, key=lambda s: (len(s), sorted(s)))
 
 
@@ -593,10 +594,15 @@ def isotropic_oracle(m, max_size=None):
                  [["2/9", "0/1", "0/1"], ["0/1", "0/1", "1/3"],
                   ["0/1", "1/3", "0/1"]]), 2),
     # the zero form on F_3^4: every plane is a "Lagrangian"
-    (MetricGroup(3, (1,) * 4, ["0/1"] * 4, [["0/1"] * 4] * 4), 130),
+    (zero_metric(3, (1,) * 4), 130),
+    # zero forms with k >= 2, where scaling a row by a unit after reducing
+    # it against a span can leave it unreduced and list a span twice
+    (zero_metric(3, (2, 2)), 13),
+    (zero_metric(3, (3, 2)), 0),
+    (zero_metric(3, (2, 2, 1)), 0),
     (MetricGroup(3, (), [], []), 1),
 ], ids=["hyp311", "hyp511", "hyp711", "hyp312", "hyp321", "hyp512", "mixed",
-        "zero-F3^4", "trivial"])
+        "zero-F3^4", "zero-9+9", "zero-27+9", "zero-9+9+3", "trivial"])
 def test_subring_growth_matches_frozenset_oracle(m, count):
     want = isotropic_oracle(m)
     assert isotropic_subgroups(m) == want
@@ -616,10 +622,33 @@ def gaussian_binomial(n, k, q):
 def test_lagrangians_of_zero_forms_are_gaussian_binomials(n, count):
     # q = B = 0 on F_3^n: every subspace of half the dimension qualifies
     assert gaussian_binomial(n, n // 2, 3) == count
-    m = MetricGroup(3, (1,) * n, ["0/1"] * n, [["0/1"] * n] * n)
-    lags = lagrangians(m)
+    lags = lagrangians(zero_metric(3, (1,) * n))
     assert len(lags) == len(set(lags)) == count
     assert all(len(lag) == 3 ** (n // 2) for lag in lags)
+
+
+@pytest.mark.parametrize("p, spans, count", [(5, 963, 806), (7, 3251, 2850)])
+def test_lagrangians_over_a_field_build_each_span_once(monkeypatch, p, spans,
+                                                       count):
+    # the zero form on F_p^4: lagrangians grows the subspaces of dimension
+    # below 2 and keeps the planes, one Subring each
+    assert spans == sum(gaussian_binomial(4, d, p) for d in range(3))
+    assert count == gaussian_binomial(4, 2, p)
+    builds = count_subring_builds(monkeypatch)
+    lags = lagrangians(zero_metric(p, (1,) * 4))
+    assert len(lags) == len(set(lags)) == count
+    assert len(builds) == spans
+
+
+@pytest.mark.parametrize("exponents, spans", [
+    ((2, 2), 23), ((3, 2), 36), ((2, 2, 1), 126)])
+def test_isotropic_subgroups_build_at_most_twice_per_span(monkeypatch,
+                                                          exponents, spans):
+    # with k >= 2 some children fail the parent test and are built in vain
+    builds = count_subring_builds(monkeypatch)
+    subs = isotropic_subgroups(zero_metric(3, exponents))
+    assert len(subs) == len(set(subs)) == spans
+    assert spans <= len(builds) <= 2 * spans
 
 
 def test_isotropic_data_is_built_once(monkeypatch):

@@ -11,12 +11,13 @@ import timeit
 import numpy as np
 import pytest
 
-from conftest import (budget, cotangent_h3, eta_monomial_oracle, fl_rank,
-                      hyperbolic_metric)
+from conftest import (budget, cotangent_h3, count_subring_builds,
+                      eta_monomial_oracle, fl_rank, hyperbolic_metric,
+                      zero_metric)
 from orbitlab.cyclotomic import rank
 from orbitlab.lazard import (LieRing, batch_conjugate, batch_exp_mul, catalog,
                              exp_mul, log_group)
-from orbitlab.metric import st_matrices
+from orbitlab.metric import lagrangians, st_matrices
 from orbitlab.orbits import enumerate_orbits, kernel_lemma_all
 from orbitlab.vmodel import (_eta_monomial, build_hyperbolic, validate_data,
                              verify_ribbon)
@@ -35,6 +36,20 @@ def test_modular_data_of_hyperbolic_forms_with_625_and_729_elements():
             assert len(s) == len(t) == n, (args, len(s))
             print(f"st_matrices on hyperbolic {args} ({n} elements): "
                   f"{seconds:.2f} s CPU, peak RSS {_peak_rss_mb():.0f} MB")
+
+
+def test_lagrangians_of_the_zero_form_on_f3_6(monkeypatch):
+    # every 3-dimensional subspace of F_3^6, grown through the 45,256
+    # subspaces of dimension at most 3, each built as one Subring
+    with budget(30):
+        builds = count_subring_builds(monkeypatch)
+        start = time.process_time()
+        lags = lagrangians(zero_metric(3, (1,) * 6))
+        seconds = time.process_time() - start
+        assert len(lags) == 33880, len(lags)
+        assert len(builds) == 45256, len(builds)
+        print(f"lagrangians of the zero form on F_3^6: {seconds:.2f} s CPU, "
+              f"peak RSS {_peak_rss_mb():.0f} MB")
 
 
 def test_theorem1_on_hyperbolic_712_and_cotangent_h3():
