@@ -9,13 +9,12 @@ comparisons and every identity checked against these numbers is exact.
 The embedding psi of Q_p/Z_p sends a/p^l to CycNumber.root(p, M,
 a * p^(M-l)); MetricGroup.qt forms that exponent itself.
 
-Each conductor p^M gets one context, built on first use: the sizes, zero
-and zeta^e for 0 <= e < n as one CycNumber each, and the index tables of
-the Galois automorphisms.  CycNumbers are immutable, so CycNumber.zero,
-one and root return those shared objects, and a list comparison of such
-constants stops at the identity test.  Ring operations work on the
-extended basis 1, ..., zeta^(n-1) and fold it back into the power basis
-in one pass.
+Each conductor p^M gets one context, built on first use: the sizes, and
+zero and zeta^e for 0 <= e < n as one CycNumber each.  CycNumbers are
+immutable, so CycNumber.zero, one and root return those shared objects,
+and a list comparison of such constants stops at the identity test.
+Ring operations work on the extended basis 1, ..., zeta^(n-1) and fold
+it back into the power basis in one pass.
 
 Sums of many roots of unity use the exponent format instead: an integer
 array h whose last axis has length n, with one denominator D, stands for
@@ -24,9 +23,10 @@ numerators, and an entry is zero exactly when its folded numerators all
 vanish: the kernel of h -> sum_e h[e] zeta^e is spanned by the multiples
 of Phi, which are the vectors constant on each residue class mod
 p^(M-1), and fold subtracts that class's top entry from each class.
-to_rows and from_rows convert between CycNumbers and this format,
-same_values compares two such arrays exactly, and rank decides the ranks
-over Q(zeta) of a stack of such matrices by one batched int64 elimination
+to_rows and from_rows convert between CycNumbers and this format
+(from_rows builds one CycNumber per distinct value), same_values
+compares two such arrays exactly, and rank decides the ranks over
+Q(zeta) of a stack of such matrices by one batched int64 elimination
 over F_l for each prime l = 1 (mod n), with no inverse in Q(zeta).  The
 arrays are int64 while a bound computed from the inputs stays below 2^62,
 and Python ints otherwise, so no sum overflows silently.
@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +53,7 @@ _INT64_BOUND = 2**62
 class _Conductor:
     """Per-(p, M) data shared by every CycNumber of that conductor."""
 
-    __slots__ = ("p", "m", "n", "phi", "pad", "zero", "roots", "_galois",
-                 "_primes")
+    __slots__ = ("p", "m", "n", "phi", "pad", "zero", "roots", "_primes")
 
     def __init__(self, p: int, m: int):
         if m < 1 or not is_prime(p):
@@ -69,7 +68,6 @@ class _Conductor:
         self.roots = tuple(
             _make(self, self.fold(unit[self.n - e:] + unit[:self.n - e]), 1)
             for e in range(self.n))
-        self._galois = {}
         self._primes = []
 
     def __reduce__(self):
@@ -90,15 +88,6 @@ class _Conductor:
         if any(top):
             return tuple(map(sub, ext[:self.phi], top * (self.p - 1)))
         return tuple(ext[:self.phi])
-
-    def galois_gather(self, t: int):
-        """Index map sending extended-basis numerators x to those of x^(t)."""
-        got = self._galois.get(t)
-        if got is None:
-            t_inv = pow(t, -1, self.n)
-            got = itemgetter(*(j * t_inv % self.n for j in range(self.n)))
-            self._galois[t] = got
-        return got
 
     def primes(self):
         """Yield (l, w^e mod l for 0 <= e < n, int64) for the primes
@@ -207,9 +196,6 @@ class CycNumber:
     def _combine(self, other: "CycNumber", op) -> "CycNumber":
         ctx = self._check(other)
         da, db = self._den, other._den
-        if da == db:
-            num = tuple(map(op, self._num, other._num))
-            return _make(ctx, num, 1) if da == 1 else _lowest(ctx, num, da)
         g = gcd(da, db)
         fa, fb = db // g, da // g
         num = tuple(map(op, map(mul, self._num, repeat(fa)),
@@ -233,14 +219,10 @@ class CycNumber:
     def __mul__(self, other: "CycNumber") -> "CycNumber":
         ctx = self._check(other)
         a, b = self._num, other._num
-        phi = ctx.phi
-        # the sparser factor drives the outer loop; each of its nonzero
-        # coefficients adds one shifted, scaled copy of the other factor
-        zeros_a, zeros_b = a.count(0), b.count(0)
-        if zeros_a < zeros_b:
-            a, b, zeros_a = b, a, zeros_b
-        if zeros_a == phi:
+        if not any(a) or not any(b):
             return ctx.zero
+        phi = ctx.phi
+        # each nonzero coefficient of a adds one shifted, scaled copy of b
         acc = [0] * (2 * phi - 1)
         for i, c in enumerate(a):
             if c:
@@ -271,9 +253,11 @@ class CycNumber:
         ctx = self._ctx
         if t % ctx.p == 0:
             raise ValueError("not a unit exponent")
-        gather = ctx.galois_gather(t % ctx.n)
+        n, ext = ctx.n, self._num + ctx.pad
+        t_inv = pow(t, -1, n)
+        moved = tuple(ext[j * t_inv % n] for j in range(n))
         # an automorphism of Z[zeta] keeps the numerators' gcd too
-        return _make(ctx, ctx.fold(gather(self._num + ctx.pad)), self._den)
+        return _make(ctx, ctx.fold(moved), self._den)
 
     def conj(self) -> "CycNumber":
         """Complex conjugation zeta -> zeta^(-1)."""
@@ -350,10 +334,17 @@ def to_rows(values, p: int, m: int, terms: int = 1):
 def from_rows(h, den: int, p: int, m: int):
     """The CycNumbers h / den, h in the exponent format, each in lowest
     terms: nested lists shaped like h.shape[:-1], or one CycNumber when h
-    has a single axis."""
-    ctx = _conductor(p, m)
-    out = [_lowest(ctx, tuple(row), den)
-           for row in ctx.fold(h.reshape(-1, ctx.n)).tolist()]
+    has a single axis.  Entries with equal folded rows share one object,
+    built once."""
+    ctx, made, out = _conductor(p, m), {}, []
+    folded = ctx.fold(h.reshape(-1, ctx.n))
+    # a slice at a time, so that no list of every row is held at once
+    for start in range(0, len(folded), 4096):
+        for row in map(tuple, folded[start:start + 4096].tolist()):
+            x = made.get(row)
+            if x is None:
+                x = made[row] = _lowest(ctx, row, den)
+            out.append(x)
     for size in reversed(h.shape[1:-1]):
         out = [out[i:i + size] for i in range(0, len(out), size)]
     return out if h.ndim > 1 else out[0]

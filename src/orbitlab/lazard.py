@@ -29,9 +29,8 @@ import numpy as np
 
 from .arith import (Modulus, howell, howell_pivots, kernel, mat_inverse,
                     member, reduce_mod_span, reduce_rows, span_size)
-from .freelie import bch, exp_ad, phi_series
+from .freelie import MAX_CLASS, bch, exp_ad, phi_series
 
-MAX_CLASS = 6
 MAX_RANK = 64
 # residues fit an int64, so numpy can draw and hold them
 MAX_MODULUS = 2**63
@@ -713,13 +712,9 @@ def quotient_ring(ring, ideal, name=None):
     """
     if not ideal.is_ideal():
         raise ValueError("submodule is not an ideal")
-    pk = ring.pk
-    pivots = {}
-    for row in ideal.rows:
-        j = next(i for i, v in enumerate(row) if v)
-        if row[j] % ring.p == 0 or pivots.get(j) is not None:
-            raise ValueError("ideal is not a split submodule")
-        pivots[j] = row
+    if any(v for _, v in ideal.pivots):
+        raise ValueError("ideal is not a split submodule")
+    pk, pivots = ring.pk, {j for j, _ in ideal.pivots}
     free = [j for j in range(ring.rank) if j not in pivots]
     if not free:
         raise ValueError("quotient is trivial")

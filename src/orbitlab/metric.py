@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import (Modulus, QpModZp, is_prime, kernel, reduce_rows,
                     span_size)
-from .cyclotomic import CycNumber, from_rows, same_values
+from .cyclotomic import CycNumber, from_rows, same_values, to_rows
 from .lazard import (CrossCheckError, LieRing, Subring, read_format,
                      unit_inverses)
 
@@ -172,21 +172,23 @@ class MetricGroup:
 def gauss_sum(m):
     """Sum of q-tilde over the group, folded from the histogram of q's
     values; for nondegenerate q the modulus identity G conj(G) = |p| is a
-    theorem and is enforced on exponent rows: G conj(G) has at e the
-    number of pairs (a, b) with q(a) - q(b) = e, the histogram's circular
-    autocorrelation."""
-    N, hist = m.modulus, np.bincount(m.q_values, minlength=m.modulus)
+    theorem and is enforced on exponent rows: with G = sum_i g_i zeta^i
+    over its power-basis numerators, G conj(G) has at e the sum of g_i g_j
+    over i - j = e (mod N), taken over the few nonzero g_i."""
+    N, p, level = m.modulus, m.p, m.level
+    g = from_rows(np.bincount(m.q_values, minlength=N), 1, p, level)
     if m.nondegenerate:
-        lags = np.correlate(hist, hist, "full")
-        norm = lags[N - 1:].copy()
-        norm[1:] += lags[:N - 1]
+        num = to_rows([g], p, level)[0][0]
+        e = np.flatnonzero(num)
+        norm = np.zeros(N, dtype=np.int64)
+        np.add.at(norm, (e[:, None] - e) % N, np.outer(num[e], num[e]))
         want = np.zeros(N, dtype=np.int64)
         want[0] = m.size()
-        if not same_values(norm, 1, want, 1, m.p, m.level):
+        if not same_values(norm, 1, want, 1, p, level):
             raise MetricError(
                 "Gauss sum modulus broken: G conj(G) = "
-                f"{from_rows(norm, 1, m.p, m.level)}, expected {m.size()}")
-    return from_rows(hist, 1, m.p, m.level)
+                f"{from_rows(norm, 1, p, level)}, expected {m.size()}")
+    return g
 
 
 def _transform(m, H, sign):
@@ -306,26 +308,29 @@ def st_matrices(m):
     return from_rows(s, card, p, level), from_rows(times_t(one), 1, p, level)
 
 
-def isotropic_subgroups(m, max_size=None):
-    """All subgroups on which q vanishes identically, grown as a tree of
-    Subrings (reverse search: Avis-Fukuda 1996; McKay 1998).  The parent
-    of a span is the span of its Howell rows after the first: by the
-    Howell property, its members that vanish up to the first pivot column,
-    so again isotropic and smaller.  The children of S adjoin a q-null y
-    orthogonal to S and nonzero before S's first pivot, scaled to a
-    leading p^v and then reduced against S (in that order: scaling a
-    reduced row can unreduce it), so that unit multiples and cosets of S
-    give one row; S + <y> is kept when S is its parent.  Spans of size >=
-    max_size are kept but not grown."""
+def isotropic_subgroups(m, size=None):
+    """The subgroups on which q vanishes identically, all of them or those
+    of the given size, grown as a tree of Subrings (reverse search:
+    Avis-Fukuda 1996; McKay 1998).  The parent of a span is the span of
+    its Howell rows after the first: by the Howell property, its members
+    that vanish up to the first pivot column, so again isotropic and
+    smaller.  The children of S adjoin a q-null y orthogonal to S and
+    nonzero before S's first pivot, scaled to a leading p^v and then
+    reduced against S (in that order: scaling a reduced row can unreduce
+    it), so that unit multiples and cosets of S give one row; S + <y> is
+    kept when S is its parent.  With a size, no span of that size or more
+    is grown, and members are listed only for the spans returned."""
     if not m.rank:
-        return [frozenset([()])]
+        return [frozenset([()])] if size in (None, 1) else []
     ring, w, X, XB = m._isotropic_data
-    pk, cap, unit = ring.pk, max_size or m.size(), unit_inverses(ring)
+    pk, cap, unit = ring.pk, size or m.size(), unit_inverses(ring)
     spans, stack = [], [Subring.zero(ring)]
     while stack:
         sub = stack.pop()
-        spans.append(sub)
-        if sub.size() >= cap:
+        n = sub.size()
+        if size in (None, n):
+            spans.append(sub)
+        if n >= cap:
             continue
         first = sub.pivots[0][0] if sub.pivots else m.rank
         rows = np.array(sub.rows, dtype=np.int64).reshape(-1, m.rank) // w
@@ -347,10 +352,7 @@ def lagrangians(m):
     are exactly the self-orthogonal ones."""
     n = m.size()
     card = isqrt(n)
-    if card * card != n:
-        return []
-    return [s for s in isotropic_subgroups(m, max_size=card)
-            if len(s) == card]
+    return isotropic_subgroups(m, card) if card * card == n else []
 
 
 # plain-text serialization for metric-group files

@@ -60,7 +60,6 @@ class Polarization:
         self.perp = perp(h, form)
         if not _is_subset(h, self.perp):
             raise PolarizationError("h is not isotropic")
-        self.isotropic = True
         self.lie_subring = h.is_lie_subring()
         # [h_perp, h_perp], once: perp is a submodule, so it is a Lie
         # subring exactly when it contains this span

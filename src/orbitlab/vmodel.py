@@ -43,10 +43,10 @@ from .arith import QpModZp, reduce_rows
 from .cyclotomic import (CycNumber, from_rows, rank as cyc_rank, same_values,
                          to_rows)
 # exp_mul is unused here; perfbench's self-test reads vmodel.exp_mul
-from .lazard import (CrossCheckError, LieRing, Subring, _reduced,
-                     all_elements, batch_conjugate, batch_exp_mul,
-                     element_index, exp_mul, orthogonal, quotient_ring,
-                     read_format, serialize_ring, series_program)
+from .lazard import (CrossCheckError, LieRing, Subring, _vec, all_elements,
+                     batch_conjugate, batch_exp_mul, element_index, exp_mul,
+                     orthogonal, quotient_ring, read_format, serialize_ring,
+                     series_program)
 from .metric import MetricGroup, _qhat_rows, gauss_sum
 
 
@@ -60,7 +60,9 @@ class VModelError(ValueError):
 
 class VModelData:
     """p, a, q, s and the derived quotient b; validation is a separate
-    operation so that broken bundles can be constructed and reported."""
+    operation so that broken bundles can be constructed and reported.
+    s_rows holds the s(beta) as one (|b|, rank) int64 array in
+    b_elements order."""
 
     def __init__(self, ring, a, metric, section=None, name=""):
         self.ring = ring
@@ -78,8 +80,9 @@ class VModelData:
                            None)
             if missing is not None:
                 raise ValueError(f"the section misses the coset {missing}")
-            self.s = {beta: _reduced(section[beta], ring.pk)
-                      for beta in belems}
+            self.s = {beta: _vec(ring, section[beta]) for beta in belems}
+        self.s_rows = np.array([self.s[beta] for beta in belems],
+                               dtype=np.int64)
         self.pairs = [(alpha, beta) for alpha in belems for beta in belems]
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
         self._validated = False
@@ -203,9 +206,8 @@ def _gamma_arrays(d):
     if d._gamma is not None:
         return d._gamma
     ring, b, a, m = d.ring, d.b, d.a, d.metric
-    nb = len(d.b_elements)
+    nb, S = len(d.b_elements), d.s_rows
     G = all_elements(ring)
-    S = np.array([d.s[beta] for beta in d.b_elements], dtype=np.int64)
     free = [j for j in range(ring.rank) if j not in dict(a.pivots)]
 
     def project(X):  # index in b_elements of each row's coset
@@ -250,9 +252,8 @@ def _eta_monomial(d):
     batch calls, never from _gamma_arrays.  Raises at the first failing
     pair in d.pairs order, twist-data before twist-beta0 at one pair."""
     ring, b, m = d.ring, d.b, d.metric
-    nb, N = len(d.b_elements), m.modulus
+    nb, N, S = len(d.b_elements), m.modulus, d.s_rows
     B = all_elements(b)
-    S = np.array([d.s[beta] for beta in d.b_elements], dtype=np.int64)
     # pair i = alpha * nb + beta, as in d.pairs
     alpha, beta = np.divmod(np.arange(nb * nb), nb)
     ab = element_index(b, batch_exp_mul(b, B[alpha], B[beta]))
@@ -391,8 +392,7 @@ def verify_ribbon(d, eta_override=None):
     t0 = time.perf_counter()
     # h_{beta0} u = sum over g = s(beta0) + x, x in a, of
     # zeta^(q(s(beta0)) - q(g)) gamma(g) u, one slab per beta0
-    lifts = np.array([d.s[b] for b in d.b_elements], dtype=np.int64)
-    A = d.a.members()
+    lifts, A = d.s_rows, d.a.members()
     G = ((lifts[:, None] + A) % ring.pk).reshape(-1, ring.rank)
     owner = np.repeat(np.arange(nb), len(A))  # the beta0 of each g
     rows, q = element_index(ring, G), m.q_values
@@ -471,16 +471,19 @@ def verify_ribbon(d, eta_override=None):
     return report
 
 
-def build_hyperbolic(p, k, r, section_seed=None, name=None):
+def build_hyperbolic(p, k, r, section_seed=None):
     """Hyperbolic bundle: p = a + b abelian of rank 2r over Z/p^k, q the
     evaluation pairing q((a, b)) = <a, b>/p^k, a = the first r coordinates.
 
     The default section is the coordinate lift; a seeded section adds a
     random ideal component to every nonzero coset representative, which
-    must not change any verification verdict.
+    must not change any verification verdict.  b's coordinates are the
+    last r, listed in b_elements order, and each nonzero beta draws its r
+    ideal coordinates in turn.
     """
     rank = 2 * r
-    ring = LieRing(p, k, rank, {}, name=name or f"hyp({p}^{k})x{r}")
+    name = f"hyp({p}^{k})x{r}"
+    ring = LieRing(p, k, rank, {}, name=name)
     a = Subring(ring, [ring.basis(i) for i in range(r)])
     zero = QpModZp(p, 0, 1)
     q_gens = [zero] * rank
@@ -492,18 +495,11 @@ def build_hyperbolic(p, k, r, section_seed=None, name=None):
     section = None
     if section_seed is not None:
         rng = random.Random(section_seed)
-        d0 = VModelData(ring, a, metric)
-        section = {}
-        for beta in d0.b_elements:
-            base = d0.lift(beta)
-            if any(beta):
-                noise = [rng.randrange(ring.pk) for _ in range(r)]
-                base = ring.add(base, tuple(noise) + (0,) * r)
-            section[beta] = base
-    return VModelData(ring, a, metric, section=section,
-                      name=name or f"hyp({p}^{k})x{r}"
-                      + ("" if section_seed is None
-                         else f"/s{section_seed}"))
+        section = {beta: tuple(rng.randrange(ring.pk) if any(beta) else 0
+                               for _ in range(r)) + beta
+                   for beta in itertools.product(range(ring.pk), repeat=r)}
+        name += f"/s{section_seed}"
+    return VModelData(ring, a, metric, section=section, name=name)
 
 
 # plain-text serialization: embedded ring block, ideal generators, metric

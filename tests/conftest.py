@@ -67,6 +67,19 @@ def count_subring_builds(monkeypatch):
     return builds
 
 
+def count_member_lists(monkeypatch):
+    """A list that gains one entry per Subring.members call."""
+    calls = []
+    members = Subring.members
+
+    def counted(self):
+        calls.append(None)
+        return members(self)
+
+    monkeypatch.setattr(Subring, "members", counted)
+    return calls
+
+
 def cotangent_h3(q_e2=0):
     """T*h3 over Z/3, the cotangent double of the Heisenberg ring
     (Medina-Revoy, "Algebres de Lie et produit scalaire invariant", 1985):

@@ -198,13 +198,17 @@ _HYP_VM = serialize_vmodel(build_hyperbolic(3, 1, 1))
     # one 's' line: the cosets (0,) and (2,) have no section value
     ("ribbon", "vmodel v\nring r\np 3\nk 1\nrank 2\nclass 1\nend\na 1 0\n"
      "q 0/1 0/1\nB 0/1 1/3\nB 1/3 0/1\ns 1 -> 0 1\nend\n"),
+    # a section value with three coordinates on a rank-2 ring
+    ("ribbon", serialize_vmodel(build_hyperbolic(3, 1, 1, section_seed=1))
+     .replace("s 1 -> ", "s 1 -> 5 ")),
     # a zero denominator is an input error wherever a value is read
     ("gauss", "metric m\np 3\ntype 1\nq 1/0\nB 0/1\nend\n"),
     ("ribbon", _HYP_VM.replace("q 0/1 0/1", "q 1/0 0/1")),
     ("ribbon", _HYP_VM.replace("B 0/1 1/3", "B 0/1 1/0")),
     ("polarize --chi 1/0,0,0", serialize_ring(catalog()["h3_p5"])),
 ], ids=["metric-p", "ring-p", "ring-bracket", "vmodel-section",
-        "metric-q-zero-denominator", "vmodel-q-zero-denominator",
+        "vmodel-section-length", "metric-q-zero-denominator",
+        "vmodel-q-zero-denominator",
         "vmodel-B-zero-denominator", "chi-zero-denominator"])
 def test_short_lines_are_input_errors(capsys, tmp_path, command, text):
     path = tmp_path / "short.txt"

@@ -12,8 +12,8 @@ import numpy as np
 from conftest import cyc_rank, fl_rank
 from orbitlab import cyclotomic
 from orbitlab.arith import QpModZp, is_prime
-from orbitlab.cyclotomic import (CycNumber, _conductor, from_rows, rank,
-                                 same_values, to_rows)
+from orbitlab.cyclotomic import (CycNumber, _conductor, _lowest, from_rows,
+                                 rank, same_values, to_rows)
 
 
 def test_power_basis_length():
@@ -94,6 +94,30 @@ def test_exponent_rows_round_trip(rows):
     assert from_rows(h, den, 3, 2) == values
     # the same values over a doubled denominator are still equal
     assert same_values(h, den, 2 * h, 2 * den, 3, 2).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("shape", [(9,), (40, 9), (4, 10, 9)],
+                         ids=["1-axis", "2-axes", "3-axes"])
+def test_from_rows_builds_one_object_per_value(shape, dtype):
+    # rows from a pool of three, each moved by a multiple of a residue
+    # class's indicator, which folds to zero: equal values, unequal rows;
+    # object rows hold numerators beyond int64
+    rng = np.random.default_rng(len(shape))
+    scale = 10**30 if dtype is object else 1
+    pool = rng.integers(-2, 3, size=(3, 9)).astype(dtype) * scale
+    classes = np.arange(9) % 3 == rng.integers(0, 3, size=shape[:-1] + (1,))
+    h = (pool[rng.integers(0, 3, size=shape[:-1])]
+         + rng.integers(-2, 3, size=shape[:-1] + (1,)) * classes)
+    ctx, den = _conductor(3, 2), 4
+    got = np.array(from_rows(h, den, 3, 2), dtype=object)
+    assert got.shape == shape[:-1]
+    first = {}
+    for row, x in zip(map(tuple, ctx.fold(h.reshape(-1, 9)).tolist()),
+                      got.ravel()):
+        assert x == _lowest(ctx, row, den)
+        assert x is first.setdefault(row, x)
+    assert len(first) <= 3
 
 
 def test_exponent_rows_vanish_exactly_on_class_constants():

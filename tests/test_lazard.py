@@ -911,6 +911,17 @@ def test_quotient_requires_ideal():
         quotient_ring(ring, not_ideal)
 
 
+@pytest.mark.parametrize("gens", [[(0, 0, 3)], [(0, 3, 0), (0, 0, 1)]],
+                         ids=["3e2", "3e1+e2"])
+def test_quotient_refuses_a_non_split_ideal(rings, gens):
+    # ideals of h3 over Z/9 whose Howell rows have a pivot of valuation 1
+    ring = rings["h3_z9"]
+    ideal = Subring(ring, gens)
+    assert ideal.is_ideal()
+    with pytest.raises(ValueError, match="ideal is not a split submodule"):
+        quotient_ring(ring, ideal)
+
+
 def test_serialize_round_trip(rings):
     for ring in rings.values():
         text = serialize_ring(ring)

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_subring_builds, hyperbolic_metric,
-                      quadratic_metric, transform_values, zero_metric)
+from conftest import (count_member_lists, count_subring_builds,
+                      hyperbolic_metric, quadratic_metric, transform_values,
+                      zero_metric)
 from orbitlab import metric
 from orbitlab.arith import QpModZp
-from orbitlab.cyclotomic import CycNumber, to_rows
+from orbitlab.cyclotomic import CycNumber, from_rows, to_rows
 from orbitlab.metric import (
     MetricError,
     MetricGroup,
@@ -191,6 +192,22 @@ def test_gauss_sum_catches_a_corrupted_q_histogram():
     assert str(err.value) == (
         "Gauss sum modulus broken: G conj(G) = 3*z^0 + -4*z^2 + -4*z^3, "
         "expected 5")
+
+
+@pytest.mark.parametrize("p, k", [(5, 5), (3, 7), (7, 4)])
+def test_gauss_sum_norm_matches_histogram_autocorrelation(p, k):
+    # x^2/p^k: G conj(G) on exponent rows is the circular autocorrelation
+    # of q's histogram, O(N^2) in N = p^k
+    n = p**k
+    m = MetricGroup(p, (k,), [f"1/{n}"], [[f"2/{n}"]])
+    hist = np.bincount(m.q_values, minlength=n)
+    lags = np.correlate(hist, hist, "full")
+    norm = lags[n - 1:].copy()
+    norm[1:] += lags[:n - 1]
+    g = gauss_sum(m)
+    assert g == from_rows(hist, 1, p, k)
+    assert g * g.conj() == from_rows(norm, 1, p, k) == CycNumber.rational(
+        p, k, n)
 
 
 def test_gauss_sum_hyperbolic_is_lagrangian_card():
@@ -394,9 +411,14 @@ def test_st_matrices_match_definition(m):
     card = isqrt(m.size())
     zero = CycNumber.zero(m.p, m.level)
     for i, a in enumerate(elems):
-        assert s[i] == [CycNumber.root(m.p, m.level, -m.b_num(a, b))
-                        .scale(Fraction(1, card)) for b in elems]
-        assert t[i] == [m.qt(a) if j == i else zero for j in range(len(elems))]
+        want_s = [CycNumber.root(m.p, m.level, -m.b_num(a, b))
+                  .scale(Fraction(1, card)) for b in elems]
+        want_t = [m.qt(a) if j == i else zero for j in range(len(elems))]
+        assert s[i] == want_s and t[i] == want_t
+        assert ([x.serialize() for x in s[i] + t[i]]
+                == [x.serialize() for x in want_s + want_t])
+    # S takes at most N values and T at most N + 1, one object each
+    assert len({id(x) for row in s + t for x in row}) <= 2 * m.modulus + 1
 
 
 def transform_loop(m, H, sign):
@@ -631,13 +653,16 @@ def test_lagrangians_of_zero_forms_are_gaussian_binomials(n, count):
 def test_lagrangians_over_a_field_build_each_span_once(monkeypatch, p, spans,
                                                        count):
     # the zero form on F_p^4: lagrangians grows the subspaces of dimension
-    # below 2 and keeps the planes, one Subring each
+    # below 2 and reaches the planes, one Subring each
     assert spans == sum(gaussian_binomial(4, d, p) for d in range(3))
     assert count == gaussian_binomial(4, 2, p)
     builds = count_subring_builds(monkeypatch)
+    lists = count_member_lists(monkeypatch)
     lags = lagrangians(zero_metric(p, (1,) * 4))
     assert len(lags) == len(set(lags)) == count
     assert len(builds) == spans
+    # members are listed for the planes alone
+    assert len(lists) == count
 
 
 @pytest.mark.parametrize("exponents, spans", [

@@ -50,7 +50,7 @@ def test_start_is_radical(rings):
     form = generic_form(rings, "h3_p3")
     pol = start_polarization(form)
     assert pol.h.rows == pol.radical.rows
-    assert pol.isotropic and pol.lie_subring
+    assert pol.lie_subring
 
 
 def test_polarization_rejects_non_containing_h(rings):

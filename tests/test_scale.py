@@ -11,9 +11,9 @@ import timeit
 import numpy as np
 import pytest
 
-from conftest import (budget, cotangent_h3, count_subring_builds,
-                      eta_monomial_oracle, fl_rank, hyperbolic_metric,
-                      zero_metric)
+from conftest import (budget, cotangent_h3, count_member_lists,
+                      count_subring_builds, eta_monomial_oracle, fl_rank,
+                      hyperbolic_metric, zero_metric)
 from orbitlab.cyclotomic import rank
 from orbitlab.lazard import (LieRing, batch_conjugate, batch_exp_mul, catalog,
                              exp_mul, log_group)
@@ -40,16 +40,19 @@ def test_modular_data_of_hyperbolic_forms_with_625_and_729_elements():
 
 def test_lagrangians_of_the_zero_form_on_f3_6(monkeypatch):
     # every 3-dimensional subspace of F_3^6, grown through the 45,256
-    # subspaces of dimension at most 3, each built as one Subring
+    # subspaces of dimension at most 3, each built as one Subring; members
+    # are listed for the 33,880 returned
     with budget(30):
         builds = count_subring_builds(monkeypatch)
+        lists = count_member_lists(monkeypatch)
         start = time.process_time()
         lags = lagrangians(zero_metric(3, (1,) * 6))
         seconds = time.process_time() - start
         assert len(lags) == 33880, len(lags)
         assert len(builds) == 45256, len(builds)
+        assert len(lists) == 33880, len(lists)
         print(f"lagrangians of the zero form on F_3^6: {seconds:.2f} s CPU, "
-              f"peak RSS {_peak_rss_mb():.0f} MB")
+              f"{len(lists)} spans listed, peak RSS {_peak_rss_mb():.0f} MB")
 
 
 def test_theorem1_on_hyperbolic_712_and_cotangent_h3():

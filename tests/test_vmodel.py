@@ -223,6 +223,28 @@ def test_gamma_arrays_match_scalar_oracle_nonabelian():
         d, random.Random(0).sample(range(d.ring.size()), 20))
 
 
+@pytest.mark.parametrize("args", [(3, 1, 1), (5, 1, 1), (3, 2, 1), (3, 1, 2)],
+                         ids=["hyp311", "hyp511", "hyp321", "hyp312"])
+def test_seeded_section_matches_quotient_lift_oracle(args):
+    # the section drawn through an unseeded model's quotient ring and lift,
+    # one draw per ideal coordinate of each nonzero coset in b_elements
+    # order; s_rows holds the same rows in that order
+    p, k, r = args
+    d0 = build_hyperbolic(*args)
+    for seed in range(10):
+        rng, want = random.Random(seed), {}
+        for beta in d0.b_elements:
+            base = d0.lift(beta)
+            if any(beta):
+                noise = [rng.randrange(d0.ring.pk) for _ in range(r)]
+                base = d0.ring.add(base, tuple(noise) + (0,) * r)
+            want[beta] = base
+        d = build_hyperbolic(*args, section_seed=seed)
+        assert d.b_elements == d0.b_elements
+        assert d.s == want and d.name == f"hyp({p}^{k})x{r}/s{seed}"
+        assert d.s_rows.tolist() == [list(want[b]) for b in d.b_elements]
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_hyperbolic(3, 1, 1),
     lambda: build_hyperbolic(5, 1, 1, section_seed=7),
