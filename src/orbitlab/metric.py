@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import (Modulus, QpModZp, is_prime, kernel, reduce_rows,
                     span_size)
-from .cyclotomic import CycNumber, from_rows, same_values, to_rows
+from .cyclotomic import CycNumber, from_rows, same_values
 from .lazard import (CrossCheckError, LieRing, Subring, read_format,
                      unit_inverses)
 
@@ -178,10 +178,13 @@ def gauss_sum(m):
     N, p, level = m.modulus, m.p, m.level
     g = from_rows(np.bincount(m.q_values, minlength=N), 1, p, level)
     if m.nondegenerate:
-        num = to_rows([g], p, level)[0][0]
-        e = np.flatnonzero(num)
+        # G's numerators (den 1); sum |g_i| <= p |G| keeps int64 norms exact
+        num, lags = g._num, {}
+        for i, j in itertools.product(
+                itertools.compress(range(len(num)), num), repeat=2):
+            lags[(i - j) % N] = lags.get((i - j) % N, 0) + num[i] * num[j]
         norm = np.zeros(N, dtype=np.int64)
-        np.add.at(norm, (e[:, None] - e) % N, np.outer(num[e], num[e]))
+        norm[list(lags)] = list(lags.values())
         want = np.zeros(N, dtype=np.int64)
         want[0] = m.size()
         if not same_values(norm, 1, want, 1, p, level):

@@ -165,7 +165,7 @@ def _perms(ring):
         n, pk = ring.rank, ring.pk
         axes = np.ix_(*[np.arange(pk)] * n)
         grid = np.arange(ring.size()).reshape((pk,) * n)
-        for m in _basis_matrices(ring):
+        for m in _basis_matrices(ring).tolist():
             index = grid
             for j in range(n):
                 if any(c != (i == j) for i, c in enumerate(m[j])):
@@ -281,7 +281,9 @@ def _group(ring, cap):
     (p^k)^c representatives r of the cosets of the c central coordinates
     (_build_group); pos[g], the index of g's representative; and the (j, i)
     entries of disp that are not zero for every r.  The cap is checked on
-    every call, cached or not."""
+    every call, cached or not.  Beside it stabilizer_oracle caches index
+    data alone ("scan": the live i of each row j, each representative's
+    group index, the central coordinates), and reads disp from here."""
     if ring.size() > cap:
         raise CapError(
             f"|G| = {ring.size()} exceeds the exhaustive-scan cap {cap}")
@@ -314,9 +316,11 @@ def _build_group(ring):
 
 def _basis_matrices(ring):
     """Coadjoint matrices of the one-parameter elements Exp(e_t), built by
-    coadjoint_matrix, so conjugate's two-route cross-check runs."""
-    return _cached(ring, "basis_matrices", lambda ring: [
-        coadjoint_matrix(ring, ring.basis(t)) for t in range(ring.rank)])
+    coadjoint_matrix, so conjugate's two-route cross-check runs, as one
+    (n, n, n) int64 array: entries are residues under the cap."""
+    return _cached(ring, "basis_matrices", lambda ring: np.array([
+        coadjoint_matrix(ring, ring.basis(t)) for t in range(ring.rank)],
+        dtype=np.int64))
 
 
 def _supports(ring, b):
@@ -361,57 +365,68 @@ def _basis_stable(ring):
 def stabilizer_oracle(chi, cap=DUAL_CAP):
     """{g : g.chi = chi} by exhaustive scan over the group.
 
-    Deliberately independent of the radical computation.  Once per ring
-    (_group): every group element and the displacement M_g - I of its
-    coadjoint matrix, stored once per coset of the central coordinates.
-    Per character, the fixed representatives r are those with
-    sum_i disp[j, i, r] chi_i = 0 for every row j, tested one row at a time
-    on those that passed the rows before; g is fixed exactly when pos[g]
-    is.  A subgroup is spanned by one generator per column j: among its
-    members whose first j coordinates vanish (a prefix of the lexicographic
-    order), one with the least valuation at j, such as the first with
-    x_j != 0.  Those of the fixed points give one Howell form.  One
-    listing of its span (Subring.members; none if both are G) confirms that
-    it is the fixed set, so the return value represents the set faithfully.
-    Otherwise this raises, naming when it can a member of the span that is
-    not fixed.
+    Deliberately independent of the radical computation.  The scan runs on
+    _group's R representatives alone: r is fixed when sum_i disp[j, i, r]
+    chi_i = 0 for every row j, tested one row at a time on those that
+    passed the rows before, and g exactly when pos[g] is, so each fixed r
+    stands for (p^k)^c fixed points.  A subgroup is spanned by one
+    generator per column j: among its members whose first j coordinates
+    vanish (a prefix of the lexicographic order), one with the least
+    valuation at j, such as the first with x_j != 0; here a fixed r, or
+    for a central j, e_j plus the least fixed r whose first j coordinates
+    vanish.  They give one Howell form.  One listing of its span
+    (Subring.members, each member looked up through pos; none if both are
+    G) confirms that it is the fixed set, so the return value represents
+    the set faithfully.  Otherwise this raises, naming when it can a
+    member of the span that is not fixed.
     """
     ring = chi.ring
     pk, n = ring.pk, ring.rank
     elems, disp, pos, live = _group(ring, cap)
-    keep = np.arange(disp.shape[2])
-    for j in range(n):
-        terms = [i for r, i in live if r == j and chi.nums[i]]
+
+    def index_data(ring):
+        # e_j, at pk^(n-1-j), is its own representative unless it is central
+        central = [bool(pos[pk ** (n - 1 - j)] == 0) for j in range(n)]
+        return ([[i for r, i in live if r == j] for j in range(n)],
+                np.flatnonzero(~elems[:, central].any(axis=1)), central)
+    rows, index, central = _cached(ring, "scan", index_data)
+    # sel reads keep's columns of disp: a view of all until a row has terms
+    keep, sel = np.arange(len(index)), ...
+    for j, row in enumerate(rows):
+        terms = [i for i in row if chi.nums[i]]
         if terms:
             # at most n products of two residues, each below p^k: the cap
             # bounds |G| = (p^k)^n, not the R representatives scanned, so
             # for n >= 2 p^k is at most its square root and these sums stay
             # far inside int64
-            moved = sum(disp[j, i, keep] * chi.nums[i] for i in terms)
-            keep = keep[moved % pk == 0]
-    inside = np.zeros(disp.shape[2], dtype=bool)
-    inside[keep] = True
-    inside = inside[pos]
-    fixed = np.flatnonzero(inside)
-    gens = []
-    for j in range(n):
-        # the elements with x_0 = ... = x_(j-1) = 0 and x_j != 0 are those
-        # from pk^(n-j-1) to pk^(n-j) - 1; the first fixed one has the
-        # least x_j, which in a subgroup is p^v, v the least valuation
-        i = np.searchsorted(fixed, pk ** (n - j - 1))
-        if i < len(fixed) and fixed[i] < pk ** (n - j):
-            gens.append(elems[fixed[i]].tolist())
-    sub = Subring(ring, gens)
+            moved = sum(disp[j, i, sel] * chi.nums[i] for i in terms)
+            sel = keep = keep[moved % pk == 0]
+    fixed = index[keep]
+    count = len(keep) * (len(elems) // len(index))
+    # the elements with x_0 = ... = x_(j-1) = 0 and x_j != 0 are those from
+    # pk^(n-j-1) to pk^(n-j) - 1; the first fixed one has the least x_j,
+    # which in a subgroup is p^v, v the least valuation
+    starts = [pk ** (n - 1 - j) for j in range(n)]
+    picks = []
+    for j, at in enumerate(np.searchsorted(fixed, starts).tolist()):
+        if central[j]:
+            if at:
+                picks.append(starts[j] + int(fixed[0]))
+        elif at < len(fixed) and fixed[at] < pk * starts[j]:
+            picks.append(int(fixed[at]))
+    sub = Subring(ring, elems[picks].tolist())
     stray = ""
     # a span of |G| elements is G itself, so G is then the fixed set
-    if sub.size() == len(fixed) < len(elems):
+    if sub.size() == count < len(elems):
+        inside = np.zeros(len(index), dtype=bool)
+        inside[keep] = True
         members = sub.members()
-        for x in members[~inside[element_index(ring, members)]][:1]:
+        for x in members[~inside[pos[element_index(ring, members)]]][:1]:
             stray = f", and it holds {tuple(x.tolist())}, which is not fixed"
-    if sub.size() != len(fixed) or stray:
+    if sub.size() != count or stray:
         raise OrbitError(
             f"stabilizer of {chi} is not additively closed: "
-            f"{len(fixed)} fixed points, span of size {sub.size()}{stray}")
+            f"{count} fixed points, span of size {sub.size()}{stray}")
     return sub
 
 
@@ -448,17 +463,18 @@ def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
     rad = radical(form)
     stab = stabilizer_oracle(chi, cap=cap)
     _same_subgroup(chi, rad, stab)
-    # B_chi(e_t, .) is row t of the form
-    cases = [(ring.basis(t), _act(m, chi.nums, ring.pk), row, stable)
-             for t, (m, row, stable) in enumerate(zip(
-                 _basis_matrices(ring), form.nums, _basis_stable(ring)))]
+    # case t < n is b = e_t (None until a failure names it): Exp(e_t).chi
+    # is row t of one product, B_chi(e_t, .) row t of the form
+    cases = [(None, *case) for case in zip(
+        (_basis_matrices(ring) @ chi.nums % ring.pk).tolist(), form.nums,
+        _basis_stable(ring))]
     if rng is not None:
         for b in [ring.random_element(rng) for _ in range(2)]:
             cases.append((b, coadjoint_act(b, chi).nums,
                           _act(zip(*form.nums), b, ring.pk),
                           _stable_subalgebras(ring, b)))
     bit = [1 << i for i in range(ring.rank)]
-    for b, moved, pairing, stable in cases:
+    for t, (b, moved, pairing, stable) in enumerate(cases):
         # bit masks of the coordinates where b.chi and chi differ and where
         # B_chi(b, .) is nonzero (equal masks agree on every subalgebra);
         # _perp_cases names the case that fails
@@ -467,8 +483,8 @@ def kernel_lemma_check(ring, chi, rng=None, cap=DUAL_CAP):
         pairs = sum(itertools.compress(bit, pairing))
         if moves != pairs and any(bool(moves & bits) != bool(pairs & bits)
                                   for _, bits in stable):
-            _perp_cases(ring, b, np.array([chi.nums]), np.array([moved]),
-                        np.array([pairing]), stable)
+            _perp_cases(ring, b or ring.basis(t), np.array([chi.nums]),
+                        np.array([moved]), np.array([pairing]), stable)
     return {
         "chi": chi.nums,
         "stabilizer_size": stab.size(),

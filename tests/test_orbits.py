@@ -456,11 +456,13 @@ def test_all_mode_cap_is_checked_first(rings):
 # -- the exhaustive stabilizer scan --------------------------------------------
 
 @pytest.mark.parametrize("name, count", [
-    ("h3_p3", None), ("h3xa1_p3", None), ("h3_z9", None), ("u4_p5", 200)])
+    ("h3_p3", None), ("h3xa1_p3", None), ("h3_z9", None), ("u4_p5", 200),
+    ("a1xh3_p5", None)])
 def test_stabilizer_oracle_matches_dense_scan(rings, name, count):
     # every coadjoint matrix in full, from the scalar conjugate; the fixed
-    # points of chi are the g with M_g chi = chi
-    ring = rings[name]
+    # points of chi are the g with M_g chi = chi.  a1xh3_p5 has a leading
+    # central coordinate, whose generator is e_0 plus a representative
+    ring = a1xh3_p5() if name == "a1xh3_p5" else rings[name]
     matrices = np.array([coadjoint_matrix(ring, g) for g in ring.elements()])
     chis = (all_characters(ring) if count is None
             else sample_characters(ring, count, random.Random(5)))
@@ -590,6 +592,44 @@ def test_stabilizer_span_of_the_right_size_is_still_checked(monkeypatch):
             "stabilizer of Character(0/1, 0/1, 1/5) is not additively "
             "closed: 25 fixed points, span of size 25, and it holds "
             "(4, 0, 0), which is not fixed")
+
+
+def _move_identity(disp, rep):
+    disp[1, 3, rep((0, 0, 0, 0))] = 1
+
+
+def _move_identity_fix_e1(disp, rep):
+    _move_identity(disp, rep)
+    _zero((0, 1, 0, 0))(disp, rep)
+
+
+@pytest.mark.parametrize("corrupt, witness", [
+    # the centre <e0, e3> fixes e3's dual; a displacement in row 1, column
+    # 3 of its representative, the identity, makes all of it read as moved
+    (_move_identity, "0 fixed points, span of size 1"),
+    # and with the coset of e1 read as fixed, the central column 0 takes
+    # e0 + e1 (e0 plus the least fixed representative), column 1 takes e1
+    # and column 3 none: the span <e0, e1> holds the moved identity
+    (_move_identity_fix_e1, "25 fixed points, span of size 25, and it holds "
+                            "(0, 0, 0, 0), which is not fixed"),
+], ids=["identity-reads-moved", "identity-moved-e1-fixed"])
+def test_corrupted_leading_centre_is_a_witness(monkeypatch, corrupt, witness):
+    ring = a1xh3_p5()
+    _corrupt_group(monkeypatch, ring, corrupt)
+    chi = generic_character(ring)
+    message = ("stabilizer of Character(0/1, 0/1, 0/1, 1/5) is not "
+               "additively closed: " + witness)
+    # kernel_lemma_all reads the identity's column first, for the radical
+    # row e0
+    for check, want in (
+            (lambda: stabilizer_oracle(chi), message),
+            (lambda: kernel_lemma_check(ring, chi), message),
+            (lambda: kernel_lemma_all(ring),
+             "radical row (1, 0, 0, 0) does not fix chi = Character(0/1, "
+             "0/1, 0/1, 1/5): it moves it to Character(0/1, 1/5, 0/1, 1/5)")):
+        with pytest.raises(OrbitError) as err:
+            check()
+        assert str(err.value) == want
 
 
 def _dense_perms(ring):

@@ -4,6 +4,7 @@ holds a wall-clock budget and prints its CPU seconds, and some the
 process's peak RSS so far."""
 
 import itertools
+import random
 import resource
 import time
 import timeit
@@ -18,7 +19,8 @@ from orbitlab.cyclotomic import rank
 from orbitlab.lazard import (LieRing, batch_conjugate, batch_exp_mul, catalog,
                              exp_mul, log_group)
 from orbitlab.metric import lagrangians, st_matrices
-from orbitlab.orbits import enumerate_orbits, kernel_lemma_all
+from orbitlab.orbits import (enumerate_orbits, kernel_lemma_all,
+                             kernel_lemma_check, sample_characters)
 from orbitlab.vmodel import (_eta_monomial, build_hyperbolic, validate_data,
                              verify_ribbon)
 
@@ -169,3 +171,14 @@ def test_lazard_round_trip_and_batch_kernel_timings():
                  lambda: batch_conjugate(ring, -reps, e12))):
             us = min(timeit.repeat(call, number=20, repeat=5)) / 20 * 1e6
             print(f"u4_p5 {label}: {us:.0f} us per call")
+        # kernel = stabilizer per character (printed, not gated): 200
+        # characters from a fixed seed, once the first call has filled the
+        # ring's caches
+        chis = list(sample_characters(ring, 200, random.Random(5)))
+        kernel_lemma_check(ring, chis[0])
+        start = time.process_time()
+        for chi in chis:
+            kernel_lemma_check(ring, chi)
+        us = (time.process_time() - start) / len(chis) * 1e6
+        print(f"u4_p5 kernel_lemma_check on 200 characters: {us:.0f} us "
+              f"mean per character")
