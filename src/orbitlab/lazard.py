@@ -342,8 +342,8 @@ def _emit(steps, terms, pk, rank, structure):
 
 def _cached(ring, key, build):
     """ring.orbit_cache[key], filled by build(ring) on first use.  The
-    cache holds character-independent data of the ring and no reference
-    back to it."""
+    cache holds data of the ring (tables, and orbits' memo of radicals by
+    skew form) and no reference back to it."""
     cache = ring.orbit_cache
     if key not in cache:
         cache[key] = build(ring)

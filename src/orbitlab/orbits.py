@@ -94,7 +94,6 @@ class SkewForm:
     def __init__(self, chi):
         self.ring = chi.ring
         self.chi = chi
-        self._radical = None  # filled by radical(self)
         pk, n = self.ring.pk, self.ring.rank
         # ring.table[i][j] holds the coordinates of [e_i, e_j]
         self.nums = tuple(
@@ -119,17 +118,22 @@ def radical(form):
 
     By the kernel = stabilizer statement this is the stabilizer Lie ring,
     so a bracket-closure failure here would be a counterexample and is
-    raised rather than ignored.  Closure is checked once per form: a
-    radical that passes is kept on the form and returned from then on.
+    raised rather than ignored.  The radical depends on the form alone,
+    which reads chi only on the coordinates some bracket reaches, so
+    closure is checked once per distinct form: the ring's "radicals" memo
+    holds, by form.nums, the Howell rows and pivots of each radical that
+    passed (tuples, no Subring, so nothing in it refers to the ring).
     """
-    if form._radical is not None:
-        return form._radical
     ring = form.ring
-    sub = Subring.kernel_of(ring, form.nums)
-    if not sub.is_lie_subring():
-        raise OrbitError(
-            f"radical of chi = {form.chi} is not closed under bracket")
-    form._radical = sub
+    memo = _cached(ring, "radicals", lambda ring: {})
+    if form.nums not in memo:
+        sub = Subring.kernel_of(ring, form.nums)
+        if not sub.is_lie_subring():
+            raise OrbitError(
+                f"radical of chi = {form.chi} is not closed under bracket")
+        memo[form.nums] = sub.rows, sub.pivots
+    sub = Subring.__new__(Subring)
+    sub.ring, (sub.rows, sub.pivots) = ring, memo[form.nums]
     return sub
 
 
@@ -230,22 +234,32 @@ def _left_kernels(A, ring):
 
 
 def _radicals(ring, chis):
-    """Rows spanning rad(B_chi), (m, n, n), |rad(B_chi)| and the forms B
-    themselves for the rows chi of chis, by _left_kernels, which leaves B
-    as it is; bracket closure is checked in one batch, on each pair of
-    rows that are both nonzero (a zero row brackets to zero)."""
-    B = _forms(ring, chis)
+    """Rows spanning rad(B), (m, n, n), |rad(B)| and the forms B (m, n, n)
+    for the m distinct forms among the rows chi of chis, and inv, the form
+    of each row.  B_chi(e_i, e_j) = sum_l c_ij^l chi_l reads chi only on
+    the coordinates L that some bracket reaches, so rows of chis that agree
+    on L share form, radical and closure verdict; they are keyed by their
+    coordinates on L in base p^k (L's first the least significant; the key
+    is below |g|).  _left_kernels leaves B as it is; bracket closure is
+    checked in one batch, on each pair of rows that are both nonzero (a
+    zero row brackets to zero)."""
+    L = sorted({l for *_, nonzero in ring.structure for l, _ in nonzero})
+    key = chis[:, L] @ ring.pk ** np.arange(len(L), dtype=np.int64)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    B = _forms(ring, chis[first])
     gens, sizes = _left_kernels(B, ring)
     nonzero = gens.any(axis=2)
     a, b = np.triu_indices(ring.rank, 1)
-    # pair-major, so the character named is the first failing pair's
-    pair, c = np.nonzero((nonzero[:, a] & nonzero[:, b]).T)
-    br = batch_bracket(ring, gens[c, a[pair]], gens[c, b[pair]])
-    outside = (np.einsum("ti,tij->tj", br, B[c]) % ring.pk).any(axis=1)
-    for i in c[outside][:1]:
-        raise OrbitError(f"radical of chi = {Character(ring, chis[i])} "
+    # pair-major, so the character named is the least of the first failing
+    # pair's forms (key order is not the order of chis)
+    pair, f = np.nonzero((nonzero[:, a] & nonzero[:, b]).T)
+    br = batch_bracket(ring, gens[f, a[pair]], gens[f, b[pair]])
+    outside = (np.einsum("ti,tij->tj", br, B[f]) % ring.pk).any(axis=1)
+    for t in np.flatnonzero(outside)[:1]:
+        c = first[f[outside & (pair == pair[t])]].min()
+        raise OrbitError(f"radical of chi = {Character(ring, chis[c])} "
                          f"is not closed under bracket")
-    return gens, sizes, B
+    return gens, sizes, B, inv
 
 
 def enumerate_orbits(ring, cap=DUAL_CAP):
@@ -258,13 +272,14 @@ def enumerate_orbits(ring, cap=DUAL_CAP):
     sizes = np.bincount(lab)[reps]
     # the representatives' rows: their grid positions read in base p^k
     chis = np.stack(np.unravel_index(reps, (ring.pk,) * ring.rank), axis=1)
-    gens, rad_sizes, _ = _radicals(ring, chis)
+    gens, rad_sizes, _, inv = _radicals(ring, chis)
+    rad_sizes = rad_sizes[inv]
     for i in np.flatnonzero(sizes * rad_sizes != ring.size())[:1]:
         raise OrbitError(
             f"orbit size {sizes[i]} times stabilizer size {rad_sizes[i]} "
             f"is not |G| = {ring.size()} at rep {Character(ring, chis[i])}")
-    return [CoadjointOrbit(ring, nums, size, rows)
-            for nums, size, rows in zip(chis.tolist(), sizes.tolist(), gens)]
+    return [CoadjointOrbit(ring, nums, size, gens[f])
+            for nums, size, f in zip(chis.tolist(), sizes.tolist(), inv)]
 
 
 def orbit_histogram(orbits):
@@ -499,31 +514,36 @@ def kernel_lemma_all(ring, cap=DUAL_CAP):
     |rad(chi)| = |G| / |orbit(chi)|, each row spanning rad(chi) fixes chi
     (those rows generate Exp(rad), rad being a Lie subring, so with equal
     orders it is the stabilizer), and the perpendicularity cases over the
-    basis.  stabilizer_oracle runs on each orbit representative."""
+    basis.  stabilizer_oracle runs on each orbit representative.  Radicals
+    and forms are per distinct form (_radicals); each check gathers one
+    (|g|, n) slice of them at a time, through the form of each character."""
     _, disp, pos, _ = _group(ring, cap)
     lab = _labels(ring, cap)
     chis = all_elements(ring)
-    gens, sizes, B = _radicals(ring, chis)
-    orbit = np.bincount(lab)[lab]
+    gens, sizes, B, inv = _radicals(ring, chis)
+    sizes, orbit = sizes[inv], np.bincount(lab)[lab]
     for c in np.flatnonzero(sizes * orbit != ring.size())[:1]:
         raise OrbitError(
             f"radical of chi = {Character(ring, chis[c])} has {sizes[c]} "
             f"elements, its orbit {orbit[c]} of |G| = {ring.size()}")
     for s in range(ring.rank):
-        moved = (chis + np.einsum("jic,ci->cj", disp[:, :, pos[element_index(
-            ring, gens[:, s])]], chis)) % ring.pk
+        # row j of the move of chi by its radical's row s, per form
+        move = disp[:, :, pos[element_index(ring, gens[:, s])]]
+        moved = (chis + np.stack([np.einsum("ic,ci->c", row[:, inv], chis)
+                                  for row in move], axis=1)) % ring.pk
         for c in np.flatnonzero((moved != chis).any(axis=1))[:1]:
             raise OrbitError(
-                f"radical row {tuple(gens[c, s].tolist())} does not fix "
-                f"chi = {Character(ring, chis[c])}: it moves it to "
+                f"radical row {tuple(gens[inv[c], s].tolist())} does not "
+                f"fix chi = {Character(ring, chis[c])}: it moves it to "
                 f"{Character(ring, moved[c])}")
     stables = _basis_stable(ring)
-    tested = sum(_perp_cases(ring, ring.basis(t), chis, chis[perm], B[:, t],
-                             stables[t]) for t, perm in enumerate(_perms(ring)))
+    tested = sum(_perp_cases(ring, ring.basis(t), chis, chis[perm],
+                             B[inv, t], stables[t])
+                 for t, perm in enumerate(_perms(ring)))
     reps = np.flatnonzero(lab == np.arange(len(lab))).tolist()
     for c in reps:
         chi = Character(ring, chis[c])
-        _same_subgroup(chi, Subring(ring, gens[c].tolist()),
+        _same_subgroup(chi, Subring(ring, gens[inv[c]].tolist()),
                        stabilizer_oracle(chi, cap=cap))
     return {"characters": len(chis), "orbits": len(reps),
             "perp_cases": tested}

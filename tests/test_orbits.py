@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from orbitlab.orbits import (
     sample_characters,
     stabilizer_oracle,
 )
+from orbitlab.polarizations import polarize
 
 
 def test_character_values(rings):
@@ -386,6 +389,73 @@ def test_batched_bracket_closure_names_its_character(monkeypatch):
                               "is not closed under bracket")
 
 
+def test_witness_names_the_least_character_of_the_failing_forms(monkeypatch):
+    # [e3, e4] read as e1 in u4 over F_5: each form with chi_5 = 0 and
+    # (chi_3, chi_4) != 0 keeps e3 and e4 as radical rows 3 and 4, and e1
+    # pairs with e0 or e2 to chi_3 or chi_4, so all of them fail at that
+    # pair.  The form keyed least (chi_3 = 1, read as least significant) is
+    # first held by (0, 0, 0, 1, 0, 0), but (0, 0, 0, 0, 1, 0) comes first
+    ring = lazard_catalog()["u4_p5"]
+    e3, e4 = ring.basis(3), ring.basis(4)
+    bracket = orbits.batch_bracket
+
+    def corrupted(ring, X, Y):
+        out = bracket(ring, X, Y)
+        out[(X == e3).all(axis=1) & (Y == e4).all(axis=1)] = ring.basis(1)
+        return out
+    monkeypatch.setattr(orbits, "batch_bracket", corrupted)
+    for check in (kernel_lemma_all, enumerate_orbits):
+        with pytest.raises(OrbitError) as err:
+            check(ring)
+        assert str(err.value) == (
+            "radical of chi = Character(0/1, 0/1, 0/1, 0/1, 1/5, 0/1) is not "
+            "closed under bracket")
+
+
+@pytest.mark.parametrize("source", sorted(lazard_catalog()) + CLASS2_SHAPES
+                         + [pytest.param(h3_z25, id="h3_z25")],
+                         ids=lambda s: s if isinstance(s, str) else s[0])
+def test_radicals_per_form_match_the_per_character_route(source):
+    # the forms, radical rows and sizes that _radicals keeps per distinct
+    # form, gathered back per character, against eliminating every
+    # character's own form; on all characters (in blocks, to bound memory)
+    # and on the census representatives
+    ring = (lazard_catalog()[source] if isinstance(source, str)
+            else source() if callable(source)
+            else class2_ring(*source, seed=11))
+    lab = orbits._labels(ring, orbits.DUAL_CAP)
+    reps = np.flatnonzero(lab == np.arange(len(lab)))
+    for chis in (all_elements(ring), all_elements(ring)[reps]):
+        gens, sizes, B, inv = orbits._radicals(ring, chis)
+        assert len(gens) == len(sizes) == len(B) == inv.max() + 1
+        for lo in range(0, len(chis), 2 ** 14):
+            block = slice(lo, lo + 2 ** 14)
+            forms = orbits._forms(ring, chis[block])
+            rows, counts = orbits._left_kernels(forms, ring)
+            assert np.array_equal(B[inv[block]], forms)
+            assert np.array_equal(gens[inv[block]], rows)
+            assert np.array_equal(sizes[inv[block]], counts)
+
+
+def test_orbit_cache_holds_no_reference_to_its_ring():
+    # every per-ring cache, the radical memo among them, holds tuples and
+    # arrays only, so with the cycle collector off a ring dies with its
+    # last reference
+    ring = lazard_catalog()["u4_p5"]
+    chi = generic_character(ring)
+    gc.disable()
+    try:
+        enumerate_orbits(ring)
+        kernel_lemma_check(ring, chi, rng=random.Random(2))
+        kernel_lemma_all(ring)
+        polarize(SkewForm(chi))
+        ref = weakref.ref(ring)
+        del ring, chi
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 # -- kernel = stabilizer for every character ----------------------------------
 
 @pytest.mark.parametrize("name", ["h3_p5", "h3_z9", "h3xa1_p3"])
@@ -434,12 +504,15 @@ def test_corrupted_radical_is_a_witness(monkeypatch, corrupt, witness):
     batched = orbits._radicals
 
     def corrupted(ring, chis):
-        gens, sizes, B = batched(ring, chis)
+        # the generic character's form, shared by every character that
+        # agrees with it on the bracket coordinates; it is the least of them
+        gens, sizes, B, inv = batched(ring, chis)
+        f = inv[c]
         if corrupt == "row":
-            gens[c, np.flatnonzero(gens[c].any(axis=1))[0]] = ring.basis(0)
+            gens[f, np.flatnonzero(gens[f].any(axis=1))[0]] = ring.basis(0)
         else:
-            sizes[c] *= 5
-        return gens, sizes, B
+            sizes[f] *= 5
+        return gens, sizes, B, inv
     monkeypatch.setattr(orbits, "_radicals", corrupted)
     with pytest.raises(OrbitError) as err:
         kernel_lemma_all(ring)

@@ -3,15 +3,20 @@ module on its own under one timeout, with -s for the prints.  Each check
 holds a wall-clock budget and prints its CPU seconds, and some the
 process's peak RSS so far."""
 
+import ast
 import itertools
+import os
 import random
 import resource
+import subprocess
+import sys
 import time
 import timeit
 
 import numpy as np
 import pytest
 
+import orbitlab
 from conftest import (budget, cotangent_h3, count_member_lists,
                       count_subring_builds, eta_monomial_oracle, fl_rank,
                       hyperbolic_metric, zero_metric)
@@ -19,8 +24,8 @@ from orbitlab.cyclotomic import rank
 from orbitlab.lazard import (LieRing, batch_conjugate, batch_exp_mul, catalog,
                              exp_mul, log_group)
 from orbitlab.metric import lagrangians, st_matrices
-from orbitlab.orbits import (enumerate_orbits, kernel_lemma_all,
-                             kernel_lemma_check, sample_characters)
+from orbitlab.orbits import (enumerate_orbits, kernel_lemma_check,
+                             sample_characters)
 from orbitlab.vmodel import (_eta_monomial, build_hyperbolic, validate_data,
                              verify_ribbon)
 
@@ -95,13 +100,30 @@ def test_census_and_kernel_lemma_on_every_character_of_u4_p7():
         seconds = time.process_time() - start
         assert sum(o.size for o in orbits) == 117649
         print(f"census of u4_p7: {len(orbits)} orbits, {seconds:.2f} s CPU")
-        start = time.process_time()
-        report = kernel_lemma_all(catalog()["u4_p7"])
-        seconds = time.process_time() - start
+        # in a fresh process, whose peak RSS is then kernel_lemma_all's own
+        src = os.path.dirname(os.path.dirname(orbitlab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _KERNEL_ALL_U4_P7], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+        report, seconds, rss = ast.literal_eval(out.stdout)
         assert report["characters"] == 117649, report
         assert report["orbits"] == 721, report
         print(report, f"{seconds:.2f} s CPU, "
-              f"peak RSS {_peak_rss_mb():.0f} MB")
+              f"peak RSS {rss:.0f} MB in a fresh process")
+
+
+_KERNEL_ALL_U4_P7 = """
+import resource, time
+from orbitlab.lazard import catalog
+from orbitlab.orbits import kernel_lemma_all
+ring = catalog()["u4_p7"]
+start = time.process_time()
+report = kernel_lemma_all(ring)
+print((report, time.process_time() - start,
+       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+"""
 
 
 def _int64_rows(x, y):
